@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a check command found a failing property,
-2 usage or parse errors.  Reports echo the command and seed; every
+Exit codes: 0 success, 1 a check command found a failing property or
+could not finish (an order-axiom violation or an enumeration cap), 2
+usage or parse errors.  Reports echo the command and seed; every
 line except the trailing `# elapsed` one is byte-deterministic for
 fixed inputs and seed.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from . import fileio
 from .cones import ConeKind, ConeOracle, affine_cone, check_invariance, classify_cone, standard_cone
 from .finite import (
+    CapExceeded,
     SprinkleConfig,
     build,
     compare_relations,
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="causalorder",
         description="Space-time order toolkit: sprinkles, relations, "
         "Hasse diagrams, gradings, crossings, and cone classification.",
-        epilog="exit codes: 0 ok, 1 failed check, 2 usage/parse error",
+        epilog="exit codes: 0 ok, 1 failed or unfinished check, 2 usage/parse error",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -421,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, CapExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

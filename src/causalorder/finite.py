@@ -7,6 +7,13 @@ built by a vectorized kernel whose arithmetic mirrors the scalar
 predicates in order.py operation for operation, so both routes agree
 bit for bit; the order axioms are re-verified on every construction and
 a violation aborts, since it would mean the predicates are broken.
+
+The matrix products (the two-step relation behind the transitivity check
+and the Hasse covers, and the witness counts of reconstruction) run as
+float32 BLAS matmuls on 0/1 matrices.  They are exact: every entry of a
+product is an integer count of at most n <= MAX_EVENTS < 2**24, and every
+partial sum is a smaller such count, so each is representable in float32
+and no summation order or fused multiply-add can round it.
 """
 
 from __future__ import annotations
@@ -69,35 +76,43 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
 
 
 def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
-    """Strict relation matrix; arithmetic matches order._separation."""
+    """Strict relation matrix; arithmetic matches order._separation.
+
+    Works in place, so at most three n x n float64 arrays are live.
+    """
     n_ev = len(events)
     t = np.array([e.t for e in events], dtype=float)
     dt = t[None, :] - t[:, None]
-    if n_ev and events[0].n:
-        xs = np.array([e.x for e in events], dtype=float)
-        sq = np.zeros((n_ev, n_ev))
-        for axis in range(xs.shape[1]):
-            d = xs[None, :, axis] - xs[:, None, axis]
-            sq += d * d
-        dist = np.sqrt(sq)
-    else:
-        dist = np.zeros((n_ev, n_ev))
     if spec.kind is OrderKind.TEMPORAL:
         fwd = dt > 0.0
-    elif spec.kind is OrderKind.CAUSAL:
-        fwd = (dt > 0.0) & (dist <= spec.c * dt)
     else:
-        fwd = (dt > 0.0) & (dist < spec.c * dt)
+        dim = events[0].n if n_ev else 0
+        xs = np.array([e.x for e in events], dtype=float).reshape(n_ev, dim)
+        dist = np.zeros((n_ev, n_ev))
+        buf = np.empty((n_ev, n_ev))
+        for axis in range(dim):
+            np.subtract(xs[None, :, axis], xs[:, None, axis], out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.add(dist, buf, out=dist)
+        np.sqrt(dist, out=dist)
+        cdt = np.multiply(spec.c, dt, out=buf)
+        if spec.kind is OrderKind.CAUSAL:
+            fwd = dist <= cdt
+        else:
+            fwd = dist < cdt
+        fwd &= dt > 0.0
     return fwd.T if spec.direction is Direction.BACKWARD else fwd
 
 
 @dataclass(frozen=True)
 class FiniteCausalSet:
-    """Events plus the strict relation matrix of the chosen order."""
+    """Events plus the strict relation matrix of the chosen order, and
+    its two-step relation: two_step[i, j] when some k has i < k < j."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
     relation: np.ndarray = field(repr=False)
+    two_step: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -122,21 +137,23 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     if np.any(rel & rel.T):
         i, j = map(int, np.argwhere(rel & rel.T)[0])
         raise RuntimeError(f"antisymmetry violated at pair ({i}, {j})")
-    ri = rel.astype(np.int32)
-    closure_gap = ((ri @ ri) > 0) & ~rel
+    rf = rel.astype(np.float32)
+    two_step = (rf @ rf) > 0
+    del rf
+    closure_gap = two_step & ~rel
     if np.any(closure_gap):
         i, j = map(int, np.argwhere(closure_gap)[0])
         raise RuntimeError(f"transitivity violated at pair ({i}, {j})")
     rel.flags.writeable = False
-    return FiniteCausalSet(evs, spec, rel)
+    two_step.flags.writeable = False
+    return FiniteCausalSet(evs, spec, rel, two_step)
 
 
 def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
     """Edges of the transitive reduction, in lexicographic order.  For a
     finite strict order the reduction is unique: (i, j) is an edge iff
     i < j with no element strictly between."""
-    ri = fcs.relation.astype(np.int32)
-    covers = fcs.relation & ~((ri @ ri) > 0)
+    covers = fcs.relation & ~fcs.two_step
     return [(int(i), int(j)) for i, j in np.argwhere(covers)]
 
 
@@ -275,16 +292,11 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
         raise ValueError("reconstruction expects a subluminal relation")
     rel = fcs.relation
     n_ev = len(fcs)
-    ri = rel.astype(np.int32)
-    # bad[i, j] = number of witnesses w != i with j <' w but not i <' w.
-    # (w = j contributes nothing: rel[j, j] is False; witnesses equal in
-    # value to i cannot violate the implication, see below.)
-    counts = (ri @ (1 - ri).T).T - ri.T
     dup_groups: dict[Event, list[int]] = {}
     for i, e in enumerate(fcs.events):
         dup_groups.setdefault(e, []).append(i)
     if any(len(g) > 1 for g in dup_groups.values()):
-        # Duplicate event values: redo the count per pair with value-level
+        # Duplicate event values: count per pair with value-level
         # witness exclusion.  Rare path, kept simple.
         counts = np.zeros((n_ev, n_ev), dtype=np.int32)
         for i in range(n_ev):
@@ -292,6 +304,13 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
                 skip = set(dup_groups[fcs.events[i]]) | set(dup_groups[fcs.events[j]])
                 keep = [w for w in range(n_ev) if w not in skip]
                 counts[i, j] = int(np.sum(rel[j, keep] & ~rel[i, keep]))
+    else:
+        # counts[i, j] = number of witnesses w != i with j <' w but not
+        # i <' w.  (w = j contributes nothing: rel[j, j] is False; the
+        # product counts w = i when j <' i, which the subtraction removes.)
+        rf = rel.astype(np.float32)
+        counts = (1.0 - rf) @ rf.T
+        counts -= rf.T
     off_diag = ~np.eye(n_ev, dtype=bool)
     rec = (rel | (counts == 0)) & off_diag
     rec.flags.writeable = False
@@ -319,15 +338,15 @@ def compare_relations(
     agree = int(np.sum((cand == ref) & off_diag))
     fp_mask = cand & ~ref
     fn_mask = ref & ~cand
-    samples: list[tuple[int, int, str]] = []
-    diff_cells = sorted(
-        [(int(i), int(j), "fp") for i, j in np.argwhere(fp_mask)]
-        + [(int(i), int(j), "fn") for i, j in np.argwhere(fn_mask)]
-    )
-    samples = diff_cells[:sample_cap]
+    # fp and fn cells are disjoint, so argwhere's row-major order is the
+    # lexicographic order of the samples.
+    samples = [
+        (int(i), int(j), "fp" if fp_mask[i, j] else "fn")
+        for i, j in np.argwhere(fp_mask | fn_mask)[:sample_cap]
+    ]
     return RelationDiff(
         agreements=agree,
-        false_positives=int(np.sum(fp_mask)),
-        false_negatives=int(np.sum(fn_mask)),
+        false_positives=int(np.count_nonzero(fp_mask)),
+        false_negatives=int(np.count_nonzero(fn_mask)),
         samples=tuple(samples),
     )

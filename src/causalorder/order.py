@@ -259,7 +259,9 @@ def _in_closed_forward_cone(u: Event, v: Event, c: float) -> bool:
     if dt < 0.0:
         return False
     if dt == 0.0:
-        return dist == 0.0
+        # Compare the events, not the distance: a tiny offset can square
+        # to 0.0.
+        return u == v
     return dist <= c * dt
 
 

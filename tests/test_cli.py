@@ -3,8 +3,10 @@
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
+from causalorder import finite
 from causalorder.cli import main
 from causalorder.fileio import write_surface, write_worldline
 from causalorder.hypersurfaces import make_hypersurface
@@ -112,6 +114,28 @@ def test_cutset_check_verdicts(tmp_path):
 
     code, _, err = run(["cutset-check", str(path), "--indices", "0,1"])
     assert code == 2 and "antichain" in err
+
+
+def test_axiom_violation_is_one_line_exit_1(monkeypatch, event_file):
+    def broken(events, spec):
+        rel = np.zeros((len(events), len(events)), dtype=bool)
+        rel[0, 1] = rel[1, 2] = True
+        return rel
+
+    monkeypatch.setattr(finite, "_strict_matrix", broken)
+    code, out, err = run(["hasse", str(event_file)])
+    assert code == 1 and out == ""
+    assert err == "error: transitivity violated at pair (0, 2)\n"
+
+
+def test_chain_cap_is_one_line_exit_1(monkeypatch, tmp_path):
+    path = tmp_path / "two.txt"
+    path.write_text("dim=1 c=1 order=causal dir=fwd\n0 0\n0 1\n")
+    real = finite.maximal_chains
+    monkeypatch.setattr(finite, "maximal_chains", lambda fcs, cap: real(fcs, 1))
+    code, out, err = run(["cutset-check", str(path), "--indices", "0"])
+    assert code == 1 and out == ""
+    assert err == "error: more than 1 maximal chains\n"
 
 
 def test_grade_flat_surface_echoes_time(tmp_path, event_file):

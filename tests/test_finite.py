@@ -4,7 +4,9 @@ chain/antichain enumeration, cutsets, and matrix-level reconstruction."""
 import numpy as np
 import pytest
 
+from causalorder import finite
 from causalorder.finite import (
+    MAX_EVENTS,
     CapExceeded,
     SprinkleConfig,
     build,
@@ -26,6 +28,7 @@ from causalorder.order import (
     apply_space_isometry,
     event,
     leq,
+    reconstruct_causal_sampled,
 )
 
 CAUSAL = OrderSpec(OrderKind.CAUSAL, 1.0)
@@ -71,14 +74,18 @@ def test_build_frozen_small_sets():
 
 
 def test_build_matches_scalar_leq():
-    # vectorized relation kernel against the scalar predicate, all pairs
-    events = sprinkle2(80, 5)
-    for spec in (CAUSAL, SUBLUMINAL, TEMPORAL):
-        fcs = build(events, spec)
-        for i, u in enumerate(events):
-            for j, v in enumerate(events):
-                expected = i != j and u != v and leq(spec, u, v)
-                assert bool(fcs.relation[i, j]) == expected
+    # vectorized relation kernel against the scalar predicate, all pairs;
+    # the integer grids put many pairs exactly on the cone (3-4-5 in 2+1)
+    grid1 = [event(float(t), float(x)) for t in range(4) for x in range(-3, 4)]
+    grid2 = [event(float(t), float(x), float(y))
+             for t in (0, 5) for x in (0, 3, 4) for y in (0, 3, 4)]
+    for events in (sprinkle2(80, 5), grid1, grid2):
+        for spec in (CAUSAL, SUBLUMINAL, TEMPORAL):
+            fcs = build(events, spec)
+            for i, u in enumerate(events):
+                for j, v in enumerate(events):
+                    expected = i != j and u != v and leq(spec, u, v)
+                    assert bool(fcs.relation[i, j]) == expected
 
 
 def test_build_backward_is_transpose():
@@ -112,6 +119,39 @@ def test_build_rejects_oversized_input():
         build([event(float(t), 0.0) for t in range(2001)], CAUSAL)
 
 
+def test_float32_products_are_exact_up_to_max_events():
+    # every product entry is an integer count <= MAX_EVENTS
+    assert MAX_EVENTS < 2**24
+
+
+def test_build_rejects_non_transitive_matrix(monkeypatch):
+    rel = np.zeros((3, 3), dtype=bool)
+    rel[0, 1] = rel[1, 2] = True
+    monkeypatch.setattr(finite, "_strict_matrix", lambda evs, spec: rel.copy())
+    with pytest.raises(RuntimeError, match=r"transitivity violated at pair \(0, 2\)"):
+        build(sprinkle2(3, 0), CAUSAL)
+
+
+def test_build_rejects_antisymmetry_violation(monkeypatch):
+    rel = np.zeros((2, 2), dtype=bool)
+    rel[0, 1] = rel[1, 0] = True
+    monkeypatch.setattr(finite, "_strict_matrix", lambda evs, spec: rel.copy())
+    with pytest.raises(RuntimeError, match="antisymmetry violated"):
+        build(sprinkle2(2, 0), CAUSAL)
+
+
+def test_two_step_relation_is_read_only():
+    fcs = build(sprinkle2(20, 4), CAUSAL)
+    rel = fcs.relation
+    expected = np.array(
+        [[any(rel[i, k] and rel[k, j] for k in range(20)) for j in range(20)]
+         for i in range(20)]
+    )
+    assert np.array_equal(fcs.two_step, expected)
+    assert not fcs.two_step.flags.writeable
+    assert "two_step" not in repr(fcs)
+
+
 # ------------------------------------------------------- hasse, enumeration
 
 def _diamond():
@@ -142,6 +182,66 @@ def test_hasse_closure_roundtrip():
     for k in range(n):
         reach |= np.outer(reach[:, k], reach[k, :])
     assert np.array_equal(reach, fcs.relation)
+
+
+def _small_sets():
+    """Small random sets in 1+1 and 2+1, some with duplicated events."""
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        for dim in (1, 2):
+            box = ((-1.0, 1.0),) * dim + ((0.0, 2.0),)
+            events = sprinkle(SprinkleConfig(12, dim, box, seed))
+            if seed % 2:
+                events += [events[int(k)] for k in rng.choice(12, 3)]
+            yield events
+
+
+def _hasse_reference(rel):
+    n = len(rel)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if rel[i, j] and not any(rel[i, k] and rel[k, j] for k in range(n))
+    ]
+
+
+def _reconstruct_reference(events, rel):
+    n = len(events)
+    rec = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            witnesses = [
+                w for w in range(n) if events[w] not in (events[i], events[j])
+            ]
+            rec[i, j] = rel[i, j] or all(rel[i, w] for w in witnesses if rel[j, w])
+    return rec
+
+
+def test_hasse_matches_reference_all_orders():
+    for events in _small_sets():
+        for kind in OrderKind:
+            for direction in Direction:
+                fcs = build(events, OrderSpec(kind, 1.0, direction))
+                assert hasse(fcs) == _hasse_reference(fcs.relation)
+
+
+def test_reconstruct_matches_reference():
+    for events in _small_sets():
+        for direction in Direction:
+            fcs = build(events, OrderSpec(OrderKind.SUBLUMINAL, 1.0, direction))
+            rec = reconstruct_order(fcs)
+            assert np.array_equal(rec, _reconstruct_reference(events, fcs.relation))
+        # forward, against the scalar finite-witness predicate
+        rec = reconstruct_order(build(events, SUBLUMINAL))
+        for i, u in enumerate(events):
+            for j, v in enumerate(events):
+                expected = i != j and reconstruct_causal_sampled(u, v, 1.0, events)
+                assert bool(rec[i, j]) == expected
+    with pytest.raises(ValueError):
+        reconstruct_order(build(sprinkle2(5, 0), CAUSAL))
 
 
 def test_maximal_chains_frozen():
@@ -267,3 +367,19 @@ def test_compare_relations_counts_and_validation():
     assert compare_relations(b, b).false_positives == 0
     with pytest.raises(ValueError):
         compare_relations(a, np.zeros((2, 2), dtype=bool))
+
+
+def test_compare_relations_samples_lexicographic_and_capped():
+    rng = np.random.default_rng(8)
+    cand = rng.random((30, 30)) < 0.3
+    ref = rng.random((30, 30)) < 0.3
+    np.fill_diagonal(cand, False)
+    np.fill_diagonal(ref, False)
+    expected = sorted(
+        [(i, j, "fp") for i in range(30) for j in range(30) if cand[i, j] and not ref[i, j]]
+        + [(i, j, "fn") for i in range(30) for j in range(30) if ref[i, j] and not cand[i, j]]
+    )
+    diff = compare_relations(cand, ref)
+    assert diff.samples == tuple(expected[:100])
+    assert diff.false_positives + diff.false_negatives == len(expected)
+    assert compare_relations(cand, ref, sample_cap=7).samples == tuple(expected[:7])

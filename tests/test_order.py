@@ -237,6 +237,13 @@ def test_reconstruct_analytic_frozen():
     assert reconstruct_causal_analytic(u, u, 1.0)
 
 
+def test_reconstruct_analytic_equal_times_subnormal_offset():
+    # the offset squares to 0.0; equal-time distinct events stay unrelated
+    u, v = event(0.0, 0.0), event(0.0, 1.3e-268)
+    assert not leq(CAUSAL, u, v)
+    assert not reconstruct_causal_analytic(u, v, 1.0)
+
+
 @given(event_pairs())
 def test_reconstruct_analytic_equals_causal(pair):
     u, v = pair
