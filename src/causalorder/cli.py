@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
+from .fileio import _fmt
 from .cones import ConeKind, ConeOracle, affine_cone, check_invariance, classify_cone, standard_cone
 from .finite import (
     CapExceeded,
@@ -41,13 +42,6 @@ from .order import (
     reconstruct_causal_analytic,
 )
 from .worldlines import canonical_gap_chain
-
-_FMT = "{:.17g}".format
-
-
-def _fmt(v: float) -> str:
-    return _FMT(float(v))
-
 
 class Report:
     """Accumulates output lines; timing goes last and is the only

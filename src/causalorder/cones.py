@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .order import Direction, Event, OrderKind
+from .order import MAX_SPACE_DIM, Direction, Event, OrderKind, _strictly_before, distance
 
 DEFAULT_PROBE_SPAN = 8.0
 
@@ -45,8 +45,8 @@ class ConeOracle:
     probe_box: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.dimension <= 8:
-            raise ValueError("space dimension must be in [0, 8]")
+        if not 0 <= self.dimension <= MAX_SPACE_DIM:
+            raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
         box = tuple((float(lo), float(hi)) for lo, hi in self.probe_box)
         if len(box) != self.dimension + 1:
             raise ValueError(
@@ -84,31 +84,19 @@ def _neg(e: Event) -> Event:
     return Event(-e.t, tuple(-v for v in e.x))
 
 
-def _norm(vec: Sequence[float]) -> float:
-    s = 0.0
-    for v in vec:
-        s += v * v
-    return math.sqrt(s)
-
-
 def standard_cone(
     kind: OrderKind, direction: Direction, c: float, n: int
 ) -> ConeOracle:
     """Reference oracle for the three families at speed c in dimension n."""
     if kind is not OrderKind.TEMPORAL and not (math.isfinite(c) and c > 0):
         raise ValueError("c must be positive and finite")
-    if not 0 <= n <= 8:
-        raise ValueError("space dimension must be in [0, 8]")
+    if not 0 <= n <= MAX_SPACE_DIM:
+        raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
+
+    apex = Event(0.0, (0.0,) * n)
 
     def fwd(e: Event) -> bool:
-        if e.t == 0.0:
-            return all(v == 0.0 for v in e.x)
-        if e.t < 0.0:
-            return False
-        if kind is OrderKind.TEMPORAL:
-            return True
-        dist = _norm(e.x)
-        return dist <= c * e.t if kind is OrderKind.CAUSAL else dist < c * e.t
+        return _strictly_before(kind, c, apex, e) or e == apex
 
     member = fwd if direction is Direction.FORWARD else (lambda e: fwd(_neg(e)))
     box = tuple((-DEFAULT_PROBE_SPAN, DEFAULT_PROBE_SPAN) for _ in range(n + 1))
@@ -217,9 +205,7 @@ def _significand_bits(f: float) -> int:
     return 53 - ((mi & -mi).bit_length() - 1)
 
 
-def classify_cone(
-    oracle: ConeOracle, budget: int = 100_000, seed: int = 0, tol: float = 0.01
-) -> ConeClass:
+def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> ConeClass:
     """Identify the family, orientation, and speed of a cone oracle.
 
     Steps: orient via the pure-time probes (0, +-1); bisect the member
@@ -236,8 +222,6 @@ def classify_cone(
     """
     if budget < 16:
         raise ValueError("budget too small to classify")
-    if not (0 < tol < 1):
-        raise ValueError("tol must be in (0, 1)")
     n = oracle.dimension
     count = 0
 
@@ -284,7 +268,8 @@ def classify_cone(
         x[0] = speed
         return Event(sgn, tuple(x))
 
-    raw_bound = _norm([max(abs(lo), abs(hi)) for lo, hi in oracle.probe_box[:n]])
+    corner = [max(abs(lo), abs(hi)) for lo, hi in oracle.probe_box[:n]]
+    raw_bound = distance([0.0] * n, corner)
     bound = _next_pow2(raw_bound)
     if member(axis_event(bound)):
         return ConeClass(ConeKind.TEMPORAL, direction, None, ConeEvidence(count))

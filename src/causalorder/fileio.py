@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .hypersurfaces import Hypersurface, make_hypersurface
-from .order import Direction, Event, OrderKind, OrderSpec
+from .order import MAX_SPACE_DIM, Direction, Event, OrderKind, OrderSpec
 from .worldlines import GapWorldLine, KeptEnd, PolyWorldLine, make_gap_worldline, make_polyline
 
 
@@ -103,8 +103,8 @@ def read_events(path: str | Path) -> tuple[list[Event], OrderSpec]:
     no, header = rows[0]
     fields = _parse_header(path, no, header, ["dim", "c", "order", "dir"])
     dim = _parse_int(path, no, fields["dim"], "dim")
-    if not 0 <= dim <= 8:
-        raise ParseError(f"{path}:{no}: dim must be in [0, 8]")
+    if not 0 <= dim <= MAX_SPACE_DIM:
+        raise ParseError(f"{path}:{no}: dim must be in [0, {MAX_SPACE_DIM}]")
     c = _parse_float(path, no, fields["c"], "c")
     try:
         kind = OrderKind(fields["order"])

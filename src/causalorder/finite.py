@@ -3,10 +3,10 @@ matrices, Hasse diagrams, chain/antichain enumeration, cutset checks,
 and reconstruction of the causal order from the subluminal one.
 
 Relation matrices hold the strict relation (diagonal False).  They are
-built by a vectorized kernel whose arithmetic mirrors the scalar
-predicates in order.py operation for operation, so both routes agree
-bit for bit; the order axioms are re-verified on every construction and
-a violation aborts, since it would mean the predicates are broken.
+built by order._strict_matrix, the batched form of order.py's strict
+cone predicate, so matrix and scalar routes agree bit for bit; the order
+axioms are re-verified on every construction and a violation aborts,
+since it would mean the predicate is broken.
 
 The matrix products (the two-step relation behind the transitivity check
 and the Hasse covers, and the witness counts of reconstruction) run as
@@ -19,12 +19,13 @@ and no summation order or fused multiply-add can round it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .order import Direction, Event, OrderKind, OrderSpec
+from .order import MAX_SPACE_DIM, Event, OrderKind, OrderSpec, _strict_matrix
 
 MAX_EVENTS = 2000
 MAX_ANTICHAIN_EVENTS = 24
@@ -52,8 +53,8 @@ class SprinkleConfig:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if not 0 <= self.dimension <= 8:
-            raise ValueError("space dimension must be in [0, 8]")
+        if not 0 <= self.dimension <= MAX_SPACE_DIM:
+            raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
         box = tuple((float(lo), float(hi)) for lo, hi in self.box)
         if len(box) != self.dimension + 1:
             raise ValueError(
@@ -75,43 +76,16 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
     ]
 
 
-def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
-    """Strict relation matrix; arithmetic matches order._separation.
-
-    Works in place, so at most three n x n float64 arrays are live.
-    """
-    n_ev = len(events)
-    t = np.array([e.t for e in events], dtype=float)
-    dt = t[None, :] - t[:, None]
-    if spec.kind is OrderKind.TEMPORAL:
-        fwd = dt > 0.0
-    else:
-        dim = events[0].n if n_ev else 0
-        xs = np.array([e.x for e in events], dtype=float).reshape(n_ev, dim)
-        dist = np.zeros((n_ev, n_ev))
-        buf = np.empty((n_ev, n_ev))
-        for axis in range(dim):
-            np.subtract(xs[None, :, axis], xs[:, None, axis], out=buf)
-            np.multiply(buf, buf, out=buf)
-            np.add(dist, buf, out=dist)
-        np.sqrt(dist, out=dist)
-        cdt = np.multiply(spec.c, dt, out=buf)
-        if spec.kind is OrderKind.CAUSAL:
-            fwd = dist <= cdt
-        else:
-            fwd = dist < cdt
-        fwd &= dt > 0.0
-    return fwd.T if spec.direction is Direction.BACKWARD else fwd
-
-
 @dataclass(frozen=True)
 class FiniteCausalSet:
     """Events plus the strict relation matrix of the chosen order, and
-    its two-step relation: two_step[i, j] when some k has i < k < j."""
+    its two-step relation: two_step[i, j] when some k has i < k < j.
+    Both matrices are functions of events and spec, so equality and
+    hashing use those two alone."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
-    relation: np.ndarray = field(repr=False)
+    relation: np.ndarray = field(repr=False, compare=False)
     two_step: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -292,25 +266,16 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
         raise ValueError("reconstruction expects a subluminal relation")
     rel = fcs.relation
     n_ev = len(fcs)
-    dup_groups: dict[Event, list[int]] = {}
-    for i, e in enumerate(fcs.events):
-        dup_groups.setdefault(e, []).append(i)
-    if any(len(g) > 1 for g in dup_groups.values()):
-        # Duplicate event values: count per pair with value-level
-        # witness exclusion.  Rare path, kept simple.
-        counts = np.zeros((n_ev, n_ev), dtype=np.int32)
-        for i in range(n_ev):
-            for j in range(n_ev):
-                skip = set(dup_groups[fcs.events[i]]) | set(dup_groups[fcs.events[j]])
-                keep = [w for w in range(n_ev) if w not in skip]
-                counts[i, j] = int(np.sum(rel[j, keep] & ~rel[i, keep]))
-    else:
-        # counts[i, j] = number of witnesses w != i with j <' w but not
-        # i <' w.  (w = j contributes nothing: rel[j, j] is False; the
-        # product counts w = i when j <' i, which the subtraction removes.)
-        rf = rel.astype(np.float32)
-        counts = (1.0 - rf) @ rf.T
-        counts -= rf.T
+    # counts[i, j] = number of witnesses w with j <' w but not i <' w,
+    # over w not equal in value to i or j.  Witnesses equal to j add
+    # nothing (equal events are unrelated); each of the mult[i] witnesses
+    # equal to i adds rel[j, i], which the subtraction removes.
+    per_value = Counter(fcs.events)
+    mult = np.array([per_value[e] for e in fcs.events], dtype=np.float32)
+    rf = rel.astype(np.float32)
+    counts = (1.0 - rf) @ rf.T
+    rf *= mult
+    counts -= rf.T
     off_diag = ~np.eye(n_ev, dtype=bool)
     rec = (rel | (counts == 0)) & off_diag
     rec.flags.writeable = False

@@ -18,16 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .order import Event, PairClass, classify_pair
+from .order import Event, PairClass, classify_pair, distance
 from .worldlines import PolyWorldLine
-
-
-def _dist(a: Sequence[float], b: Sequence[float]) -> float:
-    s = 0.0
-    for p, q in zip(a, b):
-        d = q - p
-        s += d * d
-    return math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -66,7 +58,7 @@ class Hypersurface:
         for i in range(len(norm)):
             for j in range(i + 1, len(norm)):
                 (xi, hi), (xj, hj) = norm[i], norm[j]
-                if abs(hi - hj) > k * _dist(xi, xj):
+                if abs(hi - hj) > k * distance(xi, xj):
                     raise ValueError(
                         f"anchors {i} and {j} violate the Lipschitz bound"
                     )
@@ -84,7 +76,7 @@ class Hypersurface:
         if len(xt) != self.dimension:
             raise ValueError(f"dimension mismatch: {len(xt)} vs {self.dimension}")
         k = self.modulus
-        return min(h + k * _dist(xt, xa) for xa, h in self.anchors)
+        return min(h + k * distance(xt, xa) for xa, h in self.anchors)
 
     def graph_event(self, x: Sequence[float]) -> Event:
         return Event(self.height(x), tuple(float(v) for v in x))
@@ -110,14 +102,6 @@ class Grading:
         if tol < 0:
             raise ValueError("tol must be >= 0")
         return abs(self.value(e) - r) <= tol
-
-
-def grading_value(g: Grading, e: Event) -> float:
-    return g.value(e)
-
-
-def level_contains(g: Grading, r: float, e: Event, tol: float = 0.0) -> bool:
-    return g.level_contains(r, e, tol)
 
 
 def is_antichain_sample(hs: Hypersurface, points: Sequence[Sequence[float]]) -> bool:

@@ -56,11 +56,6 @@ _MIRROR = {
     PairClass.TIMELIKE_BACKWARD: PairClass.TIMELIKE_FORWARD,
 }
 
-_FORWARD_CAUSAL = frozenset(
-    {PairClass.EQUAL, PairClass.TIMELIKE_FORWARD, PairClass.LIGHTLIKE_FORWARD}
-)
-_FORWARD_SUBLUMINAL = frozenset({PairClass.EQUAL, PairClass.TIMELIKE_FORWARD})
-
 
 @dataclass(frozen=True)
 class Event:
@@ -113,15 +108,62 @@ def _require_same_dim(u: Event, v: Event) -> None:
         raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
 
 
-def _separation(u: Event, v: Event) -> tuple[float, float]:
-    # Accumulation order is fixed (axis 0, 1, ...) so that scalar and
-    # vectorized code paths agree bit for bit.
-    dt = v.t - u.t
+def distance(a: Iterable[float], b: Iterable[float]) -> float:
+    """Euclidean distance ||b - a||; a vector's norm is its distance
+    from the origin.  Accumulation order is fixed (axis 0, 1, ...) and
+    _strict_matrix follows it, so scalar and batched routes agree bit
+    for bit."""
     s = 0.0
-    for a, b in zip(u.x, v.x):
-        d = b - a
+    for p, q in zip(a, b):
+        d = q - p
         s += d * d
-    return dt, math.sqrt(s)
+    return math.sqrt(s)
+
+
+def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:
+    """The strict forward cone test, u < v: dt > 0 and dist <= c*dt
+    (causal), dist < c*dt (subluminal), or dt > 0 alone (temporal).
+    leq, classify_pair (eps = 0), reconstruct_causal_analytic and
+    cones.standard_cone all decide through it; _strict_matrix is its
+    batched form."""
+    dt = v.t - u.t
+    if not dt > 0.0:
+        return False
+    if kind is OrderKind.TEMPORAL:
+        return True
+    dist = distance(u.x, v.x)
+    return dist <= c * dt if kind is OrderKind.CAUSAL else dist < c * dt
+
+
+@np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route
+def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
+    """Strict relation matrix: _strictly_before on every ordered pair,
+    batched with the same operation order.
+
+    Works in place, so at most three n x n float64 arrays are live.
+    """
+    n_ev = len(events)
+    t = np.array([e.t for e in events], dtype=float)
+    dt = t[None, :] - t[:, None]
+    if spec.kind is OrderKind.TEMPORAL:
+        fwd = dt > 0.0
+    else:
+        dim = events[0].n if n_ev else 0
+        xs = np.array([e.x for e in events], dtype=float).reshape(n_ev, dim)
+        dist = np.zeros((n_ev, n_ev))
+        buf = np.empty((n_ev, n_ev))
+        for axis in range(dim):
+            np.subtract(xs[None, :, axis], xs[:, None, axis], out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.add(dist, buf, out=dist)
+        np.sqrt(dist, out=dist)
+        cdt = np.multiply(spec.c, dt, out=buf)
+        if spec.kind is OrderKind.CAUSAL:
+            fwd = dist <= cdt
+        else:
+            fwd = dist < cdt
+        fwd &= dt > 0.0
+    return fwd.T if spec.direction is Direction.BACKWARD else fwd
 
 
 def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
@@ -139,33 +181,41 @@ def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
         raise ValueError("eps must be finite and >= 0")
     if u == v:
         return PairClass.EQUAL
-    dt, dist = _separation(u, v)
+    if eps == 0.0:
+        if _strictly_before(OrderKind.CAUSAL, c, u, v):
+            if _strictly_before(OrderKind.SUBLUMINAL, c, u, v):
+                return PairClass.TIMELIKE_FORWARD
+            return PairClass.LIGHTLIKE_FORWARD
+        if _strictly_before(OrderKind.CAUSAL, c, v, u):
+            if _strictly_before(OrderKind.SUBLUMINAL, c, v, u):
+                return PairClass.TIMELIKE_BACKWARD
+            return PairClass.LIGHTLIKE_BACKWARD
+        return PairClass.SPACELIKE
+    dt = v.t - u.t
     if dt == 0.0:
         return PairClass.SPACELIKE
     if dt < 0.0:
         return _MIRROR[classify_pair(v, u, c, eps)]
+    dist = distance(u.x, v.x)
     cdt = c * dt
     if abs(dist - cdt) <= eps * max(dist, cdt):
         return PairClass.LIGHTLIKE_FORWARD
-    if dist < cdt:
+    if _strictly_before(OrderKind.SUBLUMINAL, c, u, v):
         return PairClass.TIMELIKE_FORWARD
     return PairClass.SPACELIKE
 
 
-def leq(spec: OrderSpec, u: Event, v: Event) -> bool:
-    """Reflexive relation u <= v under the given order spec."""
+def strictly_below(spec: OrderSpec, u: Event, v: Event) -> bool:
+    """Strict relation u < v under the given order spec."""
     if spec.direction is Direction.BACKWARD:
         u, v = v, u
-    if spec.kind is OrderKind.TEMPORAL:
-        _require_same_dim(u, v)
-        return u == v or u.t < v.t
-    cls = classify_pair(u, v, spec.c)
-    allowed = _FORWARD_CAUSAL if spec.kind is OrderKind.CAUSAL else _FORWARD_SUBLUMINAL
-    return cls in allowed
+    _require_same_dim(u, v)
+    return _strictly_before(spec.kind, spec.c, u, v)
 
 
-def strictly_below(spec: OrderSpec, u: Event, v: Event) -> bool:
-    return u != v and leq(spec, u, v)
+def leq(spec: OrderSpec, u: Event, v: Event) -> bool:
+    """Reflexive relation u <= v under the given order spec."""
+    return strictly_below(spec, u, v) or u == v
 
 
 def comparable(spec: OrderSpec, u: Event, v: Event) -> bool:
@@ -254,17 +304,6 @@ def subluminal_via_weakening(a: Event, b: Event, c: float) -> bool:
     return not interval_is_chain(a, b, c)
 
 
-def _in_closed_forward_cone(u: Event, v: Event, c: float) -> bool:
-    dt, dist = _separation(u, v)
-    if dt < 0.0:
-        return False
-    if dt == 0.0:
-        # Compare the events, not the distance: a tiny offset can square
-        # to 0.0.
-        return u == v
-    return dist <= c * dt
-
-
 def reconstruct_causal_analytic(u: Event, v: Event, c: float) -> bool:
     """Recover the causal relation from the subluminal one.
 
@@ -279,7 +318,7 @@ def reconstruct_causal_analytic(u: Event, v: Event, c: float) -> bool:
         raise ValueError("c must be positive and finite")
     if leq(OrderSpec(OrderKind.SUBLUMINAL, c), u, v):
         return True
-    return _in_closed_forward_cone(u, v, c)
+    return _strictly_before(OrderKind.CAUSAL, c, u, v)
 
 
 def reconstruct_causal_sampled(

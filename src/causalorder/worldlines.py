@@ -25,17 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .order import Direction, Event, OrderKind, OrderSpec, comparable
+from .order import Direction, Event, OrderKind, OrderSpec, comparable, distance, pairwise_comparable
 
 SPEED_REL_TOL = 1e-9
 DIR_DOT_TOL = 1e-12
-
-
-def _norm(vec: Sequence[float]) -> float:
-    s = 0.0
-    for v in vec:
-        s += v * v
-    return math.sqrt(s)
 
 
 @dataclass(frozen=True)
@@ -64,7 +57,7 @@ class PolyWorldLine:
             dt = t1 - t0
             if dt <= 0:
                 raise ValueError(f"vertex times must strictly increase (index {i + 1})")
-            dist = _norm([b - a for a, b in zip(x0, x1)])
+            dist = distance(x0, x1)
             if dist > self.c * dt * (1.0 + SPEED_REL_TOL):
                 raise ValueError(
                     f"segment {i} exceeds speed {self.c:g}: speed {dist / dt:.17g}"
@@ -105,12 +98,7 @@ class PolyWorldLine:
         for t in sample_times:
             if t < t0 or t > t1:
                 raise ValueError(f"sample time {t!r} outside window")
-        evs = [self.event_at(t) for t in sample_times]
-        for i in range(len(evs)):
-            for j in range(i + 1, len(evs)):
-                if not comparable(spec, evs[i], evs[j]):
-                    return False
-        return True
+        return pairwise_comparable(spec, [self.event_at(t) for t in sample_times])
 
     def extend_probe(self, p: Event, spec: OrderSpec, grid: int = 33) -> bool:
         """Whether p is comparable to the line at a vertex-plus-probe
@@ -139,7 +127,7 @@ class PolyWorldLine:
         for i in range(len(self.vertices) - 1):
             (t0, x0), (t1, x1) = self.vertices[i], self.vertices[i + 1]
             dt = t1 - t0
-            dist = _norm([b - a for a, b in zip(x0, x1)])
+            dist = distance(x0, x1)
             light = dist > 0.0 and abs(dist - self.c * dt) <= SPEED_REL_TOL * (self.c * dt)
             if not light:
                 if cur is not None:
@@ -279,13 +267,13 @@ class GapWorldLine:
             raise ValueError("tol must be >= 0")
         for ray in self.rays:
             if ray.covers(p.t):
-                d = _norm([a - b for a, b in zip(ray.position(p.t), p.x)])
+                d = distance(ray.position(p.t), p.x)
                 if d <= tol:
                     return True
         if self.base is not None:
             t0, t1 = self.base.window
             if t0 <= p.t <= t1 and self._time_in_base_set(p.t):
-                d = _norm([a - b for a, b in zip(self.base.eval(p.t), p.x)])
+                d = distance(self.base.eval(p.t), p.x)
                 if d <= tol:
                     return True
         return False
@@ -398,10 +386,6 @@ def make_gap_worldline(
     return GapWorldLine(c=wl.c, base=wl, gaps=gaps)
 
 
-def gap_contains(gwl: GapWorldLine, p: Event, tol: float = 0.0) -> bool:
-    return gwl.contains(p, tol)
-
-
 def is_subluminal_chain_probe(
     gwl: GapWorldLine,
     p: Event,
@@ -448,7 +432,7 @@ def canonical_gap_chain(
         raise ValueError(f"dimension mismatch: {len(d)} vs {origin.n}")
     if origin.n == 0:
         raise ValueError("need at least one space dimension")
-    nrm = _norm(d)
+    nrm = distance([0.0] * len(d), d)
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"light direction must have unit norm, got {nrm!r}")
     if not (math.isfinite(t_len) and t_len > 0):

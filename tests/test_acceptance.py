@@ -32,7 +32,6 @@ from causalorder.hypersurfaces import (
     crossing_time,
     grading_monotone_on,
     is_antichain_sample,
-    level_contains,
     make_hypersurface,
 )
 from causalorder.order import (
@@ -53,7 +52,6 @@ from causalorder.order import (
 from causalorder.worldlines import (
     KeptEnd,
     canonical_gap_chain,
-    gap_contains,
     is_subluminal_chain_probe,
     make_gap_worldline,
     make_polyline,
@@ -423,7 +421,7 @@ def test_criterion_6_subluminal_pathology():
 
     samples = chain.sample_events(per_branch=5000, reach=50.0)
     assert len(samples) >= 10_000
-    surface_hits = sum(1 for p in samples if level_contains(g, 0.0, p, tol=0.0))
+    surface_hits = sum(1 for p in samples if g.level_contains(0.0, p, tol=0.0))
     in_gap_times = sum(1 for p in samples if origin.t <= p.t <= origin.t + 1.0)
 
     spans = chain.time_image()
@@ -483,7 +481,7 @@ def test_criterion_7_canonical_chain_probe():
             float(rng.uniform(-5.0, 6.0)),
             (float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0))),
         )
-        if gap_contains(chain, p):
+        if chain.contains(p):
             continue  # its own point, not an extension candidate
         if is_subluminal_chain_probe(chain, p) and not _on_removed_segment(
             p, origin, light_dir, 1.0
@@ -495,7 +493,7 @@ def test_criterion_7_canonical_chain_probe():
     seg_probes_consistent = True
     for r in (0.0, 0.5, 1.0):
         p = event(r, r, 0.0)
-        if gap_contains(chain, p) or not is_subluminal_chain_probe(chain, p):
+        if chain.contains(p) or not is_subluminal_chain_probe(chain, p):
             seg_probes_consistent = False
         if not _on_removed_segment(p, origin, light_dir, 1.0):
             seg_probes_consistent = False

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from causalorder import finite
+from causalorder.cones import cone_order_leq, standard_cone
 from causalorder.finite import (
     MAX_EVENTS,
     CapExceeded,
@@ -24,10 +25,13 @@ from causalorder.order import (
     Event,
     OrderKind,
     OrderSpec,
+    PairClass,
     apply_dilation,
     apply_space_isometry,
+    classify_pair,
     event,
     leq,
+    reconstruct_causal_analytic,
     reconstruct_causal_sampled,
 )
 
@@ -75,17 +79,41 @@ def test_build_frozen_small_sets():
 
 def test_build_matches_scalar_leq():
     # vectorized relation kernel against the scalar predicate, all pairs;
-    # the integer grids put many pairs exactly on the cone (3-4-5 in 2+1)
+    # the integer grids put many pairs exactly on the cone (3-4-5 in 2+1),
+    # and c * dt and the squared offset of the last pair overflow to inf
     grid1 = [event(float(t), float(x)) for t in range(4) for x in range(-3, 4)]
     grid2 = [event(float(t), float(x), float(y))
              for t in (0, 5) for x in (0, 3, 4) for y in (0, 3, 4)]
-    for events in (sprinkle2(80, 5), grid1, grid2):
-        for spec in (CAUSAL, SUBLUMINAL, TEMPORAL):
+    overflow = [event(0.0, 0.0), event(1e308, 1e300)]
+    for events, c in ((sprinkle2(80, 5), 1.0), (grid1, 1.0), (grid2, 1.0), (overflow, 10.0)):
+        for kind in OrderKind:
+            spec = OrderSpec(kind, c)
             fcs = build(events, spec)
             for i, u in enumerate(events):
                 for j, v in enumerate(events):
                     expected = i != j and u != v and leq(spec, u, v)
                     assert bool(fcs.relation[i, j]) == expected
+
+
+def test_overflow_pair_agrees_on_every_route():
+    # exact arithmetic: 1e300 < 10 * 1e308, so v is time-like above u
+    u, v = event(0.0, 0.0), event(1e308, 1e300)
+    spec = OrderSpec(OrderKind.CAUSAL, 10.0)
+    assert leq(spec, u, v)
+    assert classify_pair(u, v, 10.0) in (PairClass.TIMELIKE_FORWARD, PairClass.LIGHTLIKE_FORWARD)
+    assert build([u, v], spec).relation.tolist() == [[False, True], [False, False]]
+    assert reconstruct_causal_analytic(u, v, 10.0)
+    cone = standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 10.0, 1)
+    assert cone_order_leq(cone, u, v)
+
+
+def test_finite_sets_compare_by_events_and_spec():
+    events = sprinkle2(10, 6)
+    a, b = build(events, CAUSAL), build(events, CAUSAL)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert a != build(events, SUBLUMINAL)
+    assert a != build(events[:-1], CAUSAL)
 
 
 def test_build_backward_is_transpose():
@@ -185,7 +213,9 @@ def test_hasse_closure_roundtrip():
 
 
 def _small_sets():
-    """Small random sets in 1+1 and 2+1, some with duplicated events."""
+    """Small random sets in 1+1 and 2+1, some with duplicated events,
+    then integer-grid sets (many exactly light-like pairs) with up to
+    four extra copies of their events."""
     for seed in range(4):
         rng = np.random.default_rng(seed)
         for dim in (1, 2):
@@ -194,6 +224,13 @@ def _small_sets():
             if seed % 2:
                 events += [events[int(k)] for k in rng.choice(12, 3)]
             yield events
+    rng = np.random.default_rng(41)
+    for trial in range(24):
+        dim = 1 + trial % 2
+        events = [Event(float(r[0]), tuple(float(v) for v in r[1:]))
+                  for r in rng.integers(-2, 3, (10, dim + 1))]
+        events += [events[int(k)] for k in rng.choice(10, int(rng.integers(1, 5)))]
+        yield events
 
 
 def _hasse_reference(rel):

@@ -9,9 +9,7 @@ from causalorder.hypersurfaces import (
     Grading,
     crossing_time,
     grading_monotone_on,
-    grading_value,
     is_antichain_sample,
-    level_contains,
     make_hypersurface,
 )
 from causalorder.order import Event, PairClass, classify_pair, event
@@ -77,17 +75,17 @@ def test_height_is_k_lipschitz():
 
 def test_grading_frozen_examples():
     g = Grading(cone_surface())
-    assert grading_value(g, event(3.0, 3.0, 4.0)) == 0.5
-    assert grading_value(g, cone_surface().graph_event((3.0, 4.0))) == 0.0
-    assert level_contains(g, 0.5, event(3.0, 3.0, 4.0))
-    assert not level_contains(g, 0.0, event(3.0, 3.0, 4.0))
-    assert level_contains(g, 0.0, event(3.0, 3.0, 4.0), tol=1.0)
+    assert g.value(event(3.0, 3.0, 4.0)) == 0.5
+    assert g.value(cone_surface().graph_event((3.0, 4.0))) == 0.0
+    assert g.level_contains(0.5, event(3.0, 3.0, 4.0))
+    assert not g.level_contains(0.0, event(3.0, 3.0, 4.0))
+    assert g.level_contains(0.0, event(3.0, 3.0, 4.0), tol=1.0)
 
 
 def test_flat_surface_grading_is_time():
     flat = make_hypersurface([((0.0,), 0.0)], 1e-9, 1.0)
     g = Grading(flat)
-    assert grading_value(g, event(4.0, 0.0)) == 4.0
+    assert g.value(event(4.0, 0.0)) == 4.0
 
 
 def test_level_contains_own_value():
@@ -96,7 +94,7 @@ def test_level_contains_own_value():
     rng = np.random.default_rng(13)
     for _ in range(100):
         e = Event(float(rng.uniform(-5, 5)), tuple(float(v) for v in rng.uniform(-5, 5, 2)))
-        assert level_contains(g, grading_value(g, e), e, tol=0.0)
+        assert g.level_contains(g.value(e), e, tol=0.0)
 
 
 # --------------------------------------------------------------- antichains

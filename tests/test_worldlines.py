@@ -22,7 +22,6 @@ from causalorder.worldlines import (
     GapWorldLine,
     KeptEnd,
     canonical_gap_chain,
-    gap_contains,
     is_subluminal_chain_probe,
     make_gap_worldline,
     make_polyline,
@@ -159,19 +158,19 @@ def _gapped():
 
 def test_gap_worldline_point_set():
     _, gwl = _gapped()
-    assert gap_contains(gwl, event(0.0, 0.0))        # kept lower end
-    assert not gap_contains(gwl, event(1.0, 1.0))    # removed upper end
-    assert not gap_contains(gwl, event(0.5, 0.5))    # interior
-    assert gap_contains(gwl, event(4.0, 0.0))        # kept upper end of gap 2
-    assert not gap_contains(gwl, event(3.0, 1.0))
-    assert gap_contains(gwl, event(2.0, 1.0))        # untouched stretch
+    assert gwl.contains(event(0.0, 0.0))        # kept lower end
+    assert not gwl.contains(event(1.0, 1.0))    # removed upper end
+    assert not gwl.contains(event(0.5, 0.5))    # interior
+    assert gwl.contains(event(4.0, 0.0))        # kept upper end of gap 2
+    assert not gwl.contains(event(3.0, 1.0))
+    assert gwl.contains(event(2.0, 1.0))        # untouched stretch
 
 
 def test_gap_worldline_without_light_segments_is_the_line():
     wl = zigzag(2, n=1, top_speed=0.7)
     gwl = make_gap_worldline(wl, [])
     ts = np.linspace(*wl.window, 40)
-    assert all(gap_contains(gwl, wl.event_at(float(t))) for t in ts)
+    assert all(gwl.contains(wl.event_at(float(t))) for t in ts)
 
 
 def test_gap_rejects_boundary_touch_and_wrong_count():
@@ -229,12 +228,12 @@ def test_probe_own_points_and_removed_endpoint():
 
 def test_canonical_chain_point_set_frozen():
     gwl = canonical_gap_chain(event(0.0, 0.0, 0.0), (1.0, 0.0), 1.0, 1.0)
-    assert not gap_contains(gwl, event(0.0, 0.0, 0.0))   # origin excluded
-    assert not gap_contains(gwl, event(1.0, 1.0, 0.0))   # upper endpoint excluded
-    assert not gap_contains(gwl, event(0.5, 0.5, 0.0))   # segment interior
-    assert gap_contains(gwl, event(-0.3, 0.0, 0.0))      # lower ray
-    assert gap_contains(gwl, event(7.0, 1.0, 0.0))       # upper ray
-    assert not gap_contains(gwl, event(2.0, 0.0, 0.0))   # lower ray does not go up
+    assert not gwl.contains(event(0.0, 0.0, 0.0))   # origin excluded
+    assert not gwl.contains(event(1.0, 1.0, 0.0))   # upper endpoint excluded
+    assert not gwl.contains(event(0.5, 0.5, 0.0))   # segment interior
+    assert gwl.contains(event(-0.3, 0.0, 0.0))      # lower ray
+    assert gwl.contains(event(7.0, 1.0, 0.0))       # upper ray
+    assert not gwl.contains(event(2.0, 0.0, 0.0))   # lower ray does not go up
     spans = gwl.time_image()
     assert [(s.lo, s.hi, s.lo_closed, s.hi_closed) for s in spans] == [
         (-math.inf, 0.0, False, False),
@@ -275,8 +274,8 @@ def test_canonical_chain_backward_orientation_mirrors():
     b = [(s.lo, s.hi) for s in bwd.time_image()]
     assert f == [(-math.inf, 0.0), (1.0, math.inf)]
     assert b == [(-math.inf, -1.0), (0.0, math.inf)]
-    assert gap_contains(bwd, event(0.5, 0.0))
-    assert not gap_contains(bwd, event(-1.0, -1.0))  # displaced endpoint excluded
+    assert bwd.contains(event(0.5, 0.0))
+    assert not bwd.contains(event(-1.0, -1.0))  # displaced endpoint excluded
 
 
 def test_canonical_chain_probe_rejects_outsiders():
@@ -285,7 +284,7 @@ def test_canonical_chain_probe_rejects_outsiders():
     hits = 0
     for _ in range(400):
         p = Event(float(rng.uniform(-4, 5)), (float(rng.uniform(-4, 4)), float(rng.uniform(-4, 4))))
-        if gap_contains(gwl, p, tol=1e-12):
+        if gwl.contains(p, tol=1e-12):
             continue
         if is_subluminal_chain_probe(gwl, p):
             hits += 1
@@ -306,7 +305,7 @@ def test_canonical_chain_extension_set_is_the_removed_segment():
     gwl = canonical_gap_chain(event(0.0, 0.0), (1.0,), 1.0, 1.0)
     seg_pts = [event(r, r) for r in (0.0, 0.25, 1.0)]
     for p in seg_pts:
-        assert not gap_contains(gwl, p)
+        assert not gwl.contains(p)
         assert is_subluminal_chain_probe(gwl, p)
     for i, a in enumerate(seg_pts):
         for b in seg_pts[i + 1 :]:
