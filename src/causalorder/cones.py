@@ -96,6 +96,8 @@ def standard_cone(
     apex = Event(0.0, (0.0,) * n)
 
     def fwd(e: Event) -> bool:
+        if e.n != n:
+            raise ValueError("event dimension does not match the oracle")
         return _strictly_before(kind, c, apex, e) or e == apex
 
     member = fwd if direction is Direction.FORWARD else (lambda e: fwd(_neg(e)))

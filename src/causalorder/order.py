@@ -123,8 +123,8 @@ def distance(a: Iterable[float], b: Iterable[float]) -> float:
 def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:
     """The strict forward cone test, u < v: dt > 0 and dist <= c*dt
     (causal), dist < c*dt (subluminal), or dt > 0 alone (temporal).
-    leq, classify_pair (eps = 0), reconstruct_causal_analytic and
-    cones.standard_cone all decide through it; _strict_matrix is its
+    leq, classify_pair (after its eps > 0 band), reconstruct_causal_analytic
+    and cones.standard_cone all decide through it; _strict_matrix is its
     batched form."""
     dt = v.t - u.t
     if not dt > 0.0:
@@ -181,28 +181,24 @@ def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
         raise ValueError("eps must be finite and >= 0")
     if u == v:
         return PairClass.EQUAL
-    if eps == 0.0:
-        if _strictly_before(OrderKind.CAUSAL, c, u, v):
-            if _strictly_before(OrderKind.SUBLUMINAL, c, u, v):
-                return PairClass.TIMELIKE_FORWARD
-            return PairClass.LIGHTLIKE_FORWARD
-        if _strictly_before(OrderKind.CAUSAL, c, v, u):
-            if _strictly_before(OrderKind.SUBLUMINAL, c, v, u):
-                return PairClass.TIMELIKE_BACKWARD
-            return PairClass.LIGHTLIKE_BACKWARD
-        return PairClass.SPACELIKE
+    backward = v.t < u.t
+    if backward:
+        u, v = v, u
     dt = v.t - u.t
-    if dt == 0.0:
+    if eps > 0.0 and dt > 0.0:
+        dist = distance(u.x, v.x)
+        cdt = c * dt
+        on_light = abs(dist - cdt) <= eps * max(dist, cdt)
+    else:
+        on_light = False
+    if on_light:
+        cls = PairClass.LIGHTLIKE_FORWARD
+    elif _strictly_before(OrderKind.CAUSAL, c, u, v):
+        timelike = _strictly_before(OrderKind.SUBLUMINAL, c, u, v)
+        cls = PairClass.TIMELIKE_FORWARD if timelike else PairClass.LIGHTLIKE_FORWARD
+    else:
         return PairClass.SPACELIKE
-    if dt < 0.0:
-        return _MIRROR[classify_pair(v, u, c, eps)]
-    dist = distance(u.x, v.x)
-    cdt = c * dt
-    if abs(dist - cdt) <= eps * max(dist, cdt):
-        return PairClass.LIGHTLIKE_FORWARD
-    if _strictly_before(OrderKind.SUBLUMINAL, c, u, v):
-        return PairClass.TIMELIKE_FORWARD
-    return PairClass.SPACELIKE
+    return _MIRROR[cls] if backward else cls
 
 
 def strictly_below(spec: OrderSpec, u: Event, v: Event) -> bool:
@@ -310,15 +306,14 @@ def reconstruct_causal_analytic(u: Event, v: Event, c: float) -> bool:
     u <= v causally iff u <= v subluminally already, or every event
     subluminally above v is subluminally above u.  The quantifier over
     all events collapses to a closed forward-cone membership test on
-    v - u, which is evaluated here directly.  Agrees with leq(causal)
-    on every pair.
+    v - u, which is evaluated here directly; the subluminal case is
+    contained in that closed cone.  Agrees with leq(causal) on every
+    pair.
     """
     _require_same_dim(u, v)
     if not (math.isfinite(c) and c > 0):
         raise ValueError("c must be positive and finite")
-    if leq(OrderSpec(OrderKind.SUBLUMINAL, c), u, v):
-        return True
-    return _strictly_before(OrderKind.CAUSAL, c, u, v)
+    return u == v or _strictly_before(OrderKind.CAUSAL, c, u, v)
 
 
 def reconstruct_causal_sampled(

@@ -47,6 +47,8 @@ def test_cone_order_dimension_check():
     oracle = standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 1.0, 2)
     with pytest.raises(ValueError):
         cone_order_leq(oracle, event(0.0, 0.0), event(1.0, 0.0))
+    with pytest.raises(ValueError):
+        standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 1.0, 1).membership(event(1, 0.5, 5))
 
 
 def test_invariance_standard_cones_pass():
