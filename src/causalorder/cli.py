@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a check command found a failing property or
-could not finish (an order-axiom violation or an enumeration cap), 2
-usage or parse errors.  Reports echo the command and seed; every
-line except the trailing `# elapsed` one is byte-deterministic for
-fixed inputs and seed.
+could not finish (an order-axiom violation), 2 usage or parse errors.
+Reports echo the command and seed; every line except the trailing
+`# elapsed` one is byte-deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -20,13 +19,11 @@ from . import fileio
 from .fileio import _fmt
 from .cones import ConeKind, ConeOracle, affine_cone, check_invariance, classify_cone, standard_cone
 from .finite import (
-    CapExceeded,
     SprinkleConfig,
     build,
     compare_relations,
     find_avoiding_chain,
     hasse,
-    is_cutset,
     reconstruct_order,
     sprinkle,
 )
@@ -417,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, CapExceeded) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

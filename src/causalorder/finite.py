@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -131,50 +131,52 @@ def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
     return [(int(i), int(j)) for i, j in np.argwhere(covers)]
 
 
-def _successors(fcs: FiniteCausalSet) -> list[list[int]]:
-    succ: list[list[int]] = [[] for _ in range(len(fcs))]
-    for i, j in hasse(fcs):
-        succ[i].append(j)
-    return succ
+def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]:
+    """Maximal chains disjoint from `skip`, lazily, in lexicographic
+    order: a DFS over the Hasse covers, since a maximal chain of a
+    finite order is a cover path from a minimal to a maximal element.
+    A vertex whose subtree yields no chain is dead and never entered
+    again, so reaching the first chain, or proving there is none, takes
+    each cover once.  With `skip` empty nothing dies: every chain comes."""
+    succ = [np.flatnonzero(row).tolist() for row in fcs.relation & ~fcs.two_step]
+    roots = np.flatnonzero(~fcs.relation.any(axis=0)).tolist()
+    dead = set(skip)
+    found = 0  # chains yielded so far
+    path: list[int] = []
+    # One frame per vertex on the path, plus the roots' frame: the
+    # successors still to try, and `found` when the vertex was entered.
+    stack = [(iter(roots), found)]
+    while stack:
+        ups, before = stack[-1]
+        nxt = next(ups, None)
+        if nxt is None:
+            stack.pop()
+            if path:
+                v = path.pop()
+                if found == before:
+                    dead.add(v)
+        elif nxt in dead:
+            continue
+        elif succ[nxt]:
+            path.append(nxt)
+            stack.append((iter(succ[nxt]), found))
+        else:
+            found += 1
+            yield path + [nxt]
 
 
 def maximal_chains(
     fcs: FiniteCausalSet, cap: int = DEFAULT_CHAIN_CAP
 ) -> list[list[int]]:
-    """All maximal chains as index lists, emitted in lexicographic order
-    (DFS over cover edges from minimal elements).  CapExceeded carries
-    the first `cap` chains when enumeration overruns."""
+    """All maximal chains as index lists, in lexicographic order;
+    CapExceeded carries the first `cap` when enumeration overruns."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    succ = _successors(fcs)
-    rel = fcs.relation
-    minimal = [j for j in range(len(fcs)) if not np.any(rel[:, j])]
     out: list[list[int]] = []
-
-    def emit(path: list[int]) -> None:
+    for chain in _walk(fcs):
         if len(out) >= cap:
             raise CapExceeded(f"more than {cap} maximal chains", tuple(out))
-        out.append(list(path))
-
-    for root in minimal:
-        if not succ[root]:
-            emit([root])
-            continue
-        path = [root]
-        stack = [iter(succ[root])]
-        while stack:
-            try:
-                nxt = next(stack[-1])
-            except StopIteration:
-                stack.pop()
-                path.pop()
-                continue
-            path.append(nxt)
-            if succ[nxt]:
-                stack.append(iter(succ[nxt]))
-            else:
-                emit(path)
-                path.pop()
+        out.append(chain)
     return out
 
 
@@ -225,31 +227,28 @@ def _check_antichain(fcs: FiniteCausalSet, indices: Sequence[int]) -> list[int]:
             raise ValueError(f"index {i} out of range")
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate indices")
-    rel = fcs.relation
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            i, j = idx[a], idx[b]
-            if rel[i, j] or rel[j, i]:
-                raise ValueError(f"not an antichain: events {i} and {j} are comparable")
+    sub = fcs.relation[np.ix_(idx, idx)]
+    # Row-major order of the upper triangle is the order of the pairs
+    # (a, b), a < b, so the first hit is the first comparable pair.
+    hits = np.argwhere(np.triu(sub | sub.T, 1))
+    if len(hits):
+        a, b = hits[0]
+        raise ValueError(f"not an antichain: events {idx[a]} and {idx[b]} are comparable")
     return idx
 
 
 def find_avoiding_chain(
-    fcs: FiniteCausalSet, antichain: Sequence[int], cap: int = DEFAULT_CHAIN_CAP
+    fcs: FiniteCausalSet, antichain: Sequence[int]
 ) -> list[int] | None:
-    """First maximal chain disjoint from the antichain, or None."""
-    target = set(_check_antichain(fcs, antichain))
-    for chain in maximal_chains(fcs, cap):
-        if target.isdisjoint(chain):
-            return chain
-    return None
+    """Lexicographically first maximal chain disjoint from the
+    antichain, or None.  One pruned walk over the covers, with no
+    enumeration of the other chains."""
+    return next(_walk(fcs, _check_antichain(fcs, antichain)), None)
 
 
-def is_cutset(
-    fcs: FiniteCausalSet, antichain: Sequence[int], cap: int = DEFAULT_CHAIN_CAP
-) -> bool:
+def is_cutset(fcs: FiniteCausalSet, antichain: Sequence[int]) -> bool:
     """Whether the antichain meets every maximal chain of the set."""
-    return find_avoiding_chain(fcs, antichain, cap) is None
+    return find_avoiding_chain(fcs, antichain) is None
 
 
 def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:

@@ -140,6 +140,10 @@ def crossing_time(
     stops at |phi| <= tol.  Raises when the crossing lies outside the
     window or the monotonicity spot-check fails.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if hs.dimension != wl.n:
         raise ValueError(f"dimension mismatch: surface {hs.dimension} vs line {wl.n}")
     if hs.modulus * wl.c >= 1.0:

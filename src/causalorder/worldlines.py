@@ -29,6 +29,7 @@ from .order import Direction, Event, OrderKind, OrderSpec, comparable, distance,
 
 SPEED_REL_TOL = 1e-9
 DIR_DOT_TOL = 1e-12
+EXTEND_PROBE_GRID = 33
 
 
 @dataclass(frozen=True)
@@ -100,10 +101,11 @@ class PolyWorldLine:
                 raise ValueError(f"sample time {t!r} outside window")
         return pairwise_comparable(spec, [self.event_at(t) for t in sample_times])
 
-    def extend_probe(self, p: Event, spec: OrderSpec, grid: int = 33) -> bool:
+    def extend_probe(self, p: Event, spec: OrderSpec) -> bool:
         """Whether p is comparable to the line at a vertex-plus-probe
         sample: the point sharing p's time, all vertices, and a uniform
-        grid over the window.  False means p cannot extend the chain."""
+        grid of EXTEND_PROBE_GRID times over the window.  False means p
+        cannot extend the chain."""
         t0, t1 = self.window
         if p.t < t0 or p.t > t1:
             raise ValueError("probe time outside window; maximality is window-relative")
@@ -112,7 +114,7 @@ class PolyWorldLine:
         for t, x in self.vertices:
             if not comparable(spec, p, Event(t, x)):
                 return False
-        for t in np.linspace(t0, t1, grid):
+        for t in np.linspace(t0, t1, EXTEND_PROBE_GRID):
             if not comparable(spec, p, self.event_at(float(t))):
                 return False
         return True
@@ -386,18 +388,11 @@ def make_gap_worldline(
     return GapWorldLine(c=wl.c, base=wl, gaps=gaps)
 
 
-def is_subluminal_chain_probe(
-    gwl: GapWorldLine,
-    p: Event,
-    c: float | None = None,
-    per_branch: int = 40,
-    margin: float = 1e-3,
-    reach: float | None = None,
-) -> bool:
+def is_subluminal_chain_probe(gwl: GapWorldLine, p: Event) -> bool:
     """Whether p is subluminally comparable with a dense sample of the
     point set (kept gap endpoints included, removed points absent by
     construction).  False certifies that p cannot extend the chain."""
-    spec = OrderSpec(OrderKind.SUBLUMINAL, gwl.c if c is None else c)
+    spec = OrderSpec(OrderKind.SUBLUMINAL, gwl.c)
     seen: set[Event] = set()
     for q in gwl.probe_sample(p):
         if q in seen:

@@ -8,7 +8,7 @@ import pytest
 
 from causalorder import finite
 from causalorder.cli import main
-from causalorder.fileio import write_surface, write_worldline
+from causalorder.fileio import read_events, write_surface, write_worldline
 from causalorder.hypersurfaces import make_hypersurface
 from causalorder.worldlines import make_polyline
 
@@ -128,14 +128,34 @@ def test_axiom_violation_is_one_line_exit_1(monkeypatch, event_file):
     assert err == "error: transitivity violated at pair (0, 2)\n"
 
 
-def test_chain_cap_is_one_line_exit_1(monkeypatch, tmp_path):
-    path = tmp_path / "two.txt"
-    path.write_text("dim=1 c=1 order=causal dir=fwd\n0 0\n0 1\n")
-    real = finite.maximal_chains
-    monkeypatch.setattr(finite, "maximal_chains", lambda fcs, cap: real(fcs, 1))
-    code, out, err = run(["cutset-check", str(path), "--indices", "0"])
-    assert code == 1 and out == ""
-    assert err == "error: more than 1 maximal chains\n"
+def test_cutset_check_has_no_chain_cap(tmp_path):
+    # 250 events in 1+1 have more than a million maximal chains, so the
+    # check must not enumerate them
+    path = tmp_path / "cut.txt"
+    code, _, err = run(["sprinkle", "--count", "250", "--dim", "1", "--box=-1:1",
+                        "--seed", "1", "--out", str(path)])
+    assert code == 0, err
+    events, spec = read_events(path)
+    fcs = finite.build(events, spec)
+    minimal = np.flatnonzero(~fcs.relation.any(axis=0)).tolist()
+    indices = ",".join(map(str, minimal))
+    code, out, err = run(["cutset-check", str(path), "--indices", indices])
+    assert code == 0 and err == ""
+    assert "cutset true" in body(out)
+
+    # a maximal chain is a cover path from a minimal element to a
+    # maximal one, so an avoiding chain must start at the one left out
+    indices = ",".join(map(str, minimal[1:]))
+    code, out, err = run(["cutset-check", str(path), "--indices", indices])
+    assert code == 1 and err == ""
+    lines = body(out)
+    assert "cutset false" in lines
+    witness = next(l for l in lines if l.startswith("avoiding_chain "))
+    chain = [int(v) for v in witness.split()[1].split(",")]
+    assert chain[0] == minimal[0]
+    covers = set(finite.hasse(fcs))
+    assert all((a, b) in covers for a, b in zip(chain, chain[1:]))
+    assert not fcs.relation[chain[-1]].any()
 
 
 def test_grade_flat_surface_echoes_time(tmp_path, event_file):
@@ -143,8 +163,6 @@ def test_grade_flat_surface_echoes_time(tmp_path, event_file):
     write_surface(surf, make_hypersurface([((0.0, 0.0), 0.0)], 1e-12, 1.0))
     code, out, _ = run(["grade", str(event_file), "--surface", str(surf)])
     assert code == 0
-    from causalorder.fileio import read_events
-
     events, _ = read_events(event_file)
     values = [float(l.split()[2]) for l in body(out) if l.startswith("grade ")]
     assert len(values) == len(events)
@@ -173,6 +191,18 @@ def test_crossing_outside_window_is_usage_error(tmp_path):
     write_worldline(wl, make_polyline([(50.0, (0.0,)), (51.0, (0.0,))], 1.0))
     code, _, err = run(["crossing", "--surface", str(surf), "--worldline", str(wl)])
     assert code == 2 and "no crossing" in err
+
+
+def test_crossing_bad_tolerance_is_usage_error(tmp_path):
+    surf = tmp_path / "cone.txt"
+    write_surface(surf, make_hypersurface([((0.0,), 0.0)], 0.5, 1.0))
+    wl = tmp_path / "wl.txt"
+    write_worldline(wl, make_polyline([(-5.0, (2.0,)), (5.0, (2.0,))], 1.0))
+    for tol in ("-1", "nan"):
+        code, out, err = run(["crossing", "--surface", str(surf), "--worldline", str(wl),
+                              f"--tol={tol}"])
+        assert code == 2 and out == ""
+        assert err == f"error: tol must be finite and >= 0, got {float(tol)!r}\n"
 
 
 def test_reconstruct_analytic_zero_diffs(event_file):

@@ -342,11 +342,86 @@ def test_cutset_frozen_examples():
 def test_cutset_rejects_comparable_input():
     with pytest.raises(ValueError, match="antichain"):
         is_cutset(_cutset_trio(), [0, 1])
+    # 1 < 3 and 2 < 3 in the diamond; the first comparable pair in
+    # input order is named
+    with pytest.raises(ValueError) as exc:
+        is_cutset(_diamond(), [1, 2, 3])
+    assert str(exc.value) == "not an antichain: events 1 and 3 are comparable"
+    with pytest.raises(ValueError) as exc:
+        find_avoiding_chain(_diamond(), [3, 2, 1])
+    assert str(exc.value) == "not an antichain: events 3 and 2 are comparable"
+    # against the pair loop, on random index lists
+    fcs = build(sprinkle2(30, 8), CAUSAL)
+    rel = fcs.relation
+    rng = np.random.default_rng(8)
+    rejected = 0
+    for _ in range(200):
+        idx = rng.permutation(30)[: int(rng.integers(0, 8))].tolist()
+        pairs = [(i, j) for a, i in enumerate(idx) for j in idx[a + 1:]
+                 if rel[i, j] or rel[j, i]]
+        if not pairs:
+            find_avoiding_chain(fcs, idx)
+            continue
+        with pytest.raises(ValueError) as exc:
+            find_avoiding_chain(fcs, idx)
+        i, j = pairs[0]
+        assert str(exc.value) == f"not an antichain: events {i} and {j} are comparable"
+        rejected += 1
+    assert 0 < rejected < 200
 
 
 def test_whole_antichain_set_is_cutset():
     anti = build([event(0.0, float(i)) for i in range(5)], CAUSAL)
     assert is_cutset(anti, list(range(5)))
+
+
+def _antichain_queries(fcs, rng):
+    """Every maximal antichain, and three random subsets of each,
+    possibly empty."""
+    for ac in maximal_antichains(fcs):
+        yield ac
+        for _ in range(3):
+            size = int(rng.integers(0, len(ac) + 1))
+            yield rng.permutation(ac)[:size].tolist()
+
+
+def test_avoiding_chain_matches_enumeration():
+    # the walker against the first enumerated chain disjoint from the
+    # antichain, on sets of at most 20 events, some with duplicates
+    rng = np.random.default_rng(5)
+    sets = list(_small_sets())
+    for seed in range(8):
+        dim = 1 + seed % 2
+        box = ((-1.0, 1.0),) * dim + ((0.0, 2.0),)
+        events = sprinkle(SprinkleConfig(17, dim, box, 100 + seed))
+        sets.append(events + [events[int(k)] for k in rng.choice(17, 3)])
+    queries = 0
+    for events in sets:
+        assert len(events) <= 20
+        for kind in OrderKind:
+            for direction in Direction:
+                fcs = build(events, OrderSpec(kind, 1.0, direction))
+                chains = maximal_chains(fcs)
+                for ac in _antichain_queries(fcs, rng):
+                    expected = next((ch for ch in chains if not set(ac) & set(ch)), None)
+                    assert find_avoiding_chain(fcs, ac) == expected
+                    assert is_cutset(fcs, ac) == (expected is None)
+                    queries += 1
+    assert queries > 5000
+
+
+def test_cutset_check_at_max_events():
+    # far more maximal chains than the enumeration cap of a million
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    fcs = build(sprinkle(SprinkleConfig(MAX_EVENTS, 1, box, 11)), CAUSAL)
+    minimal = np.flatnonzero(~fcs.relation.any(axis=0)).tolist()
+    assert is_cutset(fcs, minimal)
+    covers = set(hasse(fcs))
+    for k in (0, len(minimal) // 2, len(minimal) - 1):
+        chain = find_avoiding_chain(fcs, minimal[:k] + minimal[k + 1:])
+        assert chain[0] == minimal[k]
+        assert all((a, b) in covers for a, b in zip(chain, chain[1:]))
+        assert not fcs.relation[chain[-1]].any()
 
 
 # ---------------------------------------------------------- reconstruction

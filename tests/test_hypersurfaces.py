@@ -160,6 +160,18 @@ def test_crossing_rejects_mismatched_speed_budget():
         crossing_time(hs, fast)
 
 
+def test_crossing_rejects_bad_tolerance():
+    # a usage error, not a failed bisection
+    hs = make_hypersurface([((0.0,), 0.0)], 0.5, 1.0)
+    wl = make_polyline([(-5.0, (2.0,)), (5.0, (2.0,))], 1.0)
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            crossing_time(hs, wl, tol=tol)
+    with pytest.raises(ValueError, match="max_iter must be >= 1"):
+        crossing_time(hs, wl, max_iter=0)
+    assert abs(crossing_time(hs, wl, tol=0.0) - 1.0) <= 2e-9
+
+
 def test_grading_monotone_along_worldlines():
     hs = random_surface(21, kc=0.9)
     g = Grading(hs)
