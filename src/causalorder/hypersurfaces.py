@@ -8,6 +8,11 @@ outside the speed-c cone, so any sample of the graph is an antichain of
 the causal order.  The induced grading g(x, t) = t - h(x) is strictly
 increasing along every world line with speed at most c, which makes
 level crossings unique and cheap to bracket.
+
+Heights and the Lipschitz check go through order._pair_distances, the
+batched form of order.distance with the same accumulation order, so a
+height over all anchors at once has the bits of the per-anchor scalar
+expression min(h_i + k * distance(x, x_i)).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .order import Event, PairClass, classify_pair, distance
+from .order import Event, PairClass, _pair_distances, classify_pair
 from .worldlines import PolyWorldLine
 
 
@@ -45,38 +50,40 @@ class Hypersurface:
             raise ValueError(f"need k*c < 1 for a space-like graph, got {k * c!r}")
         if not self.anchors:
             raise ValueError("need at least one anchor")
-        norm: list[tuple[tuple[float, ...], float]] = []
-        n = len(self.anchors[0][0])
-        for x, h in self.anchors:
-            xt = tuple(float(v) for v in x)
-            hf = float(h)
-            if len(xt) != n:
-                raise ValueError("all anchors must share one space dimension")
-            if not (math.isfinite(hf) and all(math.isfinite(v) for v in xt)):
-                raise ValueError("anchor coordinates must be finite")
-            norm.append((xt, hf))
-        for i in range(len(norm)):
-            for j in range(i + 1, len(norm)):
-                (xi, hi), (xj, hj) = norm[i], norm[j]
-                if abs(hi - hj) > k * distance(xi, xj):
-                    raise ValueError(
-                        f"anchors {i} and {j} violate the Lipschitz bound"
-                    )
-        object.__setattr__(self, "anchors", tuple(norm))
+        count, n = len(self.anchors), len(self.anchors[0][0])
+        if any(len(x) != n for x, _ in self.anchors):
+            raise ValueError("all anchors must share one space dimension")
+        xs = np.array([x for x, _ in self.anchors], dtype=float).reshape(count, n)
+        hs = np.fromiter((h for _, h in self.anchors), dtype=float, count=count)
+        if not (np.isfinite(xs).all() and np.isfinite(hs).all()):
+            raise ValueError("anchor coordinates must be finite")
+        with np.errstate(over="ignore"):
+            for i in range(count - 1):
+                dist = _pair_distances(xs[i : i + 1], xs[i + 1 :])[0]
+                bad = np.abs(hs[i] - hs[i + 1 :]) > k * dist
+                if bad.any():
+                    j = i + 1 + int(bad.argmax())
+                    raise ValueError(f"anchors {i} and {j} violate the Lipschitz bound")
+        xs.flags.writeable = False
+        hs.flags.writeable = False
+        object.__setattr__(self, "anchors", tuple(zip(map(tuple, xs.tolist()), hs.tolist())))
         object.__setattr__(self, "modulus", k)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_xs", xs)
+        object.__setattr__(self, "_hs", hs)
 
     @property
     def dimension(self) -> int:
         return len(self.anchors[0][0])
 
+    @np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route
     def height(self, x: Sequence[float]) -> float:
         """h(x) = min over anchors of h_i + k ||x - x_i||."""
         xt = tuple(float(v) for v in x)
         if len(xt) != self.dimension:
             raise ValueError(f"dimension mismatch: {len(xt)} vs {self.dimension}")
-        k = self.modulus
-        return min(h + k * distance(xt, xa) for xa, h in self.anchors)
+        dist = _pair_distances(np.array([xt]), self._xs)  # type: ignore[attr-defined]
+        return float((self._hs + self.modulus * dist[0]).min())  # type: ignore[attr-defined]
 
     def graph_event(self, x: Sequence[float]) -> Event:
         return Event(self.height(x), tuple(float(v) for v in x))
@@ -124,6 +131,7 @@ def is_antichain_sample(hs: Hypersurface, points: Sequence[Sequence[float]]) -> 
 
 CROSSING_TOL = 1e-9
 CROSSING_MAX_ITER = 200
+CROSSING_GRID = 33
 
 
 def crossing_time(
@@ -131,7 +139,6 @@ def crossing_time(
     wl: PolyWorldLine,
     tol: float = CROSSING_TOL,
     max_iter: int = CROSSING_MAX_ITER,
-    grid: int = 33,
 ) -> float:
     """Unique time at which wl crosses the surface graph.
 
@@ -153,7 +160,7 @@ def crossing_time(
         return t - hs.height(wl.eval(t))
 
     t0, t1 = wl.window
-    ts = [float(t) for t in np.linspace(t0, t1, grid)]
+    ts = [float(t) for t in np.linspace(t0, t1, CROSSING_GRID)]
     vals = [phi(t) for t in ts]
     for a, b in zip(vals, vals[1:]):
         if not a < b:

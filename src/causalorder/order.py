@@ -111,13 +111,28 @@ def _require_same_dim(u: Event, v: Event) -> None:
 def distance(a: Iterable[float], b: Iterable[float]) -> float:
     """Euclidean distance ||b - a||; a vector's norm is its distance
     from the origin.  Accumulation order is fixed (axis 0, 1, ...) and
-    _strict_matrix follows it, so scalar and batched routes agree bit
+    _pair_distances follows it, so scalar and batched routes agree bit
     for bit."""
     s = 0.0
     for p, q in zip(a, b):
         d = q - p
         s += d * d
     return math.sqrt(s)
+
+
+@np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (m, k) matrix of ||b_j - a_i|| for an (m, n) array a and a
+    (k, n) array b: distance batched, accumulating over axis 0, 1, ...
+    with one sqrt at the end, so every cell equals distance(a_i, b_j)
+    bit for bit.  Holds two (m, k) float64 arrays."""
+    dist = np.zeros((a.shape[0], b.shape[0]))
+    buf = np.empty_like(dist)
+    for axis in range(a.shape[1]):
+        np.subtract(b[None, :, axis], a[:, None, axis], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.add(dist, buf, out=dist)
+    return np.sqrt(dist, out=dist)
 
 
 def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:
@@ -140,29 +155,22 @@ def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
     """Strict relation matrix: _strictly_before on every ordered pair,
     batched with the same operation order.
 
-    Works in place, so at most three n x n float64 arrays are live.
+    Works in place, so at most three n x n float64 arrays are live
+    (dt and the two inside _pair_distances).
     """
     n_ev = len(events)
     t = np.array([e.t for e in events], dtype=float)
     dt = t[None, :] - t[:, None]
-    if spec.kind is OrderKind.TEMPORAL:
-        fwd = dt > 0.0
-    else:
+    fwd = dt > 0.0
+    if spec.kind is not OrderKind.TEMPORAL:
         dim = events[0].n if n_ev else 0
         xs = np.array([e.x for e in events], dtype=float).reshape(n_ev, dim)
-        dist = np.zeros((n_ev, n_ev))
-        buf = np.empty((n_ev, n_ev))
-        for axis in range(dim):
-            np.subtract(xs[None, :, axis], xs[:, None, axis], out=buf)
-            np.multiply(buf, buf, out=buf)
-            np.add(dist, buf, out=dist)
-        np.sqrt(dist, out=dist)
-        cdt = np.multiply(spec.c, dt, out=buf)
+        dist = _pair_distances(xs, xs)
+        cdt = np.multiply(spec.c, dt, out=dt)
         if spec.kind is OrderKind.CAUSAL:
-            fwd = dist <= cdt
+            fwd &= dist <= cdt
         else:
-            fwd = dist < cdt
-        fwd &= dt > 0.0
+            fwd &= dist < cdt
     return fwd.T if spec.direction is Direction.BACKWARD else fwd
 
 

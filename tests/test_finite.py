@@ -303,6 +303,15 @@ def test_maximal_antichains_size_cap():
         maximal_antichains(build(events, CAUSAL))
 
 
+def test_maximal_antichains_reach_moon_moser_bound():
+    # eight mutually space-like three-event chains: 24 events with the
+    # most maximal antichains any 24-vertex graph allows, 3**8
+    events = [event(float(t), 10.0 * c) for c in range(8) for t in range(3)]
+    antichains = maximal_antichains(build(events, CAUSAL))
+    assert len(antichains) == 3**8
+    assert antichains[0] == list(range(0, 24, 3)) and antichains[-1] == list(range(2, 24, 3))
+
+
 def test_maximal_antichains_are_maximal():
     events = sprinkle2(18, 31)
     fcs = build(events, CAUSAL)

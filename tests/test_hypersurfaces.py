@@ -1,18 +1,20 @@
 """Strict-Lipschitz surface graphs, gradings, and unique crossings."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from causalorder.hypersurfaces import (
     Grading,
+    Hypersurface,
     crossing_time,
     grading_monotone_on,
     is_antichain_sample,
     make_hypersurface,
 )
-from causalorder.order import Event, PairClass, classify_pair, event
+from causalorder.order import Event, PairClass, classify_pair, distance, event
 from causalorder.worldlines import make_polyline
 
 
@@ -46,6 +48,91 @@ def test_heights_frozen_examples():
     ramp = make_hypersurface([((-10.0,), -5.0), ((10.0,), 5.0)], 0.5, 1.0)
     for x in (-10.0, -3.0, 0.0, 4.0, 10.0):
         assert ramp.height((x,)) == pytest.approx(0.5 * x, abs=1e-12)
+
+
+def _scaled(hs, scale):
+    return make_hypersurface([(tuple(v * scale for v in x), h * scale) for x, h in hs.anchors],
+                             hs.modulus, hs.c)
+
+
+def test_height_matches_scalar_reference_bit_for_bit():
+    # the batched envelope against the per-anchor Python expression it
+    # replaced, far from the anchors (distances overflow or underflow)
+    # and at the anchors themselves
+    rng = np.random.default_rng(41)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unsilenced overflow fails
+        for n in range(4):
+            for seed in range(3):
+                base = random_surface(100 * n + seed, n=n, kc=0.9, anchors=12)
+                for hs in (base, _scaled(base, 1e150), _scaled(base, 1e300)):
+                    k = hs.modulus
+                    xs = [x for x, _ in hs.anchors]
+                    for scale in (1.0, 1e150, 1e-150, 1e300):
+                        xs += [tuple(v) for v in (rng.uniform(-8, 8, (20, n)) * scale).tolist()]
+                    for x in xs:
+                        want = min(h + k * distance(x, xa) for xa, h in hs.anchors)
+                        got = hs.height(x)
+                        assert type(got) is float
+                        assert got == want or (math.isnan(got) and math.isnan(want)), (n, x)
+        # k*d and h + k*d overflow here, and so do the anchors' height
+        # difference and k*d in the Lipschitz check
+        steep = make_hypersurface([((0.0,), 1.7e308), ((1e10,), -1.7e308)], 5e299, 1e-300)
+        for x in (0.0, 1.0, 1e-300, 1e8, 5e9, 1e10, -1e300, 1e300):
+            want = min(h + steep.modulus * distance((x,), xa) for xa, h in steep.anchors)
+            assert steep.height((x,)) == want
+
+
+def _first_violation(anchors, k):
+    """Pair-loop reference for the Lipschitz check."""
+    for i in range(len(anchors)):
+        for j in range(i + 1, len(anchors)):
+            (xi, hi), (xj, hj) = anchors[i], anchors[j]
+            if abs(hi - hj) > k * distance(xi, xj):
+                return i, j
+    return None
+
+
+def test_lipschitz_check_matches_pair_loop():
+    rng = np.random.default_rng(43)
+    planted = 0
+    for trial in range(60):
+        n = trial % 4
+        hs = random_surface(trial, n=n, kc=0.8, anchors=int(rng.integers(2, 15)))
+        anchors = list(hs.anchors)
+        for m in rng.choice(len(anchors), int(rng.integers(0, 3)), replace=False):
+            x, h = anchors[m]
+            anchors[m] = (x, h + float(rng.choice([-1, 1])) * float(rng.uniform(0, 8)))
+        want = _first_violation(anchors, hs.modulus)
+        if want is None:
+            assert make_hypersurface(anchors, hs.modulus, hs.c).anchors == tuple(anchors)
+            continue
+        planted += 1
+        with pytest.raises(ValueError) as exc:
+            make_hypersurface(anchors, hs.modulus, hs.c)
+        assert str(exc.value) == f"anchors {want[0]} and {want[1]} violate the Lipschitz bound"
+    assert planted >= 20
+    # exactly on the bound is allowed; one ulp over is not
+    on_bound = [((0.0,), 0.0), ((2.0,), 1.0), ((4.0,), 2.0), ((3.0,), 1.5)]
+    make_hypersurface(on_bound, 0.5, 1.0)
+    over = on_bound[:3] + [((3.0,), math.nextafter(1.5, 2.0))]
+    assert _first_violation(over, 0.5) == (0, 3)
+    with pytest.raises(ValueError, match=r"^anchors 0 and 3 violate the Lipschitz bound$"):
+        make_hypersurface(over, 0.5, 1.0)
+
+
+def test_surfaces_compare_and_hash_by_anchors():
+    a = random_surface(5, anchors=8)
+    b = random_surface(5, anchors=8)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != random_surface(6, anchors=8)
+    assert a == Hypersurface(a.anchors, a.modulus, a.c)
+    for arr in (a._xs, a._hs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert a._xs.shape == (8, 2) and a._hs.shape == (8,)
+    assert make_hypersurface([((), 1.0), ((), 1.0)], 0.5, 1.0)._xs.shape == (2, 0)
 
 
 def test_inconsistent_anchors_rejected_with_indices():
