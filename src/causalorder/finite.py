@@ -78,15 +78,17 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
 
 @dataclass(frozen=True)
 class FiniteCausalSet:
-    """Events plus the strict relation matrix of the chosen order, and
-    its two-step relation: two_step[i, j] when some k has i < k < j.
-    Both matrices are functions of events and spec, so equality and
-    hashing use those two alone."""
+    """Events plus the strict relation matrix of the chosen order, its
+    two-step relation (two_step[i, j] when some k has i < k < j) and its
+    Hasse covers (relation & ~two_step).  All three matrices are
+    functions of events and spec, so equality and hashing use those two
+    alone."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
     relation: np.ndarray = field(repr=False, compare=False)
     two_step: np.ndarray = field(repr=False, compare=False)
+    covers: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -118,17 +120,18 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     if np.any(closure_gap):
         i, j = map(int, np.argwhere(closure_gap)[0])
         raise RuntimeError(f"transitivity violated at pair ({i}, {j})")
-    rel.flags.writeable = False
-    two_step.flags.writeable = False
-    return FiniteCausalSet(evs, spec, rel, two_step)
+    covers = rel & ~two_step
+    for m in (rel, two_step, covers):
+        m.flags.writeable = False
+    return FiniteCausalSet(evs, spec, rel, two_step, covers)
 
 
 def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
     """Edges of the transitive reduction, in lexicographic order.  For a
     finite strict order the reduction is unique: (i, j) is an edge iff
     i < j with no element strictly between."""
-    covers = fcs.relation & ~fcs.two_step
-    return [(int(i), int(j)) for i, j in np.argwhere(covers)]
+    rows, cols = np.nonzero(fcs.covers)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]:
@@ -137,8 +140,11 @@ def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]
     finite order is a cover path from a minimal to a maximal element.
     A vertex whose subtree yields no chain is dead and never entered
     again, so reaching the first chain, or proving there is none, takes
-    each cover once.  With `skip` empty nothing dies: every chain comes."""
-    succ = [np.flatnonzero(row).tolist() for row in fcs.relation & ~fcs.two_step]
+    each cover once.  With `skip` empty nothing dies: every chain comes.
+    A vertex's successor list is read off its covers row when the walk
+    first enters it, so a walk pruned at the roots reads no row."""
+    covers = fcs.covers
+    succ: list[list[int] | None] = [None] * len(fcs)
     roots = np.flatnonzero(~fcs.relation.any(axis=0)).tolist()
     dead = set(skip)
     found = 0  # chains yielded so far
@@ -157,12 +163,16 @@ def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]
                     dead.add(v)
         elif nxt in dead:
             continue
-        elif succ[nxt]:
-            path.append(nxt)
-            stack.append((iter(succ[nxt]), found))
         else:
-            found += 1
-            yield path + [nxt]
+            row = succ[nxt]
+            if row is None:
+                row = succ[nxt] = np.flatnonzero(covers[nxt]).tolist()
+            if row:
+                path.append(nxt)
+                stack.append((iter(row), found))
+            else:
+                found += 1
+                yield path + [nxt]
 
 
 def maximal_chains(

@@ -9,10 +9,14 @@ the causal order.  The induced grading g(x, t) = t - h(x) is strictly
 increasing along every world line with speed at most c, which makes
 level crossings unique and cheap to bracket.
 
-Heights and the Lipschitz check go through order._pair_distances, the
+Heights and the Lipschitz check go through order._distances, the
 batched form of order.distance with the same accumulation order, so a
 height over all anchors at once has the bits of the per-anchor scalar
-expression min(h_i + k * distance(x, x_i)).
+expression min(h_i + k * distance(x, x_i)), and the Lipschitz check,
+one scan over row tiles of the upper triangle of anchor pairs, names
+the first violating pair a pair loop would.  is_antichain_sample asks
+order._comparable_block, the comparability form of the rectangular
+batched cone kernel, whether any two lifted points are related.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .order import Event, PairClass, _pair_distances, classify_pair
+from .order import (
+    Event,
+    OrderKind,
+    _comparable_block,
+    _coordinates,
+    _distances,
+    _first_upper_hit,
+)
 from .worldlines import PolyWorldLine
 
 
@@ -58,12 +69,13 @@ class Hypersurface:
         if not (np.isfinite(xs).all() and np.isfinite(hs).all()):
             raise ValueError("anchor coordinates must be finite")
         with np.errstate(over="ignore"):
-            for i in range(count - 1):
-                dist = _pair_distances(xs[i : i + 1], xs[i + 1 :])[0]
-                bad = np.abs(hs[i] - hs[i + 1 :]) > k * dist
-                if bad.any():
-                    j = i + 1 + int(bad.argmax())
-                    raise ValueError(f"anchors {i} and {j} violate the Lipschitz bound")
+            bad = _first_upper_hit(
+                count,
+                lambda i0, i1: np.abs(hs[i0:i1, None] - hs[None, i0:])
+                > k * _distances(xs[i0:i1], xs[i0:]),
+            )
+        if bad is not None:
+            raise ValueError(f"anchors {bad[0]} and {bad[1]} violate the Lipschitz bound")
         xs.flags.writeable = False
         hs.flags.writeable = False
         object.__setattr__(self, "anchors", tuple(zip(map(tuple, xs.tolist()), hs.tolist())))
@@ -82,8 +94,10 @@ class Hypersurface:
         xt = tuple(float(v) for v in x)
         if len(xt) != self.dimension:
             raise ValueError(f"dimension mismatch: {len(xt)} vs {self.dimension}")
-        dist = _pair_distances(np.array([xt]), self._xs)  # type: ignore[attr-defined]
-        return float((self._hs + self.modulus * dist[0]).min())  # type: ignore[attr-defined]
+        env = _distances(np.array([xt]), self._xs)[0]  # type: ignore[attr-defined]
+        np.multiply(env, self.modulus, out=env)
+        np.add(env, self._hs, out=env)  # type: ignore[attr-defined]
+        return float(env.min())
 
     def graph_event(self, x: Sequence[float]) -> Event:
         return Event(self.height(x), tuple(float(v) for v in x))
@@ -112,21 +126,17 @@ class Grading:
 
 
 def is_antichain_sample(hs: Hypersurface, points: Sequence[Sequence[float]]) -> bool:
-    """Lift the sample onto the graph and verify pairwise space-likeness.
+    """Lift the sample onto the graph and verify pairwise space-likeness:
+    no two lifted points equal or strictly causally related either way.
     Duplicate positions collapse to one graph point."""
-    lifted: list[Event] = []
-    seen: set[tuple[float, ...]] = set()
-    for x in points:
-        xt = tuple(float(v) for v in x)
-        if xt in seen:
-            continue
-        seen.add(xt)
-        lifted.append(hs.graph_event(xt))
-    for i in range(len(lifted)):
-        for j in range(i + 1, len(lifted)):
-            if classify_pair(lifted[i], lifted[j], hs.c) is not PairClass.SPACELIKE:
-                return False
-    return True
+    positions = dict.fromkeys(tuple(float(v) for v in x) for x in points)
+    t, xs = _coordinates([hs.graph_event(x) for x in positions])
+    return _first_upper_hit(
+        len(t),
+        lambda i0, i1: _comparable_block(
+            OrderKind.CAUSAL, hs.c, t[i0:i1], xs[i0:i1], t[i0:], xs[i0:]
+        ),
+    ) is None
 
 
 CROSSING_TOL = 1e-9

@@ -11,6 +11,17 @@ parameterized by a signal speed c > 0:
 All three are exposed as reflexive partial orders.  Predicates are pure
 and exact over IEEE doubles; nothing here applies a tolerance unless the
 caller passes one explicitly.
+
+The strict cone test is written once, as the scalar _strictly_before
+and the rectangular batched kernel _strict_block, which decides it for
+an (m, k) block of event pairs from time and coordinate arrays with the
+same operations in the same order.  Distances come from distance and
+its batched form _distances.  _strict_matrix (the relation matrices of
+finite) is _strict_block on a set against itself; _comparable_block
+(strict either way, or equal) answers pairwise_comparable,
+interval_is_chain_sampled and hypersurfaces.is_antichain_sample, so
+those agree cell for cell with the pair loops over comparable and
+classify_pair they replace.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -111,7 +122,7 @@ def _require_same_dim(u: Event, v: Event) -> None:
 def distance(a: Iterable[float], b: Iterable[float]) -> float:
     """Euclidean distance ||b - a||; a vector's norm is its distance
     from the origin.  Accumulation order is fixed (axis 0, 1, ...) and
-    _pair_distances follows it, so scalar and batched routes agree bit
+    _distances follows it, so scalar and batched routes agree bit
     for bit."""
     s = 0.0
     for p, q in zip(a, b):
@@ -120,26 +131,37 @@ def distance(a: Iterable[float], b: Iterable[float]) -> float:
     return math.sqrt(s)
 
 
-@np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (m, k) matrix of ||b_j - a_i|| for an (m, n) array a and a
     (k, n) array b: distance batched, accumulating over axis 0, 1, ...
     with one sqrt at the end, so every cell equals distance(a_i, b_j)
-    bit for bit.  Holds two (m, k) float64 arrays."""
-    dist = np.zeros((a.shape[0], b.shape[0]))
-    buf = np.empty_like(dist)
-    for axis in range(a.shape[1]):
-        np.subtract(b[None, :, axis], a[:, None, axis], out=buf)
-        np.multiply(buf, buf, out=buf)
-        np.add(dist, buf, out=dist)
+    bit for bit (the first axis starts the sum, as 0.0 + d*d is d*d).
+    Holds two (m, k) float64 arrays.  Overflow goes to inf, as in the
+    scalar route: callers hold np.errstate(over="ignore"), one per call
+    of theirs; _pair_distances is this function under its own errstate,
+    for callers that hold none."""
+    n = a.shape[1]
+    if n == 0:
+        return np.zeros((a.shape[0], b.shape[0]))
+    dist = np.subtract(b[None, :, 0], a[:, None, 0])
+    np.multiply(dist, dist, out=dist)
+    if n > 1:
+        buf = np.empty_like(dist)
+        for axis in range(1, n):
+            np.subtract(b[None, :, axis], a[:, None, axis], out=buf)
+            np.multiply(buf, buf, out=buf)
+            np.add(dist, buf, out=dist)
     return np.sqrt(dist, out=dist)
+
+
+_pair_distances = np.errstate(over="ignore")(_distances)
 
 
 def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:
     """The strict forward cone test, u < v: dt > 0 and dist <= c*dt
     (causal), dist < c*dt (subluminal), or dt > 0 alone (temporal).
     leq, classify_pair (after its eps > 0 band), reconstruct_causal_analytic
-    and cones.standard_cone all decide through it; _strict_matrix is its
+    and cones.standard_cone all decide through it; _strict_block is its
     batched form."""
     dt = v.t - u.t
     if not dt > 0.0:
@@ -150,28 +172,97 @@ def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:
     return dist <= c * dt if kind is OrderKind.CAUSAL else dist < c * dt
 
 
-@np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route
-def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
-    """Strict relation matrix: _strictly_before on every ordered pair,
-    batched with the same operation order.
-
-    Works in place, so at most three n x n float64 arrays are live
-    (dt and the two inside _pair_distances).
-    """
-    n_ev = len(events)
+def _coordinates(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray]:
+    """Times (m,) and spatial coordinates (m, n) of events that share
+    one space dimension."""
+    dim = events[0].n if events else 0
+    for e in events:
+        if e.n != dim:
+            raise ValueError(f"dimension mismatch: {dim} vs {e.n}")
     t = np.array([e.t for e in events], dtype=float)
-    dt = t[None, :] - t[:, None]
+    xs = np.array([e.x for e in events], dtype=float).reshape(len(events), dim)
+    return t, xs
+
+
+@np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route
+def _strict_block(
+    kind: OrderKind, c: float, ta: np.ndarray, xa: np.ndarray, tb: np.ndarray, xb: np.ndarray
+) -> np.ndarray:
+    """The rectangular batched kernel: the (m, k) block of
+    _strictly_before(kind, c, a_i, b_j) for events a given as times ta
+    (m,) and coordinates xa (m, n), and b as tb (k,) and xb (k, n).
+    Same operations in the same order as the scalar test, so every cell
+    is its verdict.  Works in place: at most three (m, k) float64 arrays
+    are live (dt and the two inside _distances)."""
+    dt = np.subtract(tb[None, :], ta[:, None])
     fwd = dt > 0.0
-    if spec.kind is not OrderKind.TEMPORAL:
-        dim = events[0].n if n_ev else 0
-        xs = np.array([e.x for e in events], dtype=float).reshape(n_ev, dim)
-        dist = _pair_distances(xs, xs)
-        cdt = np.multiply(spec.c, dt, out=dt)
-        if spec.kind is OrderKind.CAUSAL:
+    if kind is not OrderKind.TEMPORAL:
+        dist = _distances(xa, xb)
+        cdt = np.multiply(c, dt, out=dt)
+        if kind is OrderKind.CAUSAL:
             fwd &= dist <= cdt
         else:
             fwd &= dist < cdt
+    return fwd
+
+
+def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
+    """Strict relation matrix of spec on events: _strict_block of the
+    events against themselves, transposed for the backward direction."""
+    t, xs = _coordinates(events)
+    fwd = _strict_block(spec.kind, spec.c, t, xs, t, xs)
     return fwd.T if spec.direction is Direction.BACKWARD else fwd
+
+
+def _equal_block(ta: np.ndarray, xa: np.ndarray, tb: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """a_i == b_j for every i, j, by exact coordinate comparison, as
+    Event equality decides it.  Never dist == 0: the squares underflow,
+    so (0, 0) and (0, 1e-200) are at distance 0 yet distinct."""
+    eq = ta[:, None] == tb[None, :]
+    for axis in range(xa.shape[1]):
+        eq &= xa[:, None, axis] == xb[None, :, axis]
+    return eq
+
+
+def _comparable_block(
+    kind: OrderKind, c: float, ta: np.ndarray, xa: np.ndarray, tb: np.ndarray, xb: np.ndarray
+) -> np.ndarray:
+    """comparable(spec, a_i, b_j) for every i, j, as R(a, b) | R(b, a)^T
+    | equal.  Comparability is symmetric in the direction of spec, so
+    the block serves both directions."""
+    return (
+        _strict_block(kind, c, ta, xa, tb, xb)
+        | _strict_block(kind, c, tb, xb, ta, xa).T
+        | _equal_block(ta, xa, tb, xb)
+    )
+
+
+# Cells per row tile of the all-pairs routes: each float64 temporary of
+# a tile takes 512 KiB, and a route stops after the first failing tile.
+TILE_CELLS = 1 << 16
+
+
+def _first_upper_hit(
+    n: int, block: Callable[[int, int], np.ndarray]
+) -> tuple[int, int] | None:
+    """First pair (i, j), 0 <= i < j < n, in row-major order, at which
+    block(i0, i1) is True; block returns the (i1 - i0, n - i0) boolean
+    block of rows i0:i1 against columns i0:.  Row tiles hold at most
+    max(TILE_CELLS, n) cells, and the scan stops at the first tile with
+    a hit."""
+    rows = max(1, TILE_CELLS // max(n, 1))
+    for i0 in range(0, n, rows):
+        hits = np.argwhere(np.triu(block(i0, min(i0 + rows, n)), 1))
+        if len(hits):
+            return i0 + int(hits[0, 0]), i0 + int(hits[0, 1])
+    return None
+
+
+def _all_comparable(kind: OrderKind, c: float, t: np.ndarray, xs: np.ndarray) -> bool:
+    """Whether every pair of the events (t, xs) is comparable."""
+    return _first_upper_hit(
+        len(t), lambda i0, i1: ~_comparable_block(kind, c, t[i0:i1], xs[i0:i1], t[i0:], xs[i0:])
+    ) is None
 
 
 def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
@@ -227,13 +318,9 @@ def comparable(spec: OrderSpec, u: Event, v: Event) -> bool:
 
 
 def pairwise_comparable(spec: OrderSpec, events: Iterable[Event]) -> bool:
-    """True when every pair drawn from events is comparable under spec."""
-    evs = list(events)
-    for i in range(len(evs)):
-        for j in range(i + 1, len(evs)):
-            if not comparable(spec, evs[i], evs[j]):
-                return False
-    return True
+    """True when every pair drawn from events is comparable under spec.
+    Raises ValueError when the events do not share one space dimension."""
+    return _all_comparable(spec.kind, spec.c, *_coordinates(list(events)))
 
 
 def interval_is_chain(a: Event, b: Event, c: float) -> bool:
@@ -259,6 +346,8 @@ def _interval_box(a: Event, b: Event, c: float) -> tuple[tuple[float, float], li
     spans = [
         (min(xa, xb) - pad, max(xa, xb) + pad) for xa, xb in zip(a.x, b.x)
     ]
+    if not all(math.isfinite(hi - lo) for lo, hi in [(a.t, b.t), *spans]):
+        raise ValueError("the bounding box of the interval is not finite")
     return (a.t, b.t), spans
 
 
@@ -268,9 +357,8 @@ def interval_is_chain_sampled(
     """Randomized oracle for interval_is_chain.
 
     Draws `samples` points uniformly from a bounding box of [a, b],
-    keeps those inside the interval, and reports False as soon as two
-    kept points (or a kept point and an endpoint) are incomparable.
-    Deterministic for a fixed seed.
+    keeps those inside the interval, and reports whether every pair of
+    [a, *kept, b] is comparable.  Deterministic for a fixed seed.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples")
@@ -282,19 +370,18 @@ def interval_is_chain_sampled(
     rng = np.random.default_rng(seed)
     (t_lo, t_hi), spans = _interval_box(a, b, c)
     ts = rng.uniform(t_lo, t_hi, size=samples)
-    cols = [rng.uniform(lo, hi, size=samples) for lo, hi in spans]
-    kept: list[Event] = []
-    for i in range(samples):
-        p = Event(float(ts[i]), tuple(float(col[i]) for col in cols))
-        if leq(spec, a, p) and leq(spec, p, b):
-            kept.append(p)
-    for i in range(len(kept)):
-        if not (comparable(spec, a, kept[i]) and comparable(spec, kept[i], b)):
-            return False
-        for j in range(i + 1, len(kept)):
-            if not comparable(spec, kept[i], kept[j]):
-                return False
-    return True
+    ps = np.empty((samples, len(spans)))
+    for axis, (lo, hi) in enumerate(spans):
+        ps[:, axis] = rng.uniform(lo, hi, size=samples)
+    t, xs = _coordinates([a, b])
+    ta, xa, tb, xb = t[:1], xs[:1], t[1:], xs[1:]
+    kind = OrderKind.CAUSAL
+    above_a = _strict_block(kind, c, ta, xa, ts, ps) | _equal_block(ta, xa, ts, ps)
+    below_b = _strict_block(kind, c, ts, ps, tb, xb) | _equal_block(ts, ps, tb, xb)
+    keep = above_a[0] & below_b[:, 0]
+    return _all_comparable(
+        kind, c, np.concatenate([ta, ts[keep], tb]), np.concatenate([xa, ps[keep], xb])
+    )
 
 
 def subluminal_via_weakening(a: Event, b: Event, c: float) -> bool:

@@ -1,0 +1,161 @@
+"""The routes that answer all-pairs questions through the rectangular
+batched cone kernel, against the pure-Python pair loops over comparable
+and classify_pair that they replace."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from causalorder.hypersurfaces import is_antichain_sample, make_hypersurface
+from causalorder.order import (
+    Direction,
+    Event,
+    OrderKind,
+    OrderSpec,
+    PairClass,
+    classify_pair,
+    comparable,
+    event,
+    interval_is_chain_sampled,
+    leq,
+    pairwise_comparable,
+)
+
+SPECS = [
+    OrderSpec(kind, c, direction)
+    for kind in OrderKind
+    for direction in Direction
+    for c in (0.5, 1.0, 10.0)
+]
+
+# the squares underflow: distinct events at distance 0
+TINY = (event(0.0, 0.0), event(0.0, 1e-200))
+# at c = 10, c*dt and the squares overflow to inf
+HUGE = (event(0.0, 0.0), event(1e308, 1e300))
+
+
+def _loop_pairwise(spec, evs):
+    return all(comparable(spec, u, v) for u, v in itertools.combinations(evs, 2))
+
+
+def _grid_sets(rng):
+    """Integer-grid events, so many pairs sit exactly on the light cone,
+    with duplicates; 0 to 3 space dimensions."""
+    for n in range(4):
+        for count in (2, 3, 5, 12):
+            cells = rng.integers(-3, 4, (count, n + 1)).astype(float).tolist()
+            evs = [Event(t, tuple(x)) for t, *x in cells]
+            yield evs + [evs[0]]
+        # a light-like chain: comparable in the causal order only
+        yield [Event(float(i), (float(i),) * min(n, 1) + (0.0,) * (n - 1)) for i in range(6)]
+
+
+def test_pairwise_comparable_matches_pair_loop():
+    rng = np.random.default_rng(71)
+    sets = list(_grid_sets(rng)) + [list(TINY), list(HUGE), [HUGE[0], HUGE[1], HUGE[1]]]
+    verdicts = set()
+    for spec in SPECS:
+        for evs in sets:
+            want = _loop_pairwise(spec, evs)
+            assert pairwise_comparable(spec, evs) == want, (spec, evs)
+            verdicts.add(want)
+            # every pair on its own, so each cell of the block is checked
+            for u, v in itertools.combinations(evs[:6], 2):
+                assert pairwise_comparable(spec, [u, v]) == comparable(spec, u, v), (spec, u, v)
+    assert verdicts == {True, False}
+    assert not pairwise_comparable(OrderSpec(OrderKind.CAUSAL, 1.0), list(TINY))
+    # overflow: c*dt and the distance are both inf, so causal only
+    assert pairwise_comparable(OrderSpec(OrderKind.CAUSAL, 10.0), list(HUGE))
+    assert not pairwise_comparable(OrderSpec(OrderKind.SUBLUMINAL, 10.0), list(HUGE))
+
+
+def test_pairwise_comparable_rejects_mixed_dimensions():
+    for evs in ([event(0, 0), event(1, 0, 0)], [event(0, 0), event(0, 5), event(1, 0, 0)]):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            pairwise_comparable(OrderSpec(OrderKind.CAUSAL, 1.0), evs)
+
+
+def _interval_reference(a, b, c, samples, seed):
+    """The per-point loop: same draws, Event by Event."""
+    spec = OrderSpec(OrderKind.CAUSAL, c)
+    rng = np.random.default_rng(seed)
+    pad = 0.5 * c * (b.t - a.t)
+    ts = rng.uniform(a.t, b.t, size=samples)
+    cols = [rng.uniform(min(p, q) - pad, max(p, q) + pad, size=samples) for p, q in zip(a.x, b.x)]
+    pts = [Event(float(ts[i]), tuple(float(col[i]) for col in cols)) for i in range(samples)]
+    kept = [p for p in pts if leq(spec, a, p) and leq(spec, p, b)]
+    return _loop_pairwise(spec, [a, *kept, b])
+
+
+def test_interval_is_chain_sampled_matches_pair_loop():
+    rng = np.random.default_rng(73)
+    cases = [
+        (event(0, 0), event(2, 0), 1.0),  # time-like
+        (event(0, 0), event(1, 1), 1.0),  # light-like, exact
+        (event(0, 0, 0), event(5, 3, 4), 1.0),  # light-like on the grid
+        (event(0), event(1), 1.0),  # no space: every interval is a chain
+        (event(1, 2, 3, 4), event(1, 2, 3, 4), 0.5),
+    ]
+    for n in range(4):
+        for _ in range(4):
+            a = Event(0.0, tuple(float(v) for v in rng.integers(-3, 4, n)))
+            dx = rng.integers(-2, 3, n).astype(float)
+            dt = math.ceil(math.sqrt(float(dx @ dx))) + float(rng.integers(0, 2))
+            cases.append((a, Event(dt, tuple(a.x[i] + dx[i] for i in range(n))), 1.0))
+    verdicts = set()
+    for a, b, c in cases:
+        for seed in range(3):
+            want = _interval_reference(a, b, c, 300, seed)
+            assert interval_is_chain_sampled(a, b, c, samples=300, seed=seed) == want, (a, b, seed)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+    for a, b in (TINY, TINY[::-1]):  # unrelated endpoints
+        with pytest.raises(ValueError, match="endpoints must satisfy"):
+            interval_is_chain_sampled(a, b, 1.0)
+
+
+def test_interval_is_chain_sampled_rejects_unbounded_box():
+    for a, b in ((event(0, 0), event(1e308, 0)), HUGE, (event(-1e308, 0), event(1e308, 0))):
+        with pytest.raises(ValueError, match=r"^the bounding box of the interval is not finite$"):
+            interval_is_chain_sampled(a, b, 10.0)
+
+
+def _antichain_reference(hs, points):
+    lifted, seen = [], set()
+    for x in points:
+        xt = tuple(float(v) for v in x)
+        if xt not in seen:
+            seen.add(xt)
+            lifted.append(hs.graph_event(xt))
+    return all(
+        classify_pair(u, v, hs.c) is PairClass.SPACELIKE
+        for u, v in itertools.combinations(lifted, 2)
+    )
+
+
+def test_is_antichain_sample_matches_pair_loop():
+    rng = np.random.default_rng(79)
+    # k*c one ulp under 1: the rounded heights put some grid pairs
+    # exactly on the light cone, e.g. x = 5 and x = 6
+    steep = make_hypersurface([((0.0,), 0.0)], math.nextafter(1.0, 0.0), 1.0)
+    cases = [
+        (steep, [(float(i),) for i in range(12)]),
+        (steep, [(5.0,), (6.0,)]),
+        (make_hypersurface([((0.0, 0.0), 0.0)], 0.5, 1.0), [(0.0, 0.0), (0.0, 1e-200), (0.0, 0.0)]),
+    ]
+    for n in range(4):
+        for c in (0.5, 1.0, 10.0):
+            xs = rng.uniform(-5, 5, (8, n))
+            anchors = [(x, 0.0) for x in xs.tolist()]
+            hs = make_hypersurface(anchors, 0.9 / c, c)
+            pts = rng.integers(-4, 5, (15, n)).astype(float).tolist()
+            cases.append((hs, pts + pts[:3]))
+    verdicts = set()
+    for hs, pts in cases:
+        want = _antichain_reference(hs, pts)
+        assert is_antichain_sample(hs, pts) == want, (hs.modulus, hs.c, pts)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    assert not is_antichain_sample(steep, [(5.0,), (6.0,)])

@@ -14,7 +14,7 @@ from causalorder.hypersurfaces import (
     is_antichain_sample,
     make_hypersurface,
 )
-from causalorder.order import Event, PairClass, classify_pair, distance, event
+from causalorder.order import TILE_CELLS, Event, PairClass, classify_pair, distance, event
 from causalorder.worldlines import make_polyline
 
 
@@ -119,6 +119,21 @@ def test_lipschitz_check_matches_pair_loop():
     assert _first_violation(over, 0.5) == (0, 3)
     with pytest.raises(ValueError, match=r"^anchors 0 and 3 violate the Lipschitz bound$"):
         make_hypersurface(over, 0.5, 1.0)
+
+
+def test_lipschitz_check_finds_first_violation_past_the_first_tile():
+    # more anchors than one row tile holds: the check scans row tiles of
+    # the upper triangle in order and must still name the first pair
+    n = math.isqrt(TILE_CELLS) + 44
+    rows = TILE_CELLS // n  # rows in one tile
+    assert 1 < rows < n - 40
+    for i in (rows - 1, rows, rows + 29):
+        # a step of 0.6 at anchor i + 1 breaks k = 0.5 against i and i + 2 only
+        anchors = [((float(j),), 0.6 if j == i + 1 else 0.0) for j in range(n)]
+        assert _first_violation(anchors, 0.5) == (i, i + 1)
+        msg = rf"^anchors {i} and {i + 1} violate the Lipschitz bound$"
+        with pytest.raises(ValueError, match=msg):
+            make_hypersurface(anchors, 0.5, 1.0)
 
 
 def test_surfaces_compare_and_hash_by_anchors():
