@@ -2,18 +2,28 @@
 matrices, Hasse diagrams, chain/antichain enumeration, cutset checks,
 and reconstruction of the causal order from the subluminal one.
 
-Relation matrices hold the strict relation (diagonal False).  They are
-built by order._strict_matrix, the batched form of order.py's strict
-cone predicate, so matrix and scalar routes agree bit for bit; the order
-axioms are re-verified on every construction and a violation aborts,
-since it would mean the predicate is broken.
+Relation matrices hold the strict relation (diagonal False), indexed in
+input order.  They are built by order._strict_matrix, the batched form
+of order.py's strict cone predicate, so matrix and scalar routes agree
+bit for bit; the order axioms are re-verified on every construction and
+a violation aborts, since it would mean the predicate is broken.
 
-The matrix products (the two-step relation behind the transitivity check
-and the Hasse covers, and the witness counts of reconstruction) run as
-float32 BLAS matmuls on 0/1 matrices.  They are exact: every entry of a
-product is an integer count of at most n <= MAX_EVENTS < 2**24, and every
-partial sum is a smaller such count, so each is representable in float32
-and no summation order or fused multiply-add can round it.
+In all three orders u < v implies t_u < t_v, so a set sorted by time
+(stably) has a strictly upper triangular relation.  Sets of more than
+order.BLOCK events are worked on in that order, in BLOCK-wide blocks:
+_strict_matrix evaluates only the row bands against the columns from
+the band on, and the two-step relation (behind the transitivity check
+and the Hasse covers) sums each output block only over the span of
+blocks where both factors hold a True cell.  Every block left out is
+zero, in any matrix, so both results are exact, and they are permuted
+back to input order.  Reconstruction's witness counts use one symmetric
+product R R^T instead.
+
+The products run as float32 BLAS matmuls on 0/1 matrices.  They are
+exact: every entry of a product, whole or over a span of blocks, is an
+integer count of at most n <= MAX_EVENTS < 2**24, and every partial sum
+is a smaller such count, so each is representable in float32 and no
+summation order, blocking or fused multiply-add can round it.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .order import MAX_SPACE_DIM, Event, OrderKind, OrderSpec, _strict_matrix
+from .order import BLOCK, MAX_SPACE_DIM, Event, OrderKind, OrderSpec, _permute, _strict_matrix
 
 MAX_EVENTS = 2000
 MAX_ANTICHAIN_EVENTS = 24
@@ -79,16 +89,18 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
 @dataclass(frozen=True)
 class FiniteCausalSet:
     """Events plus the strict relation matrix of the chosen order, its
-    two-step relation (two_step[i, j] when some k has i < k < j) and its
-    Hasse covers (relation & ~two_step).  All three matrices are
-    functions of events and spec, so equality and hashing use those two
-    alone."""
+    two-step relation (two_step[i, j] when some k has i < k < j), its
+    Hasse covers (relation & ~two_step) and its minimal elements (the
+    indices, ascending, of the events with nothing below them).  All
+    four are functions of events and spec, so equality and hashing use
+    those two alone."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
     relation: np.ndarray = field(repr=False, compare=False)
     two_step: np.ndarray = field(repr=False, compare=False)
     covers: np.ndarray = field(repr=False, compare=False)
+    minimal: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -98,8 +110,10 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     """Construct the relation matrix and verify the strict-order axioms.
 
     Irreflexivity holds by construction; antisymmetry and transitivity
-    are checked explicitly and a failure aborts, because it could only
-    come from a broken predicate.
+    are checked explicitly, on the input-order matrices, and a failure
+    aborts, because it could only come from a broken predicate.  The
+    two-step relation is computed in time order, where _two_step skips
+    the all-zero blocks.
     """
     evs = tuple(events)
     if len(evs) > MAX_EVENTS:
@@ -110,20 +124,52 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
             if e.n != n:
                 raise ValueError("all events must share one space dimension")
     rel = _strict_matrix(evs, spec)
-    if np.any(rel & rel.T):
-        i, j = map(int, np.argwhere(rel & rel.T)[0])
+    anti = rel & rel.T
+    if anti.any():  # ndarray.any: np.any's overhead outweighs a tiny set's check
+        i, j = map(int, np.argwhere(anti)[0])
         raise RuntimeError(f"antisymmetry violated at pair ({i}, {j})")
-    rf = rel.astype(np.float32)
-    two_step = (rf @ rf) > 0
-    del rf
+    two_step = _two_step(rel, [e.t for e in evs])
     closure_gap = two_step & ~rel
-    if np.any(closure_gap):
+    if closure_gap.any():
         i, j = map(int, np.argwhere(closure_gap)[0])
         raise RuntimeError(f"transitivity violated at pair ({i}, {j})")
     covers = rel & ~two_step
-    for m in (rel, two_step, covers):
+    minimal = (~rel.any(axis=0)).nonzero()[0]
+    for m in (rel, two_step, covers, minimal):
         m.flags.writeable = False
-    return FiniteCausalSet(evs, spec, rel, two_step, covers)
+    return FiniteCausalSet(evs, spec, rel, two_step, covers, minimal)
+
+
+def _two_step(rel: np.ndarray, t: Sequence[float]) -> np.ndarray:
+    """(rel @ rel) > 0 for a square boolean matrix on events at times t.
+    Above BLOCK events, the matrix is sorted by time (stably) and
+    multiplied as a product of BLOCK-wide blocks: output block (I, J)
+    sums over the span of K blocks from the first to the last K at which
+    both factors, rel[I, K] and rel[K, J], hold a True cell, and is
+    False when there is none.  The blocks outside the span contribute
+    zero, so the result is exact for any matrix, whatever its order.  A
+    strict relation sorted by time is strictly upper triangular: the
+    span of (I, J) is I..J, and the work falls towards a sixth of the
+    full product's as the number of blocks grows."""
+    n = len(rel)
+    if n <= BLOCK:  # one block: nothing to skip
+        rf = rel.astype(np.float32)
+        return (rf @ rf) > 0
+    order = np.argsort(t, kind="stable")
+    rel = _permute(rel, order)
+    rf = rel.astype(np.float32)
+    starts = np.arange(0, n, BLOCK)
+    nz = np.logical_or.reduceat(np.logical_or.reduceat(rel, starts, axis=0), starts, axis=1)
+    both = nz[:, :, None] & nz[None, :, :]  # both[I, K, J]
+    first = both.argmax(axis=1)
+    last = len(starts) - both[:, ::-1, :].argmax(axis=1)  # one past the span
+    out = np.zeros((n, n), dtype=bool)
+    for i, j in np.argwhere(both.any(axis=1)):
+        rows = slice(i * BLOCK, (i + 1) * BLOCK)
+        cols = slice(j * BLOCK, (j + 1) * BLOCK)
+        span = slice(first[i, j] * BLOCK, last[i, j] * BLOCK)
+        np.greater(rf[rows, span] @ rf[span, cols], 0, out=out[rows, cols])
+    return _permute(out, np.argsort(order))  # back to input order
 
 
 def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
@@ -145,7 +191,7 @@ def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]
     first enters it, so a walk pruned at the roots reads no row."""
     covers = fcs.covers
     succ: list[list[int] | None] = [None] * len(fcs)
-    roots = np.flatnonzero(~fcs.relation.any(axis=0)).tolist()
+    roots = fcs.minimal.tolist()
     dead = set(skip)
     found = 0  # chains yielded so far
     path: list[int] = []
@@ -267,19 +313,22 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     if fcs.spec.kind is not OrderKind.SUBLUMINAL:
         raise ValueError("reconstruction expects a subluminal relation")
     rel = fcs.relation
-    n_ev = len(fcs)
     # counts[i, j] = number of witnesses w with j <' w but not i <' w,
-    # over w not equal in value to i or j.  Witnesses equal to j add
+    # over w not equal in value to i or j: the |above j| witnesses above
+    # j, less the (R R^T)[i, j] above both.  Witnesses equal to j add
     # nothing (equal events are unrelated); each of the mult[i] witnesses
-    # equal to i adds rel[j, i], which the subtraction removes.
+    # equal to i adds rel[j, i], which the last subtraction removes.
+    # rf @ rf.T is one symmetric rank-k product (numpy sees the
+    # transpose of the same buffer), exact in float32 like every count.
     per_value = Counter(fcs.events)
     mult = np.array([per_value[e] for e in fcs.events], dtype=np.float32)
     rf = rel.astype(np.float32)
-    counts = (1.0 - rf) @ rf.T
+    counts = rf @ rf.T
+    np.subtract(rf.sum(axis=1), counts, out=counts)
     rf *= mult
     counts -= rf.T
-    off_diag = ~np.eye(n_ev, dtype=bool)
-    rec = (rel | (counts == 0)) & off_diag
+    rec = rel | (counts == 0)
+    np.fill_diagonal(rec, False)
     rec.flags.writeable = False
     return rec
 
@@ -297,23 +346,31 @@ class RelationDiff:
 def compare_relations(
     candidate: np.ndarray, truth: np.ndarray, sample_cap: int = 100
 ) -> RelationDiff:
+    """Agreements off the diagonal; false positives, false negatives
+    and the first sample_cap differing cells (lexicographic) over every
+    cell."""
     cand = np.asarray(candidate, dtype=bool)
     ref = np.asarray(truth, dtype=bool)
     if cand.shape != ref.shape or cand.ndim != 2 or cand.shape[0] != cand.shape[1]:
         raise ValueError("relation matrices must be square and share a shape")
-    off_diag = ~np.eye(cand.shape[0], dtype=bool)
-    agree = int(np.sum((cand == ref) & off_diag))
-    fp_mask = cand & ~ref
-    fn_mask = ref & ~cand
-    # fp and fn cells are disjoint, so argwhere's row-major order is the
-    # lexicographic order of the samples.
+    if sample_cap < 0:
+        raise ValueError("sample_cap must be >= 0")
+    n = cand.shape[0]
+    differ = cand != ref
+    upto = np.cumsum(np.count_nonzero(differ, axis=1))  # differing cells in rows <= i
+    n_differ = int(upto[-1]) if n else 0
+    fp = int(np.count_nonzero(differ & cand))
+    # argwhere's row-major order is the lexicographic order of the
+    # samples, and the rows up to the one that holds the sample_cap-th
+    # differing cell hold them all.
+    head = differ[: np.searchsorted(upto, sample_cap) + 1]
     samples = [
-        (int(i), int(j), "fp" if fp_mask[i, j] else "fn")
-        for i, j in np.argwhere(fp_mask | fn_mask)[:sample_cap]
+        (int(i), int(j), "fp" if cand[i, j] else "fn")
+        for i, j in np.argwhere(head)[:sample_cap]
     ]
     return RelationDiff(
-        agreements=agree,
-        false_positives=int(np.count_nonzero(fp_mask)),
-        false_negatives=int(np.count_nonzero(fn_mask)),
+        agreements=n * (n - 1) - (n_differ - int(np.count_nonzero(np.diagonal(differ)))),
+        false_positives=fp,
+        false_negatives=n_differ - fp,
         samples=tuple(samples),
     )

@@ -17,7 +17,8 @@ and the rectangular batched kernel _strict_block, which decides it for
 an (m, k) block of event pairs from time and coordinate arrays with the
 same operations in the same order.  Distances come from distance and
 its batched form _distances.  _strict_matrix (the relation matrices of
-finite) is _strict_block on a set against itself; _comparable_block
+finite) is _strict_block on a set against itself, in time-ordered row
+bands once the set outgrows one BLOCK; _comparable_block
 (strict either way, or equal) answers pairwise_comparable,
 interval_is_chain_sampled and hypersurfaces.is_antichain_sample, so
 those agree cell for cell with the pair loops over comparable and
@@ -206,12 +207,43 @@ def _strict_block(
     return fwd
 
 
+# Rows per block of the time-ordered relation routes (_strict_matrix
+# here, the two-step product of finite.build): a 256-row band of a
+# 2000-event set holds 4 MiB per float64 temporary.
+BLOCK = 256
+
+
 def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
-    """Strict relation matrix of spec on events: _strict_block of the
-    events against themselves, transposed for the backward direction."""
+    """Strict relation matrix of spec on events, in input order:
+    _strict_block of the events against themselves, transposed for the
+    backward direction.  A set of more than BLOCK events is sorted by
+    time (stably) and evaluated in row bands of BLOCK rows against the
+    columns from the band's first row on; every cell left out has
+    dt <= 0, so the kernel's own dt > 0 test would make it False, and
+    the matrix is the same bit for bit.  At most three (BLOCK, n)
+    float64 arrays are live."""
     t, xs = _coordinates(events)
-    fwd = _strict_block(spec.kind, spec.c, t, xs, t, xs)
+    n = len(t)
+    if n <= BLOCK:
+        fwd = _strict_block(spec.kind, spec.c, t, xs, t, xs)
+    else:
+        order = np.argsort(t, kind="stable")
+        t, xs = t[order], xs[order]
+        fwd = np.zeros((n, n), dtype=bool)
+        for a in range(0, n, BLOCK):
+            b = a + BLOCK
+            fwd[a:b, a:] = _strict_block(spec.kind, spec.c, t[a:b], xs[a:b], t[a:], xs[a:])
+        fwd = _permute(fwd, np.argsort(order))  # back to input order
     return fwd.T if spec.direction is Direction.BACKWARD else fwd
+
+
+def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """m[p][:, p], C-contiguous.  Rows, then columns: two gathers cost a
+    fifth of one np.ix_ gather.  The column gather is a take, because
+    m[p][:, p] comes out in Fortran order, which would make every later
+    row read of the matrix (hasse, the chain walk, row blocks of a
+    product) strided."""
+    return m[p].take(p, axis=1)
 
 
 def _equal_block(ta: np.ndarray, xa: np.ndarray, tb: np.ndarray, xb: np.ndarray) -> np.ndarray:

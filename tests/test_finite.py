@@ -10,6 +10,7 @@ from causalorder.finite import (
     MAX_EVENTS,
     CapExceeded,
     SprinkleConfig,
+    _two_step,
     build,
     compare_relations,
     find_avoiding_chain,
@@ -21,6 +22,7 @@ from causalorder.finite import (
     sprinkle,
 )
 from causalorder.order import (
+    BLOCK,
     Direction,
     Event,
     OrderKind,
@@ -33,6 +35,7 @@ from causalorder.order import (
     leq,
     reconstruct_causal_analytic,
     reconstruct_causal_sampled,
+    _strict_block,
 )
 
 CAUSAL = OrderSpec(OrderKind.CAUSAL, 1.0)
@@ -504,3 +507,124 @@ def test_compare_relations_samples_lexicographic_and_capped():
     assert diff.samples == tuple(expected[:100])
     assert diff.false_positives + diff.false_negatives == len(expected)
     assert compare_relations(cand, ref, sample_cap=7).samples == tuple(expected[:7])
+
+
+def test_compare_relations_agreements_skip_the_diagonal():
+    cand = np.zeros((4, 4), dtype=bool)
+    ref = cand.copy()
+    cand[1, 1] = cand[0, 3] = True
+    ref[2, 0] = True
+    diff = compare_relations(cand, ref)
+    assert diff.agreements == 4 * 3 - 2
+    assert (diff.false_positives, diff.false_negatives) == (2, 1)
+    assert diff.samples == ((0, 3, "fp"), (1, 1, "fp"), (2, 0, "fn"))
+    assert compare_relations(cand, ref, sample_cap=0).samples == ()
+    assert compare_relations(np.zeros((0, 0), bool), np.zeros((0, 0), bool)).agreements == 0
+    with pytest.raises(ValueError, match="sample_cap"):
+        compare_relations(cand, ref, sample_cap=-1)
+
+
+# ------------------------------------------------------ time-ordered blocks
+# Sets of more than BLOCK events are built in time order, block by block;
+# these sets span at least four blocks.
+
+MULTI = 3 * BLOCK + 5
+
+
+def _multiblock_set(seed, dim=2):
+    """MULTI events in shuffled (not time) order, with times on a 0.1
+    grid, so that ties straddle block boundaries, and 20 duplicates."""
+    rng = np.random.default_rng(seed)
+    box = ((-5.0, 5.0),) * dim + ((0.0, 10.0),)
+    events = [Event(round(e.t, 1), e.x)
+              for e in sprinkle(SprinkleConfig(MULTI - 20, dim, box, seed))]
+    events += [events[int(k)] for k in rng.integers(0, len(events), 20)]
+    return [events[int(k)] for k in rng.permutation(MULTI)]
+
+
+def _time_sorted(events):
+    return np.argsort([e.t for e in events], kind="stable")
+
+
+def test_multiblock_set_is_shuffled_with_ties_across_blocks():
+    events = _multiblock_set(3)
+    ts = np.array([e.t for e in events])
+    order = _time_sorted(events)
+    assert not np.array_equal(order, np.arange(MULTI))
+    assert any(ts[order[b - 1]] == ts[order[b]] for b in range(BLOCK, MULTI, BLOCK))
+    assert len(set(events)) < MULTI
+
+
+@pytest.mark.parametrize("kind", list(OrderKind))
+@pytest.mark.parametrize("direction", list(Direction))
+def test_multiblock_build_matches_brute_force(kind, direction):
+    events = _multiblock_set(3)
+    spec = OrderSpec(kind, 1.0, direction)
+    fcs = build(events, spec)
+    t = np.array([e.t for e in events])
+    xs = np.array([e.x for e in events])
+    rel = _strict_block(kind, 1.0, t, xs, t, xs)  # every cell, input order
+    if direction is Direction.BACKWARD:
+        rel = rel.T
+    assert np.array_equal(fcs.relation, rel)
+    rng = np.random.default_rng(5)
+    for i, j in rng.integers(0, MULTI, (2000, 2)):
+        assert fcs.relation[i, j] == (leq(spec, events[i], events[j])
+                                      and events[i] != events[j])
+    # some k with i < k < j: the union of the rows above i
+    two_step = np.array([rel[rel[i]].any(axis=0) for i in range(MULTI)])
+    assert np.array_equal(fcs.two_step, two_step)
+    covers = rel & ~two_step
+    assert np.array_equal(fcs.covers, covers)
+    assert hasse(fcs) == [(i, j) for i in range(MULTI) for j in range(MULTI) if covers[i, j]]
+    assert fcs.minimal.tolist() == [j for j in range(MULTI) if not rel[:, j].any()]
+    for m in (fcs.relation, fcs.two_step, fcs.covers, fcs.minimal):
+        assert not m.flags.writeable
+        # row reads (hasse, the chain walk) stay contiguous
+        assert m.flags.c_contiguous or direction is Direction.BACKWARD
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_block_product_is_exact_on_any_matrix(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.random((MULTI, MULTI)) < 0.004  # neither triangular nor time-ordered
+    keep = rng.random((4, 4)) < 0.6  # whole blocks left empty
+    m &= np.kron(keep, np.ones((BLOCK, BLOCK), dtype=bool))[:MULTI, :MULTI]
+    mf = m.astype(np.float64)
+    expected = (mf @ mf) > 0
+    assert np.array_equal(_two_step(m, np.zeros(MULTI)), expected)  # input order
+    assert np.array_equal(_two_step(m, rng.random(MULTI)), expected)  # any order
+
+
+def test_build_reports_backward_edge_across_blocks(monkeypatch):
+    events = _multiblock_set(4)
+    by_time = _time_sorted(events)
+    rel = np.zeros((MULTI, MULTI), dtype=bool)
+    # u -> v forward in time, then v -> w backward across a block
+    # boundary, so (u, w) breaks transitivity: its block product needs a
+    # block outside the upper triangle of the time order.
+    for u, v, w in ((10, 3 * BLOCK + 2, BLOCK + 7), (BLOCK + 3, 2 * BLOCK + 9, 5)):
+        rel[by_time[u], by_time[v]] = rel[by_time[v], by_time[w]] = True
+    rf = rel.astype(np.float64)
+    i, j = np.argwhere(((rf @ rf) > 0) & ~rel)[0]
+    monkeypatch.setattr(finite, "_strict_matrix", lambda evs, spec: rel.copy())
+    with pytest.raises(RuntimeError, match=rf"transitivity violated at pair \({i}, {j}\)"):
+        build(events, CAUSAL)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_multiblock_reconstruct_matches_witness_definition(direction):
+    events = _multiblock_set(6, dim=1)
+    fcs = build(events, OrderSpec(OrderKind.SUBLUMINAL, 1.0, direction))
+    rel = fcs.relation
+    ids = {}
+    value = np.array([ids.setdefault(e, len(ids)) for e in events])
+    eq = value[:, None] == value[None, :]
+    above_j = rel & ~eq  # w above j and not equal to j
+    expected = np.zeros((MULTI, MULTI), dtype=bool)
+    for i in range(MULTI):
+        # some witness w above j, equal to neither endpoint, not above i
+        escapes = above_j & ~(eq[i] | rel[i])[None, :]
+        expected[i] = rel[i] | ~escapes.any(axis=1)
+    np.fill_diagonal(expected, False)
+    assert np.array_equal(reconstruct_order(fcs), expected)
