@@ -7,7 +7,8 @@ With k c < 1 every chord of the graph {(x, h(x))} stays strictly
 outside the speed-c cone, so any sample of the graph is an antichain of
 the causal order.  The induced grading g(x, t) = t - h(x) is strictly
 increasing along every world line with speed at most c, which makes
-level crossings unique and cheap to bracket.
+level crossings unique; on a straight segment each anchor's term
+crosses at the root of one quadratic, so crossing_time is closed-form.
 
 Heights and the Lipschitz check go through order._distances, the
 batched form of order.distance with the same accumulation order, so a
@@ -140,59 +141,57 @@ def is_antichain_sample(hs: Hypersurface, points: Sequence[Sequence[float]]) -> 
 
 
 CROSSING_TOL = 1e-9
-CROSSING_MAX_ITER = 200
-CROSSING_GRID = 33
 
 
-def crossing_time(
-    hs: Hypersurface,
-    wl: PolyWorldLine,
-    tol: float = CROSSING_TOL,
-    max_iter: int = CROSSING_MAX_ITER,
-) -> float:
-    """Unique time at which wl crosses the surface graph.
+def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL) -> float:
+    """Unique time at which wl crosses the surface graph, in closed form.
 
-    phi(t) = t - h(f(t)) grows at rate >= 1 - k*c > 0 along the line, so
-    a sign change over the window brackets exactly one root; bisection
-    stops at |phi| <= tol.  Raises when the crossing lies outside the
-    window or the monotonicity spot-check fails.
+    phi(t) = t - h(f(t)) is the largest of the anchor terms
+    t - h_i - k ||f(t) - x_i||, each growing at rate >= 1 - k*|v| > 0
+    along a segment of velocity v.  On the first segment where phi
+    changes sign, the crossing is the earliest anchor root: the larger
+    root of (t - h_i)^2 = k^2 ||f(t) - x_i||^2, one quadratic per anchor.
+    tol only bounds the residual |phi| the answer must meet; a window end
+    within tol of the graph is returned as is.  Raises ValueError when
+    the crossing lies outside the window or a segment breaks the k*c < 1
+    margin, RuntimeError when the residual misses tol.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if hs.dimension != wl.n:
         raise ValueError(f"dimension mismatch: surface {hs.dimension} vs line {wl.n}")
-    if hs.modulus * wl.c >= 1.0:
-        raise ValueError("world line speed bound breaks the k*c < 1 margin")
-
-    def phi(t: float) -> float:
-        return t - hs.height(wl.eval(t))
-
-    t0, t1 = wl.window
-    ts = [float(t) for t in np.linspace(t0, t1, CROSSING_GRID)]
-    vals = [phi(t) for t in ts]
-    for a, b in zip(vals, vals[1:]):
-        if not a < b:
-            raise RuntimeError("crossing function failed its monotonicity check")
-    f0, f1 = vals[0], vals[-1]
-    if abs(f0) <= tol:
-        return t0
-    if abs(f1) <= tol:
-        return t1
-    if f0 > 0 or f1 < 0:
-        raise ValueError("no crossing inside the window")
-    lo, hi = t0, t1
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = phi(mid)
-        if abs(fm) <= tol:
-            return mid
-        if fm < 0:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"bisection missed tolerance {tol} in {max_iter} steps")
+    k2 = hs.modulus * hs.modulus
+    t = np.array([tv for tv, _ in wl.vertices])
+    x = np.array([xv for _, xv in wl.vertices]).reshape(len(t), wl.n)
+    xs, hv = hs._xs, hs._hs  # type: ignore[attr-defined]
+    with np.errstate(all="ignore"):  # overflow: a NaN answer fails the residual check
+        v = np.diff(x, axis=0) / np.diff(t)[:, None]
+        a = 1.0 - k2 * np.einsum("ij,ij->i", v, v)
+        if hs.modulus * wl.c >= 1.0 or not (a > 0).all():
+            raise ValueError("world line speed bound breaks the k*c < 1 margin")
+        phi = t - (_distances(x, xs) * hs.modulus + hv).min(axis=1)  # bits of t - height
+        (t0, t1), (f0, f1) = wl.window, (phi[0], phi[-1])
+        if abs(f0) <= tol:
+            return t0
+        if abs(f1) <= tol:
+            return t1
+        if f0 > 0 or f1 < 0:
+            raise ValueError("no crossing inside the window")
+        s = int(np.argmax((phi[:-1] < 0) & (phi[1:] >= 0)))
+        d, lag = x[s] - xs, t[s] - hv
+        beta = k2 * (d @ v[s]) - lag
+        cc = lag * lag - k2 * np.einsum("ij,ij->i", d, d)
+        # beta^2 - a*cc = k^2 (a |e|^2 + k^2 (e.v)^2), e = d - lag*v the
+        # segment's offset from x_i at time h_i: no cancellation
+        e = d - lag[:, None] * v[s]
+        ev = e @ v[s]
+        root = np.sqrt(k2 * (a[s] * np.einsum("ij,ij->i", e, e) + k2 * ev * ev))
+        tau = np.where(beta >= 0, (beta + root) / a[s], cc / (beta - root))
+        t_star = float(np.clip(t[s] + tau.min(), t[s], t[s + 1]))
+    residual = t_star - hs.height(wl.eval(t_star))
+    if not abs(residual) <= tol:
+        raise RuntimeError(f"crossing residual {residual!r} misses tolerance {tol!r}")
+    return t_star
 
 
 def grading_monotone_on(

@@ -138,9 +138,8 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     with one sqrt at the end, so every cell equals distance(a_i, b_j)
     bit for bit (the first axis starts the sum, as 0.0 + d*d is d*d).
     Holds two (m, k) float64 arrays.  Overflow goes to inf, as in the
-    scalar route: callers hold np.errstate(over="ignore"), one per call
-    of theirs; _pair_distances is this function under its own errstate,
-    for callers that hold none."""
+    scalar route: every caller holds np.errstate(over="ignore"), one per
+    call of its own."""
     n = a.shape[1]
     if n == 0:
         return np.zeros((a.shape[0], b.shape[0]))
@@ -153,9 +152,6 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             np.multiply(buf, buf, out=buf)
             np.add(dist, buf, out=dist)
     return np.sqrt(dist, out=dist)
-
-
-_pair_distances = np.errstate(over="ignore")(_distances)
 
 
 def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:

@@ -21,7 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -267,18 +267,7 @@ class GapWorldLine:
             raise ValueError(f"dimension mismatch: {p.n} vs {self.n}")
         if tol < 0:
             raise ValueError("tol must be >= 0")
-        for ray in self.rays:
-            if ray.covers(p.t):
-                d = distance(ray.position(p.t), p.x)
-                if d <= tol:
-                    return True
-        if self.base is not None:
-            t0, t1 = self.base.window
-            if t0 <= p.t <= t1 and self._time_in_base_set(p.t):
-                d = distance(self.base.eval(p.t), p.x)
-                if d <= tol:
-                    return True
-        return False
+        return any(distance(x, p.x) <= tol for x in self._branches(p.t))
 
     def time_image(self) -> tuple[TimeSpan, ...]:
         """Per-branch time ranges of the represented set."""
@@ -335,29 +324,26 @@ class GapWorldLine:
             out.append(Event(t, self._position(t)))
         return out
 
-    def _position(self, t: float) -> tuple[float, ...]:
+    def _branches(self, t: float) -> Iterator[tuple[float, ...]]:
+        """Positions of the point set at time t: rays covering t first,
+        then the base line when t lies in its window outside the gaps."""
         for ray in self.rays:
             if ray.covers(t):
-                return ray.position(t)
+                yield ray.position(t)
         if self.base is not None:
             t0, t1 = self.base.window
             if t0 <= t <= t1 and self._time_in_base_set(t):
-                return self.base.eval(t)
+                yield self.base.eval(t)
+
+    def _position(self, t: float) -> tuple[float, ...]:
+        for x in self._branches(t):
+            return x
         raise ValueError(f"time {t!r} not covered by the point set")
 
     def probe_sample(self, p: Event) -> list[Event]:
         """Dense sample for extension probes; points sharing p's time
         come first so off-line probes are rejected cheaply."""
-        out: list[Event] = []
-        for ray in self.rays:
-            if ray.covers(p.t):
-                out.append(Event(p.t, ray.position(p.t)))
-        if self.base is not None:
-            t0, t1 = self.base.window
-            if t0 <= p.t <= t1 and self._time_in_base_set(p.t):
-                out.append(self.base.event_at(p.t))
-        out.extend(self.sample_events())
-        return out
+        return [Event(p.t, x) for x in self._branches(p.t)] + self.sample_events()
 
 
 def make_gap_worldline(

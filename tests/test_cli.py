@@ -205,6 +205,18 @@ def test_crossing_bad_tolerance_is_usage_error(tmp_path):
         assert err == f"error: tol must be finite and >= 0, got {float(tol)!r}\n"
 
 
+def test_crossing_segment_past_the_margin_is_usage_error(tmp_path):
+    # k*c < 1, but the line's speed tolerance lets one segment reach k*|v| > 1
+    surf = tmp_path / "cone.txt"
+    write_surface(surf, make_hypersurface([((0.0,), 0.0)], 1.0 / (1.0 + 2e-10), 1.0))
+    wl = tmp_path / "wl.txt"
+    write_worldline(wl, make_polyline([(-5.0, (0.0,)), (-4.0, (1.0 + 5e-10,)),
+                                       (5.0, (1.0 + 5e-10,))], 1.0))
+    code, out, err = run(["crossing", "--surface", str(surf), "--worldline", str(wl)])
+    assert code == 2 and out == ""
+    assert err == "error: world line speed bound breaks the k*c < 1 margin\n"
+
+
 def test_reconstruct_analytic_zero_diffs(event_file):
     code, out, _ = run(["reconstruct", str(event_file), "--mode", "analytic"])
     assert code == 0

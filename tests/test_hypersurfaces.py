@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from causalorder.hypersurfaces import (
+    CROSSING_TOL,
     Grading,
     Hypersurface,
     crossing_time,
@@ -269,9 +270,112 @@ def test_crossing_rejects_bad_tolerance():
     for tol in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             crossing_time(hs, wl, tol=tol)
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        crossing_time(hs, wl, max_iter=0)
     assert abs(crossing_time(hs, wl, tol=0.0) - 1.0) <= 2e-9
+
+
+def _bisect_to_adjacent_doubles(hs, wl):
+    """Reference crossing: bisect phi over the window until the bracket
+    is two adjacent doubles, and return its upper end."""
+    def phi(t):
+        return t - hs.height(wl.eval(t))
+
+    lo, hi = wl.window
+    assert phi(lo) < 0 <= phi(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if phi(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def _boxed_worldline(rng, n, count=6, c=1.0):
+    """Window [-30, 30], positions clipped to [-10, 10]^n, speeds up to c:
+    random_surface heights stay inside (-30, 30) there, so the crossing
+    is in the window."""
+    times = np.sort(rng.uniform(-30.0, 30.0, count - 2))
+    times = np.concatenate(([-30.0], times, [30.0]))
+    x = rng.uniform(-10.0, 10.0, n)
+    verts = [(-30.0, tuple(float(v) for v in x))]
+    for t_prev, t in zip(times, times[1:]):
+        step = rng.standard_normal(n)
+        norm = float(np.linalg.norm(step)) or 1.0
+        x = np.clip(x + step / norm * float(rng.uniform(0, 1)) * c * (t - t_prev), -10, 10)
+        verts.append((float(t), tuple(float(v) for v in x)))
+    return make_polyline(verts, c)
+
+
+def _assert_closed_form(hs, wl):
+    t_star = crossing_time(hs, wl)
+    assert abs(t_star - _bisect_to_adjacent_doubles(hs, wl)) <= CROSSING_TOL / (
+        1.0 - hs.modulus * wl.c
+    )
+    assert abs(t_star - hs.height(wl.eval(t_star))) <= 1e-13
+    return t_star
+
+
+def test_crossing_matches_reference_bisection():
+    rng = np.random.default_rng(61)
+    for n in range(4):
+        for seed in range(12):
+            kc = (0.3, 0.6, 0.9)[seed % 3]
+            hs = random_surface(600 + 20 * n + seed, n=n, kc=kc, anchors=int(rng.integers(1, 30)))
+            _assert_closed_form(hs, _boxed_worldline(rng, n, count=int(rng.integers(2, 12))))
+
+
+def test_crossing_at_an_interior_vertex_is_exact():
+    cone1 = make_hypersurface([((0.0,), 0.0)], 0.5, 1.0)
+    wl = make_polyline([(-5.0, (2.0,)), (1.0, (2.0,)), (5.0, (3.0,))], 1.0)
+    assert crossing_time(cone1, wl) == 1.0
+    assert crossing_time(cone1, wl, tol=0.0) == 1.0
+
+
+def test_crossing_on_a_light_speed_segment():
+    # k*c = 0.9: a = 1 - k^2 |v|^2 = 0.19 on the light-speed stretch
+    one = make_hypersurface([((0.0,), -15.0)], 0.9, 1.0)
+    wl = make_polyline([(-30.0, (-10.0,)), (-20.0, (-10.0,)), (0.0, (10.0,)), (30.0, (10.0,))], 1.0)
+    assert -20.0 < _assert_closed_form(one, wl) < 0.0
+    tilted = make_hypersurface([((0.0, 3.0), -35.0), ((4.0, -2.0), -31.0)], 0.9, 1.0)
+    wl = make_polyline([(-30.0, (-10.0, -5.0)), (-20.0, (-4.0, 3.0)), (0.0, (8.0, 19.0))], 1.0)
+    assert wl.light_segments()
+    assert -30.0 < _assert_closed_form(tilted, wl) < -20.0
+    on_light = 0
+    for seed in range(12):
+        hs = random_surface(700 + seed, n=2, kc=0.9, anchors=8)
+        wl = make_polyline([(-30.0, (-10.0, 0.0)), (-10.0, (-10.0, 0.0)),
+                            (10.0, (10.0, 0.0)), (30.0, (10.0, 0.0))], 1.0)
+        on_light += -10.0 < _assert_closed_form(hs, wl) < 10.0
+    assert on_light >= 4
+
+
+def test_crossing_within_tol_of_a_window_end_returns_that_end():
+    cone1 = make_hypersurface([((0.0,), 0.0)], 0.5, 1.0)  # crosses x = 2 at t = 1
+    late = make_polyline([(1.0 + 5e-10, (2.0,)), (5.0, (2.0,))], 1.0)
+    assert crossing_time(cone1, late) == 1.0 + 5e-10
+    early = make_polyline([(-5.0, (2.0,)), (1.0 - 5e-10, (2.0,))], 1.0)
+    assert crossing_time(cone1, early) == 1.0 - 5e-10
+    for t0, t1 in ((1.0 + 2e-9, 5.0), (-5.0, 1.0 - 2e-9)):
+        with pytest.raises(ValueError, match="no crossing"):
+            crossing_time(cone1, make_polyline([(t0, (2.0,)), (t1, (2.0,))], 1.0))
+
+
+def test_crossing_rejects_segment_past_the_margin():
+    # k*c < 1, but the line's speed tolerance lets one segment reach k*|v| > 1
+    k = 1.0 / (1.0 + 2e-10)
+    hs = make_hypersurface([((0.0,), 0.0)], k, 1.0)
+    wl = make_polyline([(-5.0, (0.0,)), (-4.0, (1.0 + 5e-10,)), (5.0, (1.0 + 5e-10,))], 1.0)
+    with pytest.raises(ValueError, match=r"^world line speed bound breaks the k\*c < 1 margin$"):
+        crossing_time(hs, wl)
+
+
+def test_crossing_nan_residual_raises(monkeypatch):
+    hs = cone_surface(k=0.5)
+    wl = make_polyline([(-5.0, (2.0, 0.0)), (5.0, (2.0, 0.0))], 1.0)
+    monkeypatch.setattr(Hypersurface, "height", lambda self, x: math.nan)
+    with pytest.raises(RuntimeError, match="residual nan"):
+        crossing_time(hs, wl)
 
 
 def test_grading_monotone_along_worldlines():
