@@ -29,14 +29,17 @@ from .finite import (
 )
 from .hypersurfaces import Grading, crossing_time
 from .order import (
+    BLOCK,
     Direction,
     Event,
     OrderKind,
     OrderSpec,
+    _analytic_block,
+    _coordinates,
+    _equal_block,
     classify_pair,
     leq,
     pairwise_comparable,
-    reconstruct_causal_analytic,
 )
 from .worldlines import canonical_gap_chain
 
@@ -192,10 +195,9 @@ def cmd_cutset_check(args, argv) -> int:
 def cmd_grade(args, argv) -> int:
     hs = fileio.read_surface(args.surface)
     events, _ = fileio.read_events(args.file)
-    g = Grading(hs)
     rep = Report(argv)
-    for i, e in enumerate(events):
-        rep.add(f"grade {i} {_fmt(g.value(e))}")
+    for i, v in enumerate(Grading(hs).values(events).tolist()):
+        rep.add(f"grade {i} {_fmt(v)}")
     rep.emit()
     return 0
 
@@ -219,14 +221,14 @@ def cmd_reconstruct(args, argv) -> int:
     rep.add(f"mode {args.mode}")
     if args.mode == "analytic":
         causal = build(events, OrderSpec(OrderKind.CAUSAL, c))
+        t, xs = _coordinates(events)
         diffs = 0
-        for i, u in enumerate(events):
-            for j, v in enumerate(events):
-                if i == j:
-                    continue
-                truth = bool(causal.relation[i, j]) or u == v
-                if reconstruct_causal_analytic(u, v, c) != truth:
-                    diffs += 1
+        for a in range(0, len(t), BLOCK):
+            band = t[a:a + BLOCK], xs[a:a + BLOCK]
+            truth = causal.relation[a:a + BLOCK] | _equal_block(*band, t, xs)
+            wrong = _analytic_block(c, *band, t, xs) != truth
+            np.fill_diagonal(wrong[:, a:], False)  # the pairs (i, i)
+            diffs += int(np.count_nonzero(wrong))
         rep.add(f"differences {diffs}")
         rep.emit()
         return 0 if diffs == 0 else 1
@@ -260,19 +262,17 @@ def cmd_counterexample(args, argv) -> int:
     chain = canonical_gap_chain(
         origin, d, args.t_len, hs.c, Direction(args.dir or "fwd")
     )
-    g = Grading(hs)
     rng = np.random.default_rng(args.seed)
     params = np.concatenate(
         [-rng.uniform(1e-3, 10.0 * args.t_len, args.samples // 2),
          args.t_len + rng.uniform(1e-3, 10.0 * args.t_len, args.samples - args.samples // 2)]
     )
     sign = 1.0 if (args.dir or "fwd") == "fwd" else -1.0
-    hits = 0
-    for p in params:
-        t = origin.t + sign * float(p)
-        e = Event(t, chain._position(t))
-        if g.level_contains(0.0, e, args.tol):
-            hits += 1
+    times = [origin.t + sign * p for p in params.tolist()]
+    if times and args.tol < 0:  # as Grading.level_contains, once there is a sample
+        raise ValueError("tol must be >= 0")
+    events = [Event(t, chain._position(t)) for t in times]
+    hits = int(np.count_nonzero(np.abs(Grading(hs).values(events)) <= args.tol))
     sample = chain.sample_events(per_branch=60)
     chain_ok = pairwise_comparable(OrderSpec(OrderKind.SUBLUMINAL, hs.c), sample)
     spans = chain.time_image()

@@ -11,12 +11,15 @@ level crossings unique; on a straight segment each anchor's term
 crosses at the root of one quadratic, so crossing_time is closed-form.
 
 Heights and the Lipschitz check go through order._distances, the
-batched form of order.distance with the same accumulation order, so a
-height over all anchors at once has the bits of the per-anchor scalar
-expression min(h_i + k * distance(x, x_i)), and the Lipschitz check,
-one scan over row tiles of the upper triangle of anchor pairs, names
-the first violating pair a pair loop would.  is_antichain_sample asks
-order._comparable_block, the comparability form of the rectangular
+batched form of order.distance with the same accumulation order.
+Hypersurface.heights evaluates the envelope over all anchors for an
+array of points in row tiles, with the bits of the per-anchor scalar
+expression min(h_i + k * distance(x, x_i)); height is its one-point
+case, and Grading.values, is_antichain_sample and grading_monotone_on
+lift or grade all their points with one heights call.  The Lipschitz
+check, one scan over row tiles of the upper triangle of anchor pairs,
+names the first violating pair a pair loop would.  is_antichain_sample
+asks order._comparable_block, the comparability form of the rectangular
 batched cone kernel, whether any two lifted points are related.
 """
 
@@ -29,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .order import (
+    TILE_CELLS,
     Event,
     OrderKind,
     _comparable_block,
@@ -77,28 +81,48 @@ class Hypersurface:
             )
         if bad is not None:
             raise ValueError(f"anchors {bad[0]} and {bad[1]} violate the Lipschitz bound")
-        xs.flags.writeable = False
-        hs.flags.writeable = False
+        # heights reads one contiguous column per anchor axis, scales by
+        # k as a 0-d array and adds the anchor heights as a (1, k) row:
+        # for a single point, numpy's strided and broadcasting loops and
+        # its Python-scalar conversion cost more than the arithmetic
+        axes = np.asfortranarray(xs)
+        for a in (xs, hs, axes):
+            a.flags.writeable = False
         object.__setattr__(self, "anchors", tuple(zip(map(tuple, xs.tolist()), hs.tolist())))
         object.__setattr__(self, "modulus", k)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_hs", hs)
+        object.__setattr__(self, "_axes", axes)
+        object.__setattr__(self, "_k", np.array(k))
+        object.__setattr__(self, "_hrow", hs[None, :])
+        object.__setattr__(self, "_rows", max(1, TILE_CELLS // count))
 
     @property
     def dimension(self) -> int:
         return len(self.anchors[0][0])
 
-    @np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route
+    def heights(self, points: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+        """h(x) = min over anchors of h_i + k ||x - x_i|| for every row x
+        of the (m, n) array points, in row tiles of at most TILE_CELLS
+        point-anchor cells.  No points give no heights, whatever their
+        width."""
+        xs = np.asarray(points, dtype=float)
+        axes, rows = self._axes, self._rows  # type: ignore[attr-defined]
+        if len(xs) and (xs.ndim != 2 or xs.shape[1] != axes.shape[1]):
+            raise ValueError(f"dimension mismatch: {xs.shape[-1]} vs {axes.shape[1]}")
+        out = np.empty(len(xs))
+        with np.errstate(over="ignore"):  # overflow to inf, silently, as in the scalar route
+            for i0 in range(0, len(xs), rows):
+                env = _distances(xs[i0:i0 + rows], axes)
+                np.multiply(env, self._k, out=env)  # type: ignore[attr-defined]
+                np.add(env, self._hrow, out=env)  # type: ignore[attr-defined]
+                np.minimum.reduce(env, axis=1, out=out[i0:i0 + rows])
+        return out
+
     def height(self, x: Sequence[float]) -> float:
-        """h(x) = min over anchors of h_i + k ||x - x_i||."""
-        xt = tuple(float(v) for v in x)
-        if len(xt) != self.dimension:
-            raise ValueError(f"dimension mismatch: {len(xt)} vs {self.dimension}")
-        env = _distances(np.array([xt]), self._xs)[0]  # type: ignore[attr-defined]
-        np.multiply(env, self.modulus, out=env)
-        np.add(env, self._hs, out=env)  # type: ignore[attr-defined]
-        return float(env.min())
+        """h(x), the one-point case of heights."""
+        return self.heights([x]).item()
 
     def graph_event(self, x: Sequence[float]) -> Event:
         return Event(self.height(x), tuple(float(v) for v in x))
@@ -120,6 +144,12 @@ class Grading:
     def value(self, e: Event) -> float:
         return e.t - self.surface.height(e.x)
 
+    def values(self, events: Sequence[Event]) -> np.ndarray:
+        """value(e) for every event, bit for bit, from one heights call."""
+        t, xs = _coordinates(events)
+        with np.errstate(over="ignore"):  # overflow to inf, as float subtraction does
+            return t - self.surface.heights(xs)
+
     def level_contains(self, r: float, e: Event, tol: float = 0.0) -> bool:
         if tol < 0:
             raise ValueError("tol must be >= 0")
@@ -130,8 +160,9 @@ def is_antichain_sample(hs: Hypersurface, points: Sequence[Sequence[float]]) -> 
     """Lift the sample onto the graph and verify pairwise space-likeness:
     no two lifted points equal or strictly causally related either way.
     Duplicate positions collapse to one graph point."""
-    positions = dict.fromkeys(tuple(float(v) for v in x) for x in points)
-    t, xs = _coordinates([hs.graph_event(x) for x in positions])
+    positions = list(dict.fromkeys(tuple(float(v) for v in x) for x in points))
+    heights = hs.heights(positions).tolist()
+    t, xs = _coordinates([Event(h, x) for h, x in zip(heights, positions)])
     return _first_upper_hit(
         len(t),
         lambda i0, i1: _comparable_block(
@@ -206,5 +237,5 @@ def grading_monotone_on(
         if prev is not None and not t > prev:
             raise ValueError("sample times must be strictly increasing")
         prev = t
-    vals = [g.value(wl.event_at(t)) for t in sample_times]
-    return all(a < b for a, b in zip(vals, vals[1:]))
+    vals = g.values([wl.event_at(t) for t in sample_times])
+    return bool((vals[:-1] < vals[1:]).all())

@@ -22,7 +22,9 @@ bands once the set outgrows one BLOCK; _comparable_block
 (strict either way, or equal) answers pairwise_comparable,
 interval_is_chain_sampled and hypersurfaces.is_antichain_sample, so
 those agree cell for cell with the pair loops over comparable and
-classify_pair they replace.
+classify_pair they replace.  _analytic_block (strict causal, or equal)
+is reconstruct_causal_analytic over a block of pairs; the CLI's analytic
+reconstruct check takes it in row bands of BLOCK rows.
 """
 
 from __future__ import annotations
@@ -145,12 +147,11 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros((a.shape[0], b.shape[0]))
     dist = np.subtract(b[None, :, 0], a[:, None, 0])
     np.multiply(dist, dist, out=dist)
-    if n > 1:
-        buf = np.empty_like(dist)
-        for axis in range(1, n):
-            np.subtract(b[None, :, axis], a[:, None, axis], out=buf)
-            np.multiply(buf, buf, out=buf)
-            np.add(dist, buf, out=dist)
+    buf = None  # allocated by the first subtraction into it
+    for axis in range(1, n):
+        buf = np.subtract(b[None, :, axis], a[:, None, axis], out=buf)
+        np.multiply(buf, buf, out=buf)
+        np.add(dist, buf, out=dist)
     return np.sqrt(dist, out=dist)
 
 
@@ -263,6 +264,14 @@ def _comparable_block(
         | _strict_block(kind, c, tb, xb, ta, xa).T
         | _equal_block(ta, xa, tb, xb)
     )
+
+
+def _analytic_block(
+    c: float, ta: np.ndarray, xa: np.ndarray, tb: np.ndarray, xb: np.ndarray
+) -> np.ndarray:
+    """reconstruct_causal_analytic(a_i, b_j, c) for every i, j: the
+    strict causal block, or equal by exact coordinates."""
+    return _strict_block(OrderKind.CAUSAL, c, ta, xa, tb, xb) | _equal_block(ta, xa, tb, xb)
 
 
 # Cells per row tile of the all-pairs routes: each float64 temporary of
@@ -431,7 +440,7 @@ def reconstruct_causal_analytic(u: Event, v: Event, c: float) -> bool:
     all events collapses to a closed forward-cone membership test on
     v - u, which is evaluated here directly; the subluminal case is
     contained in that closed cone.  Agrees with leq(causal) on every
-    pair.
+    pair.  _analytic_block is its batched form.
     """
     _require_same_dim(u, v)
     if not (math.isfinite(c) and c > 0):

@@ -21,6 +21,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -340,10 +341,15 @@ class GapWorldLine:
             return x
         raise ValueError(f"time {t!r} not covered by the point set")
 
+    @cached_property
+    def _dense_sample(self) -> list[Event]:
+        """sample_events() at its defaults, built once per line."""
+        return self.sample_events()
+
     def probe_sample(self, p: Event) -> list[Event]:
         """Dense sample for extension probes; points sharing p's time
         come first so off-line probes are rejected cheaply."""
-        return [Event(p.t, x) for x in self._branches(p.t)] + self.sample_events()
+        return [Event(p.t, x) for x in self._branches(p.t)] + self._dense_sample
 
 
 def make_gap_worldline(

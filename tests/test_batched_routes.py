@@ -1,9 +1,11 @@
 """The routes that answer all-pairs questions through the rectangular
 batched cone kernel, against the pure-Python pair loops over comparable
-and classify_pair that they replace."""
+and classify_pair that they replace, and the batched surface heights
+against the per-point height."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +17,15 @@ from causalorder.order import (
     OrderKind,
     OrderSpec,
     PairClass,
+    _analytic_block,
+    _coordinates,
     classify_pair,
     comparable,
     event,
     interval_is_chain_sampled,
     leq,
     pairwise_comparable,
+    reconstruct_causal_analytic,
 )
 
 SPECS = [
@@ -159,3 +164,57 @@ def test_is_antichain_sample_matches_pair_loop():
         verdicts.add(want)
     assert verdicts == {True, False}
     assert not is_antichain_sample(steep, [(5.0,), (6.0,)])
+
+
+def test_analytic_block_matches_scalar_loop():
+    rng = np.random.default_rng(83)
+    sets = list(_grid_sets(rng)) + [list(TINY), list(HUGE), [HUGE[0], HUGE[1], HUGE[1]]]
+    verdicts = set()
+    for c in (0.5, 1.0, 10.0):
+        for evs in sets:
+            t, xs = _coordinates(evs)
+            want = [[reconstruct_causal_analytic(u, v, c) for v in evs] for u in evs]
+            assert _analytic_block(c, t, xs, t, xs).tolist() == want, (c, evs)
+            # a rectangular band, as the CLI takes it
+            half = len(evs) // 2
+            band = _analytic_block(c, t[half:], xs[half:], t, xs)
+            assert band.tolist() == want[half:], (c, evs)
+            verdicts.update(v for row in want for v in row)
+    assert verdicts == {True, False}
+    t, xs = _coordinates(list(TINY))  # distinct at distance 0: unrelated
+    assert _analytic_block(1.0, t, xs, t, xs).tolist() == [[True, False], [False, True]]
+    t, xs = _coordinates(list(HUGE))  # c*dt and the distance overflow to inf
+    assert _analytic_block(10.0, t, xs, t, xs).tolist() == [[True, True], [False, True]]
+
+
+def _norm_surface(rng, n, count, scale=1.0):
+    """Anchors with h_i = 0.45 |x_i| under k = 0.5, so every pair meets
+    the Lipschitz bound."""
+    xs = rng.uniform(-5, 5, (count, n)) * scale
+    return make_hypersurface([(x, 0.45 * math.hypot(*x)) for x in xs.tolist()], 0.5, 1.0)
+
+
+def test_heights_match_height_bit_for_bit():
+    rng = np.random.default_rng(89)
+    surfaces = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unsilenced overflow fails
+        for n in range(4):
+            for count in (1, 200):
+                for scale in (1.0, 1e200):
+                    hs = _norm_surface(rng, n, count, scale)
+                    # 700 points span several row tiles at 200 anchors;
+                    # near 1e200 the squared offsets overflow to inf
+                    pts = np.concatenate([rng.uniform(-8, 8, (650, n)),
+                                          rng.uniform(-1, 1, (50, n)) * 1e200])
+                    got = hs.heights(pts)
+                    assert got.shape == (700,) and got.dtype == np.float64
+                    assert got.tolist() == [hs.height(x) for x in pts.tolist()], (n, count, scale)
+                    assert hs.heights(pts.tolist()).tolist() == got.tolist()
+                    surfaces += 1
+    assert surfaces == 16
+    hs = _norm_surface(rng, 2, 200)
+    assert np.isinf(hs.heights([(1e200, 0.0)])).all()
+    assert hs.heights(np.empty((0, 2))).shape == (0,)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
+        hs.heights(np.zeros((4, 3)))

@@ -2,15 +2,17 @@
 
 import contextlib
 import io
+import math
 
 import numpy as np
 import pytest
 
-from causalorder import finite
+from causalorder import cli, finite
 from causalorder.cli import main
-from causalorder.fileio import read_events, write_surface, write_worldline
-from causalorder.hypersurfaces import make_hypersurface
-from causalorder.worldlines import make_polyline
+from causalorder.fileio import _fmt, read_events, read_surface, write_surface, write_worldline
+from causalorder.hypersurfaces import Grading, make_hypersurface
+from causalorder.order import Event
+from causalorder.worldlines import canonical_gap_chain, make_polyline
 
 
 def run(argv):
@@ -170,6 +172,63 @@ def test_grade_flat_surface_echoes_time(tmp_path, event_file):
         assert abs(got - e.t) <= 1e-9 * max(1.0, abs(e.t))
 
 
+@pytest.fixture()
+def surface_file(tmp_path):
+    """100 anchors with h_i = 0.45 |x_i| under k = 0.5, as in CI."""
+    xs = np.random.default_rng(1).uniform(-5, 5, (100, 2)).tolist()
+    path = tmp_path / "surface.txt"
+    write_surface(path, make_hypersurface([(x, 0.45 * math.hypot(*x)) for x in xs], 0.5, 1.0))
+    return path
+
+
+def test_grade_lines_match_grading_value(tmp_path, surface_file):
+    # 700 events span two row tiles of the 100-anchor heights
+    path = tmp_path / "ev.txt"
+    code, _, err = run(["sprinkle", "--count", "700", "--dim", "2", "--box=-6:6,-6:6,-3:3",
+                        "--seed", "5", "--out", str(path)])
+    assert code == 0, err
+    code, out, err = run(["grade", str(path), "--surface", str(surface_file)])
+    assert code == 0 and err == ""
+    events, _ = read_events(path)
+    g = Grading(read_surface(surface_file))
+    want = [f"grade {i} {_fmt(g.value(e))}" for i, e in enumerate(events)]
+    assert [l for l in body(out) if l.startswith("grade ")] == want
+
+
+def _level_samples(surface_path, samples, seed):
+    """The grading and sample events of counterexample's default run:
+    the two-ray chain from the first anchor, the same sample times."""
+    hs = read_surface(surface_path)
+    origin = hs.graph_event(hs.anchors[0][0])
+    chain = canonical_gap_chain(origin, (1.0, 0.0), 1.0, hs.c)
+    rng = np.random.default_rng(seed)
+    params = np.concatenate([-rng.uniform(1e-3, 10.0, samples // 2),
+                             1.0 + rng.uniform(1e-3, 10.0, samples - samples // 2)])
+    times = [origin.t + p for p in params.tolist()]
+    return Grading(hs), [Event(t, chain._position(t)) for t in times]
+
+
+def test_counterexample_hits_match_level_contains(surface_file):
+    g, events = _level_samples(surface_file, 2000, 3)
+    nearest = min(abs(g.value(e)) for e in events)  # one sample sits on this band's edge
+    counts = []
+    for tol in (0.0, 0.5, nearest):
+        code, out, err = run(["counterexample", "--surface", str(surface_file),
+                              "--samples", "2000", "--seed", "3", f"--tol={tol!r}"])
+        assert err == ""
+        want = sum(g.level_contains(0.0, e, tol) for e in events)
+        assert f"surface_hits {want} / 2000" in body(out)
+        assert code == (0 if want == 0 else 1)
+        counts.append(want)
+    assert counts[0] == 0 < counts[2] <= counts[1]  # the 0.5 band holds lower-ray samples
+    code, out, err = run(["counterexample", "--surface", str(surface_file),
+                          "--samples", "2000", "--seed", "3", "--tol=nan"])
+    assert code == 0 and "surface_hits 0 / 2000" in body(out)
+    code, out, err = run(["counterexample", "--surface", str(surface_file), "--tol=-1"])
+    assert code == 2 and out == ""
+    assert err == "error: tol must be >= 0\n"
+
+
 def test_crossing_reports_root_and_residual(tmp_path):
     surf = tmp_path / "cone.txt"
     write_surface(surf, make_hypersurface([((0.0,), 0.0)], 0.5, 1.0))
@@ -221,6 +280,22 @@ def test_reconstruct_analytic_zero_diffs(event_file):
     code, out, _ = run(["reconstruct", str(event_file), "--mode", "analytic"])
     assert code == 0
     assert "differences 0" in body(out)
+
+
+def test_reconstruct_analytic_counts_a_flipped_cell(monkeypatch, event_file):
+    # one off-diagonal cell of the block disagrees with the causal
+    # relation, so the check must report exactly one difference
+    block = cli._analytic_block
+
+    def flipped(c, ta, xa, tb, xb):
+        out = block(c, ta, xa, tb, xb)
+        out[0, 1] = not out[0, 1]
+        return out
+
+    monkeypatch.setattr(cli, "_analytic_block", flipped)
+    code, out, err = run(["reconstruct", str(event_file)])
+    assert code == 1 and err == ""
+    assert "differences 1" in body(out)
 
 
 def test_reconstruct_sampled_reports_counts(event_file):

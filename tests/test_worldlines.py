@@ -224,6 +224,27 @@ def test_probe_own_points_and_removed_endpoint():
     assert not is_subluminal_chain_probe(gwl, event(2.0, 0.5))
 
 
+def test_probe_sample_builds_the_dense_sample_once(monkeypatch):
+    calls = []
+    sample_events = GapWorldLine.sample_events
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return sample_events(self, *args, **kwargs)
+
+    monkeypatch.setattr(GapWorldLine, "sample_events", counted)
+    wl, gwl = _gapped()
+    probes = [event(2.0, 1.0), event(2.0, 0.5), event(0.0, 0.0), event(1.0, 1.0)]
+    verdicts = [is_subluminal_chain_probe(gwl, p) for p in probes]
+    assert verdicts == [True, False, True, False]
+    assert len(calls) == 1
+    p = event(2.0, 1.0)
+    assert gwl.probe_sample(p) == [p] + sample_events(gwl)
+    # the cached sample is no field: equality and hashing ignore it
+    fresh = make_gap_worldline(wl, [KeptEnd.LOWER, KeptEnd.UPPER])
+    assert gwl == fresh and hash(gwl) == hash(fresh)
+
+
 # ------------------------------------------------------- canonical gap chain
 
 def test_canonical_chain_point_set_frozen():
