@@ -262,6 +262,8 @@ def cmd_counterexample(args, argv) -> int:
     chain = canonical_gap_chain(
         origin, d, args.t_len, hs.c, Direction(args.dir or "fwd")
     )
+    if not np.isfinite(11.0 * args.t_len):  # the largest sample parameter
+        raise ValueError("t-len too large: samples reach 11 * t-len, which must be finite")
     rng = np.random.default_rng(args.seed)
     params = np.concatenate(
         [-rng.uniform(1e-3, 10.0 * args.t_len, args.samples // 2),

@@ -3,21 +3,20 @@ matrices, Hasse diagrams, chain/antichain enumeration, cutset checks,
 and reconstruction of the causal order from the subluminal one.
 
 Relation matrices hold the strict relation (diagonal False), indexed in
-input order.  They are built by order._strict_matrix, the batched form
-of order.py's strict cone predicate, so matrix and scalar routes agree
+input order.  build fills them with order._strict_block, the batched
+form of the strict cone predicate, so matrix and scalar routes agree
 bit for bit; the order axioms are re-verified on every construction and
 a violation aborts, since it would mean the predicate is broken.
 
 In all three orders u < v implies t_u < t_v, so a set sorted by time
-(stably) has a strictly upper triangular relation.  Sets of more than
-order.BLOCK events are worked on in that order, in BLOCK-wide blocks:
-_strict_matrix evaluates only the row bands against the columns from
-the band on, and the two-step relation (behind the transitivity check
-and the Hasse covers) sums each output block only over the span of
-blocks where both factors hold a True cell.  Every block left out is
-zero, in any matrix, so both results are exact, and they are permuted
-back to input order.  Reconstruction's witness counts use one symmetric
-product R R^T instead.
+(stably) has a strictly upper triangular relation.  A set that fits one
+kernel tile (order.TILE_CELLS cells) is built in input order.  A larger
+one is built in one pass over it in time order, last order.BLOCK-row
+band first: the kernel fills the band from its first column on, in row
+tiles sized for cache, and the band's two-step relation (behind the
+transitivity check and the covers) sums block (I, J) over K = I..J
+only, so no n x n two-step matrix is held.  Reconstruction's witness
+counts sum block (I, J) over K >= max(I, J) and mirror it to (J, I).
 
 The products run as float32 BLAS matmuls on 0/1 matrices.  They are
 exact: every entry of a product, whole or over a span of blocks, is an
@@ -35,7 +34,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .order import BLOCK, MAX_SPACE_DIM, Event, OrderKind, OrderSpec, _permute, _strict_matrix
+from .order import BLOCK, MAX_SPACE_DIM, TILE_CELLS, Direction, Event, OrderKind, OrderSpec
+from .order import _coordinates, _strict_block
 
 MAX_EVENTS = 2000
 MAX_ANTICHAIN_EVENTS = 24
@@ -89,16 +89,13 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
 @dataclass(frozen=True)
 class FiniteCausalSet:
     """Events plus the strict relation matrix of the chosen order, its
-    two-step relation (two_step[i, j] when some k has i < k < j), its
-    Hasse covers (relation & ~two_step) and its minimal elements (the
-    indices, ascending, of the events with nothing below them).  All
-    four are functions of events and spec, so equality and hashing use
-    those two alone."""
+    Hasse covers (i < j with no k between) and its minimal elements (the
+    indices, ascending, of the events with nothing below them): functions
+    of events and spec, so equality and hashing use those two alone."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
     relation: np.ndarray = field(repr=False, compare=False)
-    two_step: np.ndarray = field(repr=False, compare=False)
     covers: np.ndarray = field(repr=False, compare=False)
     minimal: np.ndarray = field(repr=False, compare=False)
 
@@ -110,10 +107,9 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     """Construct the relation matrix and verify the strict-order axioms.
 
     Irreflexivity holds by construction; antisymmetry and transitivity
-    are checked explicitly, on the input-order matrices, and a failure
-    aborts, because it could only come from a broken predicate.  The
-    two-step relation is computed in time order, where _two_step skips
-    the all-zero blocks.
+    are checked explicitly, and a failure aborts, because it could only
+    come from a broken predicate.  The error names the first violating
+    pair in row-major input order, found on the whole input-order matrix.
     """
     evs = tuple(events)
     if len(evs) > MAX_EVENTS:
@@ -123,60 +119,83 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
         for e in evs:
             if e.n != n:
                 raise ValueError("all events must share one space dimension")
-    rel = _strict_matrix(evs, spec)
-    anti = rel & rel.T
-    if anti.any():  # ndarray.any: np.any's overhead outweighs a tiny set's check
-        i, j = map(int, np.argwhere(anti)[0])
-        raise RuntimeError(f"antisymmetry violated at pair ({i}, {j})")
-    two_step = _two_step(rel, [e.t for e in evs])
-    closure_gap = two_step & ~rel
-    if closure_gap.any():
-        i, j = map(int, np.argwhere(closure_gap)[0])
-        raise RuntimeError(f"transitivity violated at pair ({i}, {j})")
-    covers = rel & ~two_step
+    t, xs = _coordinates(evs)
+    if len(evs) ** 2 <= TILE_CELLS:  # one kernel tile: no sort, no permute
+        rel, covers = _strict_block(spec.kind, spec.c, t, xs, t, xs), None
+    else:
+        rel, covers = _banded(spec.kind, spec.c, t, xs)
+    if spec.direction is Direction.BACKWARD:  # the dual order
+        rel, covers = rel.T, None if covers is None else covers.T
+    if covers is None:
+        covers = _checked_covers(rel)
     minimal = (~rel.any(axis=0)).nonzero()[0]
-    for m in (rel, two_step, covers, minimal):
+    for m in (rel, covers, minimal):
         m.flags.writeable = False
-    return FiniteCausalSet(evs, spec, rel, two_step, covers, minimal)
+    return FiniteCausalSet(evs, spec, rel, covers, minimal)
 
 
-def _two_step(rel: np.ndarray, t: Sequence[float]) -> np.ndarray:
-    """(rel @ rel) > 0 for a square boolean matrix on events at times t.
-    Above BLOCK events, the matrix is sorted by time (stably) and
-    multiplied as a product of BLOCK-wide blocks: output block (I, J)
-    sums over the span of K blocks from the first to the last K at which
-    both factors, rel[I, K] and rel[K, J], hold a True cell, and is
-    False when there is none.  The blocks outside the span contribute
-    zero, so the result is exact for any matrix, whatever its order.  A
-    strict relation sorted by time is strictly upper triangular: the
-    span of (I, J) is I..J, and the work falls towards a sixth of the
-    full product's as the number of blocks grows."""
-    n = len(rel)
-    if n <= BLOCK:  # one block: nothing to skip
-        rf = rel.astype(np.float32)
-        return (rf @ rf) > 0
-    order = np.argsort(t, kind="stable")
-    rel = _permute(rel, order)
+def _checked_covers(rel: np.ndarray) -> np.ndarray:
+    """The covers rel & ~((rel @ rel) > 0) of a relation in input order,
+    once antisymmetry and transitivity hold on it; otherwise
+    RuntimeError names the first violating pair in row-major order."""
     rf = rel.astype(np.float32)
-    starts = np.arange(0, n, BLOCK)
-    nz = np.logical_or.reduceat(np.logical_or.reduceat(rel, starts, axis=0), starts, axis=1)
-    both = nz[:, :, None] & nz[None, :, :]  # both[I, K, J]
-    first = both.argmax(axis=1)
-    last = len(starts) - both[:, ::-1, :].argmax(axis=1)  # one past the span
-    out = np.zeros((n, n), dtype=bool)
-    for i, j in np.argwhere(both.any(axis=1)):
-        rows = slice(i * BLOCK, (i + 1) * BLOCK)
-        cols = slice(j * BLOCK, (j + 1) * BLOCK)
-        span = slice(first[i, j] * BLOCK, last[i, j] * BLOCK)
-        np.greater(rf[rows, span] @ rf[span, cols], 0, out=out[rows, cols])
-    return _permute(out, np.argsort(order))  # back to input order
+    two_step = (rf @ rf) > 0
+    for axiom, bad in (("antisymmetry", rel & rel.T), ("transitivity", two_step & ~rel)):
+        if bad.any():  # ndarray.any: np.any's overhead outweighs a tiny set's check
+            i, j = map(int, np.argwhere(bad)[0])
+            raise RuntimeError(f"{axiom} violated at pair ({i}, {j})")
+    return rel & ~two_step
+
+
+def _banded(
+    kind: OrderKind, c: float, t: np.ndarray, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The forward relation and covers of events (t, xs), in input
+    order, from one pass over them in time order, last band first.  The
+    kernel writes band I (rows a:b) from column a on, so antisymmetry
+    can only fail in its diagonal block, and block (I, J) of its
+    two-step relation sums over K = I..J (the later bands are filled).
+    Once a check fails, the pass only fills the relation, and the covers
+    come back None."""
+    n = len(t)
+    order = np.argsort(t, kind="stable")
+    t, xs = t[order], xs[order]
+    rel = np.zeros((n, n), dtype=bool)
+    covers = np.zeros((n, n), dtype=bool)
+    rf = np.zeros((n, n), dtype=np.float32)
+    ok = True
+    for a in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
+        b = min(a + BLOCK, n)
+        rows = max(1, TILE_CELLS // (n - a))
+        for r in range(a, b, rows):
+            s = min(r + rows, b)
+            rel[r:s, a:] = _strict_block(kind, c, t[r:s], xs[r:s], t[a:], xs[a:])
+        diag = rel[a:b, a:b]
+        ok = ok and not (diag & diag.T).any()
+        if not ok:
+            continue
+        rf[a:b, a:] = rel[a:b, a:]
+        for j in range(a, n, BLOCK):
+            k = min(j + BLOCK, n)
+            two_step = (rf[a:b, a:k] @ rf[a:k, j:k]) > 0
+            ok = ok and not (two_step > rel[a:b, j:k]).any()  # two_step & ~rel
+            np.greater(rel[a:b, j:k], two_step, out=covers[a:b, j:k])  # rel & ~two_step
+    back = np.argsort(order)
+    return _permute(rel, back), _permute(covers, back) if ok else None
+
+
+def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """m[p][:, p], C-contiguous, so later row reads are not strided.  Two
+    gathers cost a fifth of one np.ix_ gather."""
+    return m[p].take(p, axis=1)
 
 
 def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
     """Edges of the transitive reduction, in lexicographic order.  For a
     finite strict order the reduction is unique: (i, j) is an edge iff
-    i < j with no element strictly between."""
-    rows, cols = np.nonzero(fcs.covers)
+    i < j with no element strictly between, a True cell of the covers,
+    whose flat indices are row-major whatever their memory layout."""
+    rows, cols = np.divmod(np.flatnonzero(fcs.covers), len(fcs))
     return list(zip(rows.tolist(), cols.tolist()))
 
 
@@ -312,23 +331,34 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     """
     if fcs.spec.kind is not OrderKind.SUBLUMINAL:
         raise ValueError("reconstruction expects a subluminal relation")
-    rel = fcs.relation
-    # counts[i, j] = number of witnesses w with j <' w but not i <' w,
-    # over w not equal in value to i or j: the |above j| witnesses above
-    # j, less the (R R^T)[i, j] above both.  Witnesses equal to j add
-    # nothing (equal events are unrelated); each of the mult[i] witnesses
-    # equal to i adds rel[j, i], which the last subtraction removes.
-    # rf @ rf.T is one symmetric rank-k product (numpy sees the
-    # transpose of the same buffer), exact in float32 like every count.
-    per_value = Counter(fcs.events)
-    mult = np.array([per_value[e] for e in fcs.events], dtype=np.float32)
+    rel, events = fcs.relation, fcs.events
+    n = len(events)
+    width = BLOCK if n * n > TILE_CELLS else n + 1  # one band needs no order
+    if width < n:  # time order (reversed for the dual order): upper triangular
+        order = np.argsort([e.t for e in events], kind="stable")
+        if fcs.spec.direction is Direction.BACKWARD:
+            order = order[::-1]
+        rel, events = _permute(rel, order), [events[i] for i in order]
+    per_value = Counter(events)
+    mult = np.array([per_value[e] for e in events], dtype=np.float32)
     rf = rel.astype(np.float32)
-    counts = rf @ rf.T
-    np.subtract(rf.sum(axis=1), counts, out=counts)
-    rf *= mult
-    counts -= rf.T
-    rec = rel | (counts == 0)
+    above = rf.sum(axis=1)
+    rec = np.empty((n, n), dtype=bool)
+    # i is related to j when the above[j] witnesses above j are the
+    # (R R^T)[i, j] above both plus the rel[j, i] * mult[i] equal to i
+    # (none equal to j is above j), all exact counts.  For band J = j:k,
+    # `both` is (R R^T)[:k, J] over the witnesses from j on, the only
+    # ones above J: blocks (I, J), I <= J, then mirrored to (J, I).
+    for j in range(0, n, width):
+        k = min(j + width, n)
+        both = rf[:k, j:] @ rf[j:k, j:].T
+        both[j:k] += rf[j:k, j:k].T * mult[j:k, None]
+        np.logical_or(rel[:k, j:k], both == above[j:k], out=rec[:k, j:k])
+        mirror = both[:j] + rf[:j, j:k] * mult[j:k]
+        rec[j:k, :j] = (mirror == above[:j, None]).T
     np.fill_diagonal(rec, False)
+    if width < n:
+        rec = _permute(rec, np.argsort(order))  # back to input order
     rec.flags.writeable = False
     return rec
 

@@ -16,10 +16,10 @@ The strict cone test is written once, as the scalar _strictly_before
 and the rectangular batched kernel _strict_block, which decides it for
 an (m, k) block of event pairs from time and coordinate arrays with the
 same operations in the same order.  Distances come from distance and
-its batched form _distances.  _strict_matrix (the relation matrices of
-finite) is _strict_block on a set against itself, in time-ordered row
-bands once the set outgrows one BLOCK; _comparable_block
-(strict either way, or equal) answers pairwise_comparable,
+its batched form _distances.  finite.build fills its relation matrices
+with _strict_block in row tiles of at most TILE_CELLS cells, in
+time-ordered BLOCK-row bands once a set outgrows one tile;
+_comparable_block (strict either way, or equal) answers pairwise_comparable,
 interval_is_chain_sampled and hypersurfaces.is_antichain_sample, so
 those agree cell for cell with the pair loops over comparable and
 classify_pair they replace.  _analytic_block (strict causal, or equal)
@@ -204,43 +204,9 @@ def _strict_block(
     return fwd
 
 
-# Rows per block of the time-ordered relation routes (_strict_matrix
-# here, the two-step product of finite.build): a 256-row band of a
-# 2000-event set holds 4 MiB per float64 temporary.
-BLOCK = 256
-
-
-def _strict_matrix(events: Sequence[Event], spec: OrderSpec) -> np.ndarray:
-    """Strict relation matrix of spec on events, in input order:
-    _strict_block of the events against themselves, transposed for the
-    backward direction.  A set of more than BLOCK events is sorted by
-    time (stably) and evaluated in row bands of BLOCK rows against the
-    columns from the band's first row on; every cell left out has
-    dt <= 0, so the kernel's own dt > 0 test would make it False, and
-    the matrix is the same bit for bit.  At most three (BLOCK, n)
-    float64 arrays are live."""
-    t, xs = _coordinates(events)
-    n = len(t)
-    if n <= BLOCK:
-        fwd = _strict_block(spec.kind, spec.c, t, xs, t, xs)
-    else:
-        order = np.argsort(t, kind="stable")
-        t, xs = t[order], xs[order]
-        fwd = np.zeros((n, n), dtype=bool)
-        for a in range(0, n, BLOCK):
-            b = a + BLOCK
-            fwd[a:b, a:] = _strict_block(spec.kind, spec.c, t[a:b], xs[a:b], t[a:], xs[a:])
-        fwd = _permute(fwd, np.argsort(order))  # back to input order
-    return fwd.T if spec.direction is Direction.BACKWARD else fwd
-
-
-def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """m[p][:, p], C-contiguous.  Rows, then columns: two gathers cost a
-    fifth of one np.ix_ gather.  The column gather is a take, because
-    m[p][:, p] comes out in Fortran order, which would make every later
-    row read of the matrix (hasse, the chain walk, row blocks of a
-    product) strided."""
-    return m[p].take(p, axis=1)
+# Rows per band of the time-ordered relation routes (finite.build and
+# reconstruct_order) and of the CLI's analytic reconstruct check.
+BLOCK = 128
 
 
 def _equal_block(ta: np.ndarray, xa: np.ndarray, tb: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -274,8 +240,9 @@ def _analytic_block(
     return _strict_block(OrderKind.CAUSAL, c, ta, xa, tb, xb) | _equal_block(ta, xa, tb, xb)
 
 
-# Cells per row tile of the all-pairs routes: each float64 temporary of
-# a tile takes 512 KiB, and a route stops after the first failing tile.
+# Cells per row tile of the kernel routes: a tile's three float64
+# temporaries (512 KiB each) fit a 2 MiB cache, and an all-pairs route
+# stops after the first failing tile.
 TILE_CELLS = 1 << 16
 
 

@@ -1,8 +1,10 @@
 """Command-line surface: in-process invocations, exit codes, determinism."""
 
 import contextlib
+import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from causalorder import cli, finite
 from causalorder.cli import main
 from causalorder.fileio import _fmt, read_events, read_surface, write_surface, write_worldline
 from causalorder.hypersurfaces import Grading, make_hypersurface
-from causalorder.order import Event
+from causalorder.order import Event, OrderKind, OrderSpec
 from causalorder.worldlines import canonical_gap_chain, make_polyline
 
 
@@ -119,12 +121,12 @@ def test_cutset_check_verdicts(tmp_path):
 
 
 def test_axiom_violation_is_one_line_exit_1(monkeypatch, event_file):
-    def broken(events, spec):
-        rel = np.zeros((len(events), len(events)), dtype=bool)
+    def broken(kind, c, ta, xa, tb, xb):  # the kernel, on 30 events: one tile
+        rel = np.zeros((len(ta), len(tb)), dtype=bool)
         rel[0, 1] = rel[1, 2] = True
         return rel
 
-    monkeypatch.setattr(finite, "_strict_matrix", broken)
+    monkeypatch.setattr(finite, "_strict_block", broken)
     code, out, err = run(["hasse", str(event_file)])
     assert code == 1 and out == ""
     assert err == "error: transitivity violated at pair (0, 2)\n"
@@ -318,6 +320,46 @@ def test_counterexample_certifies_gap(tmp_path):
     assert "surface_hits 0 / 1000" in lines
     assert "chain_ok true" in lines
     assert "time_gap_certified true" in lines
+
+
+@pytest.mark.parametrize("t_len", ["1e308", "1.7e307"])
+def test_counterexample_overflowing_t_len_is_usage_error(surface_file, t_len):
+    # samples reach 11 * t_len: 1e308 overflows the range of the draw,
+    # 1.7e307 the sum t_len + draw
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["counterexample", "--surface", str(surface_file), "--t-len", t_len])
+    assert (code, out) == (2, "")
+    assert err == "error: t-len too large: samples reach 11 * t-len, which must be finite\n"
+
+
+# sha256 digests of the CI's 2000-event sprinkle (2+1, box [0, 1]^3,
+# seed 1) as the time-ordered block products computed them before the
+# banded build: the relation and covers of the causal build, the Hasse
+# DOT export, and reconstruct_order of the subluminal build.
+CI_DIGESTS = {
+    "relation": "fd58d692d58a6f388b1aad42a04e17858305bcc0564e88200fdc067d46576972",
+    "covers": "22b27fef34f38a86a914d26c5415c4c7c6e2e03cf11e8c7ef8f275605a159148",
+    "dot": "d59523f54ff9d86578f81883e869b4092c53bf4d9da9b1c302eef2aebbf4d040",
+    "reconstruct": "2afdb3f3bc00733c1d95dc1843df0209e080979a7061e7614f1f8187f7a23e09",
+}
+
+
+def test_max_events_outputs_are_bit_identical(tmp_path):
+    path, dot = tmp_path / "ev.txt", tmp_path / "h.dot"
+    assert run(["sprinkle", "--count", "2000", "--dim", "2", "--box=0:1", "--seed", "1",
+                "--out", str(path)])[0] == 0
+    assert run(["hasse", str(path), "--dot", str(dot)])[0] == 0
+    events, spec = read_events(path)
+    fcs = finite.build(events, spec)
+    sub = finite.build(events, OrderSpec(OrderKind.SUBLUMINAL, spec.c))
+    digests = {
+        "relation": fcs.relation.tobytes(),
+        "covers": fcs.covers.tobytes(),
+        "dot": dot.read_bytes(),
+        "reconstruct": finite.reconstruct_order(sub).tobytes(),
+    }
+    assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == CI_DIGESTS
 
 
 def test_cone_classify_standard_and_unknown():

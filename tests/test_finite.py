@@ -1,6 +1,10 @@
 """Finite sprinkled posets: relation matrices, Hasse reduction,
 chain/antichain enumeration, cutsets, and matrix-level reconstruction."""
 
+import math
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,6 @@ from causalorder.finite import (
     MAX_EVENTS,
     CapExceeded,
     SprinkleConfig,
-    _two_step,
     build,
     compare_relations,
     find_avoiding_chain,
@@ -23,6 +26,7 @@ from causalorder.finite import (
 )
 from causalorder.order import (
     BLOCK,
+    TILE_CELLS,
     Direction,
     Event,
     OrderKind,
@@ -155,10 +159,16 @@ def test_float32_products_are_exact_up_to_max_events():
     assert MAX_EVENTS < 2**24
 
 
+def _doctored(rel):
+    """A kernel for finite.build to call in place of _strict_block: it
+    answers a set that fits one tile with the given matrix."""
+    return lambda kind, c, ta, xa, tb, xb: rel.copy()
+
+
 def test_build_rejects_non_transitive_matrix(monkeypatch):
     rel = np.zeros((3, 3), dtype=bool)
     rel[0, 1] = rel[1, 2] = True
-    monkeypatch.setattr(finite, "_strict_matrix", lambda evs, spec: rel.copy())
+    monkeypatch.setattr(finite, "_strict_block", _doctored(rel))
     with pytest.raises(RuntimeError, match=r"transitivity violated at pair \(0, 2\)"):
         build(sprinkle2(3, 0), CAUSAL)
 
@@ -166,9 +176,16 @@ def test_build_rejects_non_transitive_matrix(monkeypatch):
 def test_build_rejects_antisymmetry_violation(monkeypatch):
     rel = np.zeros((2, 2), dtype=bool)
     rel[0, 1] = rel[1, 0] = True
-    monkeypatch.setattr(finite, "_strict_matrix", lambda evs, spec: rel.copy())
+    monkeypatch.setattr(finite, "_strict_block", _doctored(rel))
     with pytest.raises(RuntimeError, match="antisymmetry violated"):
         build(sprinkle2(2, 0), CAUSAL)
+
+
+def _two_step(rel):
+    """Brute force: (i, j) when some k has i < k < j, the union of the
+    rows of the events above i."""
+    rows = [rel[rel[i]].any(axis=0) for i in range(len(rel))]
+    return np.array(rows, dtype=bool).reshape(rel.shape)
 
 
 def test_two_step_relation_is_read_only():
@@ -178,9 +195,11 @@ def test_two_step_relation_is_read_only():
         [[any(rel[i, k] and rel[k, j] for k in range(20)) for j in range(20)]
          for i in range(20)]
     )
-    assert np.array_equal(fcs.two_step, expected)
-    assert not fcs.two_step.flags.writeable
-    assert "two_step" not in repr(fcs)
+    assert expected.any()
+    assert np.array_equal(rel & ~fcs.covers, expected)
+    assert not fcs.covers.flags.writeable
+    assert "covers" not in repr(fcs)
+    assert not hasattr(fcs, "two_step")
 
 
 # ------------------------------------------------------- hasse, enumeration
@@ -525,21 +544,24 @@ def test_compare_relations_agreements_skip_the_diagonal():
 
 
 # ------------------------------------------------------ time-ordered blocks
-# Sets of more than BLOCK events are built in time order, block by block;
-# these sets span at least four blocks.
+# Sets that outgrow one kernel tile are built in time order, band by
+# band; these sets span six bands, and their first bands split into row
+# tiles.
 
-MULTI = 3 * BLOCK + 5
+MULTI = 5 * BLOCK + 5
 
 
-def _multiblock_set(seed, dim=2):
-    """MULTI events in shuffled (not time) order, with times on a 0.1
-    grid, so that ties straddle block boundaries, and 20 duplicates."""
+def _multiblock_set(seed, dim=2, n=MULTI):
+    """n events in shuffled (not time) order, with times on a 0.1 grid,
+    so that ties straddle block boundaries, and min(20, n // 2) of them
+    duplicates."""
     rng = np.random.default_rng(seed)
     box = ((-5.0, 5.0),) * dim + ((0.0, 10.0),)
+    dups = min(20, n // 2)
     events = [Event(round(e.t, 1), e.x)
-              for e in sprinkle(SprinkleConfig(MULTI - 20, dim, box, seed))]
-    events += [events[int(k)] for k in rng.integers(0, len(events), 20)]
-    return [events[int(k)] for k in rng.permutation(MULTI)]
+              for e in sprinkle(SprinkleConfig(n - dups, dim, box, seed))]
+    events += [events[int(k)] for k in rng.integers(0, len(events), dups)]
+    return [events[int(k)] for k in rng.permutation(n)]
 
 
 def _time_sorted(events):
@@ -571,60 +593,183 @@ def test_multiblock_build_matches_brute_force(kind, direction):
     for i, j in rng.integers(0, MULTI, (2000, 2)):
         assert fcs.relation[i, j] == (leq(spec, events[i], events[j])
                                       and events[i] != events[j])
-    # some k with i < k < j: the union of the rows above i
-    two_step = np.array([rel[rel[i]].any(axis=0) for i in range(MULTI)])
-    assert np.array_equal(fcs.two_step, two_step)
-    covers = rel & ~two_step
+    covers = rel & ~_two_step(rel)
     assert np.array_equal(fcs.covers, covers)
+    assert np.array_equal(fcs.relation & ~fcs.covers, _two_step(rel))
     assert hasse(fcs) == [(i, j) for i in range(MULTI) for j in range(MULTI) if covers[i, j]]
     assert fcs.minimal.tolist() == [j for j in range(MULTI) if not rel[:, j].any()]
-    for m in (fcs.relation, fcs.two_step, fcs.covers, fcs.minimal):
+    for m in (fcs.relation, fcs.covers, fcs.minimal):
         assert not m.flags.writeable
         # row reads (hasse, the chain walk) stay contiguous
         assert m.flags.c_contiguous or direction is Direction.BACKWARD
 
 
+def _by_position(ts, rel):
+    """A kernel for finite.build to call in place of _strict_block on
+    events with distinct times ts: it answers from rel, indexed by the
+    events' positions in time order."""
+    ts = np.sort(ts)
+
+    def kernel(kind, c, ta, xa, tb, xb):
+        return rel[np.ix_(np.searchsorted(ts, ta), np.searchsorted(ts, tb))]
+
+    return kernel
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_block_product_is_exact_on_any_matrix(seed):
+def test_block_product_is_exact_on_any_matrix(seed, monkeypatch):
+    # A strict order that is not time-ordered: i < j when i dominates j
+    # in two keys.  The first key grows with the band, so every pair
+    # lies where the kernel is asked (a band against the columns from
+    # the band on), and inside a band the order runs both ways in time.
     rng = np.random.default_rng(seed)
-    m = rng.random((MULTI, MULTI)) < 0.004  # neither triangular nor time-ordered
-    keep = rng.random((4, 4)) < 0.6  # whole blocks left empty
-    m &= np.kron(keep, np.ones((BLOCK, BLOCK), dtype=bool))[:MULTI, :MULTI]
-    mf = m.astype(np.float64)
-    expected = (mf @ mf) > 0
-    assert np.array_equal(_two_step(m, np.zeros(MULTI)), expected)  # input order
-    assert np.array_equal(_two_step(m, rng.random(MULTI)), expected)  # any order
+    band = np.arange(MULTI) // BLOCK
+    keys = band + rng.random(MULTI), rng.random(MULTI)
+    by_time = (keys[0][:, None] < keys[0][None, :]) & (keys[1][:, None] < keys[1][None, :])
+    assert (np.tril(by_time) & (band[:, None] == band[None, :])).any()
+    ts = rng.permutation(MULTI).astype(float)  # input order -> time
+    pos = np.argsort(np.argsort(ts))  # input order -> position in time
+    monkeypatch.setattr(finite, "_strict_block", _by_position(ts, by_time))
+    fcs = build([Event(t, (0.0,)) for t in ts], CAUSAL)
+    rel = by_time[np.ix_(pos, pos)]
+    assert np.array_equal(fcs.relation, rel)
+    assert np.array_equal(fcs.relation & ~fcs.covers, _two_step(rel))
+
+
+def _with_pairs(events, pairs):
+    """The kernel finite.build calls, doctored to also relate each given
+    pair (i, j) of events, found by their coordinates."""
+
+    def at(e, t, xs):
+        return (t == e.t) & (xs == np.array(e.x)).all(axis=1)
+
+    def kernel(kind, c, ta, xa, tb, xb):
+        out = _strict_block(kind, c, ta, xa, tb, xb)
+        for i, j in pairs:
+            out |= at(events[i], ta, xa)[:, None] & at(events[j], tb, xb)[None, :]
+        return out
+
+    return kernel
+
+
+def _first_violation(events, pairs, direction=Direction.FORWARD):
+    """The message build must raise for the doctored kernel, by brute
+    force on the whole input-order matrix: the first antisymmetric pair,
+    else the first pair that breaks transitivity, in row-major order."""
+    t, xs = (np.array([e.t for e in events]), np.array([e.x for e in events]))
+    rel = _with_pairs(events, pairs)(OrderKind.CAUSAL, 1.0, t, xs, t, xs)
+    if direction is Direction.BACKWARD:
+        rel = rel.T
+    anti = rel & rel.T
+    if anti.any():
+        return "antisymmetry violated at pair ({}, {})".format(*np.argwhere(anti)[0])
+    gap = _two_step(rel) & ~rel
+    return "transitivity violated at pair ({}, {})".format(*np.argwhere(gap)[0])
+
+
+def _violating_triple(events, positions):
+    """Input indices (u, v, w) of unique events, from candidate
+    positions in time order, with u < v causally while w is unrelated
+    to u and v: relating v to w breaks transitivity at (u, w)."""
+    by_time = _time_sorted(events)
+    rel = build(events, CAUSAL).relation
+    per_value = Counter(events)
+    for u, v, w in positions:
+        iu, iv, iw = by_time[u], by_time[v], by_time[w]
+        if (all(per_value[events[i]] == 1 for i in (iu, iv, iw)) and rel[iu, iv]
+                and not (rel[iu, iw] or rel[iw, iu] or rel[iv, iw] or rel[iw, iv])):
+            return iu, iv, iw
+    raise AssertionError("no candidate triple")
 
 
 def test_build_reports_backward_edge_across_blocks(monkeypatch):
+    # u -> v forward in time across two bands, then v -> w backward in
+    # time inside v's band, so (u, w) breaks transitivity: the product
+    # of u's band must read the cell that v's band wrote.
     events = _multiblock_set(4)
-    by_time = _time_sorted(events)
-    rel = np.zeros((MULTI, MULTI), dtype=bool)
-    # u -> v forward in time, then v -> w backward across a block
-    # boundary, so (u, w) breaks transitivity: its block product needs a
-    # block outside the upper triangle of the time order.
-    for u, v, w in ((10, 3 * BLOCK + 2, BLOCK + 7), (BLOCK + 3, 2 * BLOCK + 9, 5)):
-        rel[by_time[u], by_time[v]] = rel[by_time[v], by_time[w]] = True
-    rf = rel.astype(np.float64)
-    i, j = np.argwhere(((rf @ rf) > 0) & ~rel)[0]
-    monkeypatch.setattr(finite, "_strict_matrix", lambda evs, spec: rel.copy())
-    with pytest.raises(RuntimeError, match=rf"transitivity violated at pair \({i}, {j}\)"):
+    ts = np.sort([e.t for e in events])
+    pairs = []
+    for ub, vb in ((0, 3), (1, 2)):
+        u, v, w = _violating_triple(events, (
+            (u, v, w) for u in range(ub * BLOCK, (ub + 1) * BLOCK)
+            for v in range(vb * BLOCK, (vb + 1) * BLOCK)
+            for w in range(vb * BLOCK, v) if ts[w] < ts[v]
+        ))
+        assert events[w].t < events[v].t
+        pairs.append((v, w))
+    monkeypatch.setattr(finite, "_strict_block", _with_pairs(events, pairs))
+    with pytest.raises(RuntimeError, match=re.escape(_first_violation(events, pairs))):
         build(events, CAUSAL)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("doctored", ["loop", "two-way", "intransitive"])
+def test_build_reports_violation_inside_one_row_tile(monkeypatch, doctored, direction):
+    # every doctored cell and the triple behind it lie in the first row
+    # tile of the first band; the kernel answers the forward order.  A
+    # loop (u, u) counts as an antisymmetric pair, as in input order.
+    events = _multiblock_set(4)
+    rows = TILE_CELLS // MULTI
+    assert rows < BLOCK
+    u, v, w = _violating_triple(
+        events, ((u, v, w) for u in range(rows) for v in range(u + 1, rows) for w in range(rows))
+    )
+    pairs = {"loop": [(u, u)], "two-way": [(v, u)], "intransitive": [(v, w)]}[doctored]
+    monkeypatch.setattr(finite, "_strict_block", _with_pairs(events, pairs))
+    message = _first_violation(events, pairs, direction)
+    assert message.startswith("transitivity" if doctored == "intransitive" else "antisymmetry")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        build(events, OrderSpec(OrderKind.CAUSAL, 1.0, direction))
 
 
 @pytest.mark.parametrize("direction", list(Direction))
 def test_multiblock_reconstruct_matches_witness_definition(direction):
     events = _multiblock_set(6, dim=1)
     fcs = build(events, OrderSpec(OrderKind.SUBLUMINAL, 1.0, direction))
-    rel = fcs.relation
+    assert np.array_equal(reconstruct_order(fcs), _witness_reconstruction(events, fcs.relation))
+
+
+def _witness_reconstruction(events, rel):
+    """reconstruct_order by its definition, one row at a time."""
+    n = len(events)
     ids = {}
-    value = np.array([ids.setdefault(e, len(ids)) for e in events])
+    value = np.array([ids.setdefault(e, len(ids)) for e in events], dtype=int)
     eq = value[:, None] == value[None, :]
     above_j = rel & ~eq  # w above j and not equal to j
-    expected = np.zeros((MULTI, MULTI), dtype=bool)
-    for i in range(MULTI):
+    expected = np.zeros((n, n), dtype=bool)
+    for i in range(n):
         # some witness w above j, equal to neither endpoint, not above i
         escapes = above_j & ~(eq[i] | rel[i])[None, :]
         expected[i] = rel[i] | ~escapes.any(axis=1)
     np.fill_diagonal(expected, False)
-    assert np.array_equal(reconstruct_order(fcs), expected)
+    return expected
+
+
+# Set sizes at the edges of the kernel's row tiles and of the bands: a
+# set of up to ONE_TILE events fits one tile, 2 * BLOCK + 1 events leave
+# a one-row band, and from SPLIT events on the first band splits into
+# two row tiles, the second of one row.
+ONE_TILE = math.isqrt(TILE_CELLS)
+SPLIT = TILE_CELLS // BLOCK + 1
+EDGE_SIZES = sorted({0, 1, 2, ONE_TILE - 1, ONE_TILE, ONE_TILE + 1,
+                     BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, SPLIT})
+
+
+@pytest.mark.parametrize("n", EDGE_SIZES)
+def test_build_matches_brute_force_at_tile_and_band_edges(n):
+    for dim in (1, 2):
+        events = _multiblock_set(n + dim, dim, n)
+        t = np.array([e.t for e in events])
+        xs = np.array([e.x for e in events]).reshape(n, dim)
+        for kind in OrderKind:
+            fwd = _strict_block(kind, 1.0, t, xs, t, xs)  # every cell, input order
+            for direction in Direction:
+                fcs = build(events, OrderSpec(kind, 1.0, direction))
+                rel = fwd.T if direction is Direction.BACKWARD else fwd
+                assert np.array_equal(fcs.relation, rel)
+                assert np.array_equal(fcs.relation & ~fcs.covers, _two_step(rel))
+                assert hasse(fcs) == list(map(tuple, np.argwhere(rel & ~_two_step(rel)).tolist()))
+                assert fcs.minimal.tolist() == np.flatnonzero(~rel.any(axis=0)).tolist()
+                if kind is OrderKind.SUBLUMINAL:
+                    assert np.array_equal(reconstruct_order(fcs),
+                                          _witness_reconstruction(events, rel))
