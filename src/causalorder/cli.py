@@ -252,7 +252,7 @@ def cmd_counterexample(args, argv) -> int:
             raise ValueError(f"basepoint needs {n} coordinates")
     else:
         x0 = hs.anchors[0][0]
-    if args.base_t is not None and abs(args.base_t - hs.height(x0)) > 1e-9:
+    if args.base_t is not None and not abs(args.base_t - hs.height(x0)) <= 1e-9:  # nan too
         raise ValueError("surface does not pass through the requested base event")
     origin = hs.graph_event(x0)
     d = [0.0] * n

@@ -53,8 +53,8 @@ class ConeOracle:
                 f"probe box needs {self.dimension + 1} axes, got {len(box)}"
             )
         for lo, hi in box:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("probe box axes need finite lo < hi")
+            if not (lo < hi and math.isfinite(hi - lo)):  # uniform draws need a finite width
+                raise ValueError("probe box axes need lo < hi with finite hi - lo")
         object.__setattr__(self, "probe_box", box)
 
 
@@ -114,7 +114,8 @@ def affine_cone(base: ConeOracle, matrix) -> ConeOracle:
         raise ValueError(f"matrix must have shape ({n + 1}, {n + 1})")
 
     def member(e: Event) -> bool:
-        vec = m @ np.array(list(e.x) + [e.t])
+        with np.errstate(over="ignore", invalid="ignore"):  # Event rejects what is not finite
+            vec = m @ np.array(list(e.x) + [e.t])
         return base.membership(Event(float(vec[-1]), tuple(float(v) for v in vec[:-1])))
 
     return ConeOracle(member, n, base.probe_box)
@@ -153,14 +154,13 @@ def check_invariance(
     lo = np.array([a for a, _ in oracle.probe_box])
     hi = np.array([b for _, b in oracle.probe_box])
     draws = rng.uniform(lo, hi, size=(n_samples, n + 1))
-    events = [Event(float(r[-1]), tuple(float(v) for v in r[:-1])) for r in draws]
+    events = [Event(r[-1], r[:-1]) for r in draws.tolist()]
     checks = 0
     for i, e in enumerate(events):
         member = oracle.membership(e)
         if n > 0:
             q = _haar_orthogonal(rng, n)
-            rx = q @ np.asarray(e.x)
-            rot = Event(e.t, tuple(float(v) for v in rx))
+            rot = Event(e.t, (q @ np.asarray(e.x)).tolist())
             checks += 1
             if oracle.membership(rot) != member:
                 return InvarianceReport(
@@ -179,7 +179,7 @@ def check_invariance(
             )
         if i + 1 < len(events):
             u, v = e, events[i + 1]
-            shift = tuple(float(s) for s in rng.uniform(lo[:n], hi[:n])) if n else ()
+            shift = tuple(rng.uniform(a, b) for a, b in oracle.probe_box[:n])
             su = Event(u.t, tuple(a + d for a, d in zip(u.x, shift)))
             sv = Event(v.t, tuple(a + d for a, d in zip(v.x, shift)))
             checks += 1

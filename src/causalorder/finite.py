@@ -71,8 +71,8 @@ class SprinkleConfig:
                 f"box needs {self.dimension + 1} axes (space then time), got {len(box)}"
             )
         for lo, hi in box:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError("box axes need finite lo < hi")
+            if not (lo < hi and math.isfinite(hi - lo)):  # uniform draws need a finite width
+                raise ValueError("box axes need lo < hi with finite hi - lo")
         object.__setattr__(self, "box", box)
 
 

@@ -15,11 +15,13 @@ batched form of order.distance with the same accumulation order.
 Hypersurface.heights evaluates the envelope over all anchors for an
 array of points in row tiles, with the bits of the per-anchor scalar
 expression min(h_i + k * distance(x, x_i)); height is its one-point
-case, and Grading.values, is_antichain_sample and grading_monotone_on
-lift or grade all their points with one heights call.  The Lipschitz
-check, one scan over row tiles of the upper triangle of anchor pairs,
-names the first violating pair a pair loop would.  is_antichain_sample
-asks order._comparable_block, the comparability form of the rectangular
+case, the same bits from order._point_distances over the contiguous
+anchor columns, with no 2-D array or tile loop.  Grading.values,
+is_antichain_sample and grading_monotone_on lift or grade all their
+points with one heights call.  The Lipschitz check, one scan over row
+tiles of the upper triangle of anchor pairs, names the first violating
+pair a pair loop would.  is_antichain_sample asks
+order._comparable_block, the comparability form of the rectangular
 batched cone kernel, whether any two lifted points are related.
 """
 
@@ -39,6 +41,7 @@ from .order import (
     _coordinates,
     _distances,
     _first_upper_hit,
+    _point_distances,
 )
 from .worldlines import PolyWorldLine
 
@@ -81,10 +84,7 @@ class Hypersurface:
             )
         if bad is not None:
             raise ValueError(f"anchors {bad[0]} and {bad[1]} violate the Lipschitz bound")
-        # heights reads one contiguous column per anchor axis, scales by
-        # k as a 0-d array and adds the anchor heights as a (1, k) row:
-        # for a single point, numpy's strided and broadcasting loops and
-        # its Python-scalar conversion cost more than the arithmetic
+        # height and heights read one contiguous column per anchor axis
         axes = np.asfortranarray(xs)
         for a in (xs, hs, axes):
             a.flags.writeable = False
@@ -94,8 +94,6 @@ class Hypersurface:
         object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_hs", hs)
         object.__setattr__(self, "_axes", axes)
-        object.__setattr__(self, "_k", np.array(k))
-        object.__setattr__(self, "_hrow", hs[None, :])
         object.__setattr__(self, "_rows", max(1, TILE_CELLS // count))
 
     @property
@@ -115,17 +113,25 @@ class Hypersurface:
         with np.errstate(over="ignore"):  # overflow to inf, silently, as in the scalar route
             for i0 in range(0, len(xs), rows):
                 env = _distances(xs[i0:i0 + rows], axes)
-                np.multiply(env, self._k, out=env)  # type: ignore[attr-defined]
-                np.add(env, self._hrow, out=env)  # type: ignore[attr-defined]
+                env *= self.modulus
+                env += self._hs  # type: ignore[attr-defined]
                 np.minimum.reduce(env, axis=1, out=out[i0:i0 + rows])
         return out
 
     def height(self, x: Sequence[float]) -> float:
-        """h(x), the one-point case of heights."""
-        return self.heights([x]).item()
+        """h(x), the one-point case of heights, with its bits: the same
+        anchor distances, scaled by k and shifted by h_i in the same order."""
+        axes = self._axes  # type: ignore[attr-defined]
+        if len(x) != axes.shape[1]:
+            raise ValueError(f"dimension mismatch: {len(x)} vs {axes.shape[1]}")
+        with np.errstate(over="ignore"):  # overflow to inf, silently, as in heights
+            env = _point_distances(x, axes)
+            env *= self.modulus
+            env += self._hs  # type: ignore[attr-defined]
+        return float(env.min())
 
     def graph_event(self, x: Sequence[float]) -> Event:
-        return Event(self.height(x), tuple(float(v) for v in x))
+        return Event(self.height(x), x)
 
 
 def make_hypersurface(

@@ -15,8 +15,11 @@ caller passes one explicitly.
 The strict cone test is written once, as the scalar _strictly_before
 and the rectangular batched kernel _strict_block, which decides it for
 an (m, k) block of event pairs from time and coordinate arrays with the
-same operations in the same order.  Distances come from distance and
-its batched form _distances.  finite.build fills its relation matrices
+same operations in the same order.  The scalar comparison is
+_cone_sign: one distance and one c*dt place a pair inside, on or
+outside the cone, for _strictly_before and classify_pair alike.
+Distances come from distance and its batched form _distances, whose
+one-row case _point_distances serves Hypersurface.height.  finite.build fills its relation matrices
 with _strict_block in row tiles of at most TILE_CELLS cells, in
 time-ordered BLOCK-row bands once a set outgrows one tile;
 _comparable_block (strict either way, or equal) answers pairwise_comparable,
@@ -71,7 +74,7 @@ _MIRROR = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A space-time point: time coordinate plus spatial tuple."""
 
@@ -80,10 +83,10 @@ class Event:
 
     def __post_init__(self) -> None:
         t = float(self.t)
-        x = tuple(float(v) for v in self.x)
+        x = tuple(map(float, self.x))
         if len(x) > MAX_SPACE_DIM:
             raise ValueError(f"space dimension {len(x)} exceeds {MAX_SPACE_DIM}")
-        if not math.isfinite(t) or not all(math.isfinite(v) for v in x):
+        if not math.isfinite(t) or not all(map(math.isfinite, x)):
             raise ValueError("event coordinates must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
@@ -95,7 +98,7 @@ class Event:
 
 def event(t: float, *xs: float) -> Event:
     """Shorthand constructor: event(t, x1, ..., xn)."""
-    return Event(float(t), tuple(float(v) for v in xs))
+    return Event(t, xs)
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,8 @@ class OrderSpec:
 
 
 def _require_same_dim(u: Event, v: Event) -> None:
-    if u.n != v.n:
-        raise ValueError(f"dimension mismatch: {u.n} vs {v.n}")
+    if len(u.x) != len(v.x):
+        raise ValueError(f"dimension mismatch: {len(u.x)} vs {len(v.x)}")
 
 
 def distance(a: Iterable[float], b: Iterable[float]) -> float:
@@ -155,19 +158,47 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
+def _point_distances(p: Sequence[float], b: np.ndarray) -> np.ndarray:
+    """The (k,) vector of ||b_j - p|| for one point p of n floats: the
+    one-row case of _distances, with its accumulation order and so its
+    bits, and no 2-D broadcast.  It reads b one axis column at a time,
+    contiguous when b is Fortran-ordered.  Callers hold
+    np.errstate(over="ignore")."""
+    if not len(p):
+        return np.zeros(len(b))
+    dist = b[:, 0] - p[0]
+    dist *= dist
+    for axis in range(1, len(p)):
+        d = b[:, axis] - p[axis]
+        d *= d
+        dist += d
+    return np.sqrt(dist, out=dist)
+
+
+def _cone_sign(c: float, dt: float, a: Sequence[float], b: Sequence[float]) -> int:
+    """Where the event (dt, b) lies from (0, a) against the speed-c cone,
+    for dt > 0: 1 strictly inside (dist < c*dt), 0 on it (dist == c*dt),
+    -1 outside.  One distance and one c*dt decide both cone orders: u < v
+    is sign >= 0 causally and sign > 0 subluminally.  The scalar cone
+    comparison is written here only."""
+    dist = distance(a, b)
+    cdt = c * dt
+    return 1 if dist < cdt else 0 if dist <= cdt else -1
+
+
 def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:
     """The strict forward cone test, u < v: dt > 0 and dist <= c*dt
     (causal), dist < c*dt (subluminal), or dt > 0 alone (temporal).
-    leq, classify_pair (after its eps > 0 band), reconstruct_causal_analytic
-    and cones.standard_cone all decide through it; _strict_block is its
-    batched form."""
+    leq, reconstruct_causal_analytic and cones.standard_cone decide
+    through it, and classify_pair through its _cone_sign; _strict_block
+    is its batched form."""
     dt = v.t - u.t
     if not dt > 0.0:
         return False
     if kind is OrderKind.TEMPORAL:
         return True
-    dist = distance(u.x, v.x)
-    return dist <= c * dt if kind is OrderKind.CAUSAL else dist < c * dt
+    sign = _cone_sign(c, dt, u.x, v.x)
+    return sign >= 0 if kind is OrderKind.CAUSAL else sign > 0
 
 
 def _coordinates(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray]:
@@ -288,19 +319,16 @@ def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
     if backward:
         u, v = v, u
     dt = v.t - u.t
-    if eps > 0.0 and dt > 0.0:
-        dist = distance(u.x, v.x)
-        cdt = c * dt
-        on_light = abs(dist - cdt) <= eps * max(dist, cdt)
-    else:
-        on_light = False
-    if on_light:
-        cls = PairClass.LIGHTLIKE_FORWARD
-    elif _strictly_before(OrderKind.CAUSAL, c, u, v):
-        timelike = _strictly_before(OrderKind.SUBLUMINAL, c, u, v)
-        cls = PairClass.TIMELIKE_FORWARD if timelike else PairClass.LIGHTLIKE_FORWARD
-    else:
+    if not dt > 0.0:
         return PairClass.SPACELIKE
+    sign = _cone_sign(c, dt, u.x, v.x)
+    if sign and eps > 0.0:  # the explicit float band around the cone
+        dist, cdt = distance(u.x, v.x), c * dt
+        if abs(dist - cdt) <= eps * max(dist, cdt):
+            sign = 0
+    if sign < 0:
+        return PairClass.SPACELIKE
+    cls = PairClass.TIMELIKE_FORWARD if sign > 0 else PairClass.LIGHTLIKE_FORWARD
     return _MIRROR[cls] if backward else cls
 
 

@@ -95,7 +95,11 @@ class PolyWorldLine:
         return Event(t, self.eval(t))
 
     def is_chain(self, spec: OrderSpec, sample_times: Sequence[float]) -> bool:
-        """Pairwise comparability of the line at the given times."""
+        """Pairwise comparability of the line at the given times: a
+        sampled check on rounded points, not a proof about the exact
+        line.  The rounded points of a light-speed stretch in a generic
+        direction lie an ulp off each other's light cones, so they are
+        usually not a chain although the exact line is one."""
         t0, t1 = self.window
         for t in sample_times:
             if t < t0 or t > t1:

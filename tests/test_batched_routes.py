@@ -201,20 +201,28 @@ def test_heights_match_height_bit_for_bit():
         warnings.simplefilter("error")  # an unsilenced overflow fails
         for n in range(4):
             for count in (1, 200):
-                for scale in (1.0, 1e200):
+                for scale in (1.0, 1e200, 1e300):
                     hs = _norm_surface(rng, n, count, scale)
-                    # 700 points span several row tiles at 200 anchors;
-                    # near 1e200 the squared offsets overflow to inf
-                    pts = np.concatenate([rng.uniform(-8, 8, (650, n)),
-                                          rng.uniform(-1, 1, (50, n)) * 1e200])
+                    # ~700 points span several row tiles at 200 anchors;
+                    # near 1e200 and 1e300 the squared offsets overflow
+                    # to inf; at an anchor itself they are 0
+                    pts = np.concatenate([rng.uniform(-8, 8, (600, n)),
+                                          rng.uniform(-1, 1, (50, n)) * 1e200,
+                                          rng.uniform(-1, 1, (45, n)) * 1e300,
+                                          hs._xs[:5]])
                     got = hs.heights(pts)
-                    assert got.shape == (700,) and got.dtype == np.float64
-                    assert got.tolist() == [hs.height(x) for x in pts.tolist()], (n, count, scale)
+                    assert got.shape == (len(pts),) and got.dtype == np.float64
+                    one = [hs.height(x) for x in pts.tolist()]
+                    assert all(type(h) is float for h in one)
+                    assert [h.hex() for h in one] == [h.hex() for h in got.tolist()], (n, count, scale)
                     assert hs.heights(pts.tolist()).tolist() == got.tolist()
                     surfaces += 1
-    assert surfaces == 16
+    assert surfaces == 24
     hs = _norm_surface(rng, 2, 200)
-    assert np.isinf(hs.heights([(1e200, 0.0)])).all()
+    assert np.isinf(hs.heights([(1e200, 0.0)])).all() and math.isinf(hs.height((1e300, 0.0)))
     assert hs.heights(np.empty((0, 2))).shape == (0,)
     with pytest.raises(ValueError, match=r"^dimension mismatch: 3 vs 2$"):
         hs.heights(np.zeros((4, 3)))
+    for bad in ((), (0.0,), (0.0, 0.0, 0.0)):  # the one-point case says the same
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: {len(bad)} vs 2$"):
+            hs.height(bad)

@@ -399,3 +399,152 @@ def test_reports_are_deterministic(event_file):
         for _ in range(3)
     }
     assert len(outputs) == 1
+
+
+# Hostile inputs for every subcommand.  Event rows are `t x y` under a
+# 2+1 header, surface rows `h x y`, world-line rows `t x` under a 1+1
+# header; "nine" files claim nine space axes.
+_EV2 = "dim=2 c=1 order=causal dir=fwd\n"
+_WL1 = "dim=1 c=1 order=causal dir=fwd\n"
+_NINE = " ".join(["0"] * 10)
+HOSTILE_FILES = {
+    "ev_ok": _EV2 + "0 0 0\n1 0.5 0\n2 0 0.5\n0.5 3 0\n",
+    "ev_nan": _EV2 + "0 0 0\nnan 0 0\n",
+    "ev_inf": _EV2 + "0 0 0\n1 inf 0\n",
+    "ev_huge": _EV2 + "0 0 0\n1e308 -1e308 1e308\n-1e308 1e308 -1e308\n1 1e308 0\n",
+    "ev_negzero": _EV2 + "-0.0 -0.0 0.0\n0 0 -0.0\n1 0.5 -0.0\n",
+    "ev_nine": "dim=9 c=1 order=causal dir=fwd\n" + _NINE + "\n",
+    "ev_ninerow": _EV2 + _NINE + "\n",
+    "ev_empty": "",
+    "ev_header": _EV2,
+    "ev_1d": "dim=1 c=1 order=causal dir=fwd\n0 0\n1 0.5\n",
+    "sf_ok": "dim=2 c=1 k=0.5\n0 0 0\n2.5 3 4\n",
+    "sf_nan": "dim=2 c=1 k=0.5\n0 nan 0\n",
+    "sf_inf": "dim=2 c=1 k=0.5\ninf 0 0\n",
+    "sf_huge": "dim=2 c=1 k=0.5\n0 1e308 0\n0 -1e308 0\n1e308 0 1e308\n",
+    "sf_negzero": "dim=2 c=1 k=0.5\n-0.0 -0.0 0.0\n",
+    "sf_nine": "dim=9 c=1 k=0.5\n" + _NINE + "\n",
+    "sf_empty": "",
+    "sf_1d": "dim=1 c=1 k=0.5\n0 0\n",
+    "wl_ok": _WL1 + "-5 2\n5 2\n",
+    "wl_nan": _WL1 + "-5 nan\n5 0\n",
+    "wl_inf": _WL1 + "-5 0\ninf 0\n",
+    "wl_huge": _WL1 + "-1e308 0\n1e308 1e308\n",
+    "wl_huge_static": _WL1 + "-1e308 0\n1e308 0\n",
+    "wl_negzero": _WL1 + "-5 -0.0\n5 0.0\n",
+    "wl_nine": "dim=9 c=1 order=causal dir=fwd\n" + _NINE + "\n1" + _NINE[1:] + "\n",
+    "wl_empty": "",
+    "wl_2d": "dim=2 c=1 order=causal dir=fwd\n-5 2 0\n5 2 0\n",
+}
+
+# (argv with {name} standing for the path of HOSTILE_FILES[name], exit code)
+_EVENT_CODES = {  # hasse, cutset-check of {0}, reconstruct (both modes), relate 0 1, grade
+    "ev_ok": (0, 1, 0, 0, 0), "ev_huge": (0, 1, 0, 0, 0), "ev_negzero": (0, 1, 0, 0, 0),
+    "ev_1d": (0, 0, 0, 0, 2), "ev_header": (0, 2, 0, 2, 0), "ev_nan": (2, 2, 2, 2, 2),
+    "ev_inf": (2, 2, 2, 2, 2), "ev_nine": (2, 2, 2, 2, 2), "ev_ninerow": (2, 2, 2, 2, 2),
+    "ev_empty": (2, 2, 2, 2, 2),
+}
+_SURFACE_CODES = {  # grade ev_ok, counterexample, crossing wl_ok
+    "sf_ok": (0, 0, 2), "sf_1d": (2, 0, 0), "sf_huge": (0, 0, 2), "sf_negzero": (0, 0, 2),
+    "sf_nan": (2, 2, 2), "sf_inf": (2, 2, 2), "sf_nine": (2, 2, 2), "sf_empty": (2, 2, 2),
+}
+_LINE_CODES = {  # crossing against sf_1d
+    "wl_ok": 0, "wl_huge_static": 0, "wl_negzero": 0, "wl_huge": 2, "wl_nan": 2, "wl_inf": 2,
+    "wl_nine": 2, "wl_empty": 2, "wl_2d": 2,
+}
+HOSTILE_CASES = [
+    (["sprinkle", "--count", "5", "--dim", "9", "--box=0:1", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=nan:1", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=-inf:inf", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=-1e308:1e308", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=-0.0:0.0", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=0:1e308", "--out", "{out}"], 0),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=0:1", "--c", "0", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "-1", "--dim", "1", "--box=0:1", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "2", "--box=0:1,0:1", "--out", "{out}"], 2),
+    *[case for name, (hasse_, cut, rec, rel, grade) in _EVENT_CODES.items() for case in [
+        (["hasse", f"{{{name}}}"], hasse_),
+        (["cutset-check", f"{{{name}}}", "--indices", "0"], cut),
+        (["reconstruct", f"{{{name}}}"], rec),
+        (["reconstruct", f"{{{name}}}", "--mode", "sampled"], rec),
+        (["relate", f"{{{name}}}", "0", "1"], rel),
+        (["grade", f"{{{name}}}", "--surface", "{sf_ok}"], grade),
+    ]],
+    (["relate", "{ev_ok}", "0", "4"], 2),
+    (["relate", "{ev_ok}", "-1", "0"], 2),
+    (["relate", "{ev_ok}", "0", "1", "--c", "0"], 2),
+    (["relate", "{ev_huge}", "1", "2", "--c", "1e308", "--tol", "0.5"], 0),
+    (["relate", "{ev_ok}", "0", "1", "--tol", "nan"], 2),
+    (["hasse", "{ev_ok}", "--c", "0"], 2),
+    (["hasse", "{ev_huge}", "--c", "1e-308"], 0),
+    (["cutset-check", "{ev_ok}", "--indices", "4"], 2),
+    (["cutset-check", "{ev_ok}", "--indices", "-1"], 2),
+    (["reconstruct", "{ev_ok}", "--c", "0"], 2),
+    (["reconstruct", "{ev_ok}", "--mode", "sampled", "--c", "0"], 2),
+    *[case for name, (grade, counter, cross) in _SURFACE_CODES.items() for case in [
+        (["grade", "{ev_ok}", "--surface", f"{{{name}}}"], grade),
+        (["counterexample", "--surface", f"{{{name}}}", "--samples", "50"], counter),
+        (["crossing", "--surface", f"{{{name}}}", "--worldline", "{wl_ok}"], cross),
+    ]],
+    *[(["crossing", "--surface", "{sf_1d}", "--worldline", f"{{{name}}}"], code)
+      for name, code in _LINE_CODES.items()],
+    (["crossing", "--surface", "{sf_1d}", "--worldline", "{wl_ok}", "--tol", "1e308"], 0),
+    (["grade", "{ev_huge}", "--surface", "{sf_huge}"], 0),
+    (["counterexample", "--surface", "{sf_ok}", "--samples", "0"], 0),
+    (["counterexample", "--surface", "{sf_ok}", "--samples", "-1"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--basepoint", "nan,0"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--basepoint", "1e308,0"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--basepoint", "0"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--base-t", "nan"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--light-dir", "0,0"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--light-dir", "1e308,0"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--t-len", "-0.0"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--t-len", "nan"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--t-len", "1e308"], 2),
+    (["counterexample", "--surface", "{sf_huge}", "--samples", "20", "--t-len", "1e300"], 2),
+    (["cone-classify", "--oracle", "causal:1:fwd", "--dim", "9"], 2),
+    (["cone-classify", "--oracle", "causal:0:fwd", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "causal:nan:fwd", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "causal:inf:fwd", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "subluminal:-0.0:bwd", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "causal:1e308:fwd", "--dim", "2",
+      "--invariance-samples", "50"], 0),
+    (["cone-classify", "--oracle", "affine:nan,0;0,1:causal:1:fwd", "--dim", "1",
+      "--invariance-samples", "20"], 2),
+    (["cone-classify", "--oracle", "affine:inf,0;0,1:causal:1:fwd", "--dim", "1",
+      "--invariance-samples", "20"], 2),
+    (["cone-classify", "--oracle", "affine:1e308,0;0,1e308:causal:1:fwd", "--dim", "1",
+      "--invariance-samples", "20"], 2),
+    (["cone-classify", "--oracle", "affine:1,0;0,1:causal:1:fwd", "--dim", "2"], 2),
+    (["cone-classify", "--oracle", "temporal:fwd", "--dim", "1", "--invariance-samples", "0"], 0),
+    (["cone-classify", "--oracle", "temporal:fwd", "--dim", "1", "--invariance-samples", "-1"], 2),
+    (["cone-classify", "--oracle", "temporal:fwd", "--dim", "1", "--budget", "0"], 2),
+]
+
+
+@pytest.fixture(scope="module")
+def hostile_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    paths = {"out": str(root / "out.txt")}
+    for name, text in HOSTILE_FILES.items():
+        (root / f"{name}.txt").write_text(text)
+        paths[name] = str(root / f"{name}.txt")
+    return paths
+
+
+def test_hostile_table_covers_every_subcommand():
+    commands = {"sprinkle", "relate", "hasse", "cutset-check", "grade", "crossing",
+                "reconstruct", "counterexample", "cone-classify"}
+    assert {argv[0] for argv, _ in HOSTILE_CASES} == commands
+    code, out, _ = run(["--help"])  # usage: causalorder [-h] {sprinkle,relate,...} ...
+    assert code == 0 and set(out.split("{", 1)[1].split("}", 1)[0].split(",")) == commands
+
+
+@pytest.mark.parametrize("argv, code", HOSTILE_CASES, ids=[" ".join(a) for a, _ in HOSTILE_CASES])
+def test_hostile_input_exits_cleanly(hostile_paths, argv, code):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out, err = run([a.format(**hostile_paths) for a in argv])
+    text = out + err
+    assert not caught and "Traceback" not in text and "Warning" not in text
+    assert (got, sum(l.startswith("error:") for l in text.splitlines())) == (code, code == 2)
