@@ -39,7 +39,6 @@ from .order import (
     _equal_block,
     classify_pair,
     leq,
-    pairwise_comparable,
 )
 from .worldlines import canonical_gap_chain
 
@@ -242,6 +241,8 @@ def cmd_reconstruct(args, argv) -> int:
 
 
 def cmd_counterexample(args, argv) -> int:
+    if args.samples < 0:
+        raise ValueError("samples must be >= 0")
     hs = fileio.read_surface(args.surface)
     n = hs.dimension
     if n < 1:
@@ -275,11 +276,19 @@ def cmd_counterexample(args, argv) -> int:
         raise ValueError("tol must be >= 0")
     events = [Event(t, chain._position(t)) for t in times]
     hits = int(np.count_nonzero(np.abs(Grading(hs).values(events)) <= args.tol))
-    sample = chain.sample_events(per_branch=60)
-    chain_ok = pairwise_comparable(OrderSpec(OrderKind.SUBLUMINAL, hs.c), sample)
+    # a static ray at x_r meets the surface only at t = h(x_r)
+    ray_heights = hs.heights([ray.anchor_x for ray in chain.rays])
+    if not np.isfinite(ray_heights).all():
+        raise ValueError("surface height at the chain overflows")
+    avoided = not any(ray.covers(h) for ray, h in zip(chain.rays, ray_heights.tolist()))
+    # two rays open at their anchors form a chain iff the anchors are causally ordered
+    below, above = sorted(chain.rays, key=lambda ray: ray.span)
+    chain_ok = leq(OrderSpec(OrderKind.CAUSAL, chain.c), Event(below.anchor_t, below.anchor_x),
+                   Event(above.anchor_t, above.anchor_x))
     spans = chain.time_image()
     rep = Report(argv, seed=args.seed)
     rep.add(f"surface_hits {hits} / {args.samples}")
+    rep.add(f"surface_avoided_certified {str(avoided).lower()}")
     rep.add(f"chain_ok {str(chain_ok).lower()}")
     for s in spans:
         lo = "-inf" if s.lo == -np.inf else _fmt(s.lo)
@@ -290,7 +299,7 @@ def cmd_counterexample(args, argv) -> int:
     omitted = all(s.hi <= gap_lo or s.lo >= gap_hi for s in spans)
     rep.add(f"time_gap_certified {str(omitted).lower()}")
     rep.emit()
-    return 0 if hits == 0 and chain_ok and omitted else 1
+    return 0 if hits == 0 and avoided and chain_ok and omitted else 1
 
 
 def cmd_cone_classify(args, argv) -> int:

@@ -13,6 +13,10 @@ removed light-speed segment.  Every point of it is strictly time-like
 to the construction origin, so the chain misses every subluminal
 antichain containing that origin, while its time image omits the whole
 gap interval.
+
+Extension probes are decided on the exact line, not on samples of it:
+two distinct events at one time are incomparable in every order, so a
+probe at a covered time must be the line's own point there.
 """
 
 from __future__ import annotations
@@ -21,16 +25,15 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .order import Direction, Event, OrderKind, OrderSpec, comparable, distance, pairwise_comparable
+from .order import (Direction, Event, OrderKind, OrderSpec, comparable, distance, leq,
+                    pairwise_comparable, strictly_below)
 
 SPEED_REL_TOL = 1e-9
 DIR_DOT_TOL = 1e-12
-EXTEND_PROBE_GRID = 33
 
 
 @dataclass(frozen=True)
@@ -107,22 +110,21 @@ class PolyWorldLine:
         return pairwise_comparable(spec, [self.event_at(t) for t in sample_times])
 
     def extend_probe(self, p: Event, spec: OrderSpec) -> bool:
-        """Whether p is comparable to the line at a vertex-plus-probe
-        sample: the point sharing p's time, all vertices, and a uniform
-        grid of EXTEND_PROBE_GRID times over the window.  False means p
-        cannot extend the chain."""
+        """Whether p is comparable with every point of the line: p must be
+        the line's point at p.t, which the causal and temporal orders
+        relate to all of the line by construction (up to SPEED_REL_TOL);
+        the subluminal order also needs p off every closed light-speed
+        run.  False means p cannot extend the chain."""
         t0, t1 = self.window
         if p.t < t0 or p.t > t1:
             raise ValueError("probe time outside window; maximality is window-relative")
-        if not comparable(spec, p, self.event_at(p.t)):
+        if p.n != self.n:
+            raise ValueError(f"dimension mismatch: {p.n} vs {self.n}")
+        if p != self.event_at(p.t):
             return False
-        for t, x in self.vertices:
-            if not comparable(spec, p, Event(t, x)):
-                return False
-        for t in np.linspace(t0, t1, EXTEND_PROBE_GRID):
-            if not comparable(spec, p, self.event_at(float(t))):
-                return False
-        return True
+        return spec.kind is not OrderKind.SUBLUMINAL or not any(
+            seg.t_start <= p.t <= seg.t_end for seg in self.light_segments()
+        )
 
     def light_segments(self) -> tuple["LightSegment", ...]:
         """Maximal runs of consecutive segments at speed exactly c
@@ -235,7 +237,8 @@ class GapWorldLine:
 
     Either base-backed (a PolyWorldLine minus gap interiors and the
     non-kept endpoint of every gap) or ray-backed (straight branches
-    with open anchors, used for the canonical two-ray chain).
+    with open anchors, used for the canonical two-ray chain).  Its
+    pieces, built once, pair each time span with its position map.
     """
 
     c: float
@@ -246,23 +249,26 @@ class GapWorldLine:
     def __post_init__(self) -> None:
         if self.base is None and not self.rays:
             raise ValueError("need a base world line or at least one ray")
+        pieces = []
+        for ray in self.rays:
+            lo, hi = (ray.anchor_t, math.inf) if ray.span > 0 else (-math.inf, ray.anchor_t)
+            pieces.append((TimeSpan(lo, hi, False, False), ray.position))
+        if self.base is not None:
+            lo, lo_closed = self.base.window[0], True
+            for gap in sorted(self.gaps, key=lambda g: g.segment.t_start):
+                seg = gap.segment
+                span = TimeSpan(lo, seg.t_start, lo_closed, gap.kept_end is KeptEnd.LOWER)
+                pieces.append((span, self.base.eval))
+                lo, lo_closed = seg.t_end, gap.kept_end is KeptEnd.UPPER
+            pieces.append((TimeSpan(lo, self.base.window[1], lo_closed, True), self.base.eval))
+        # no field, so equality and hashing ignore it
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     @property
     def n(self) -> int:
         if self.base is not None:
             return self.base.n
         return len(self.rays[0].anchor_x)
-
-    def _time_in_base_set(self, t: float) -> bool:
-        for gap in self.gaps:
-            seg = gap.segment
-            if seg.t_start < t < seg.t_end:
-                return False
-            if t == seg.t_start and gap.kept_end is not KeptEnd.LOWER:
-                return False
-            if t == seg.t_end and gap.kept_end is not KeptEnd.UPPER:
-                return False
-        return True
 
     def contains(self, p: Event, tol: float = 0.0) -> bool:
         """Membership of p in the represented point set.  tol bounds the
@@ -276,22 +282,7 @@ class GapWorldLine:
 
     def time_image(self) -> tuple[TimeSpan, ...]:
         """Per-branch time ranges of the represented set."""
-        spans: list[TimeSpan] = []
-        for ray in self.rays:
-            if ray.span < 0:
-                spans.append(TimeSpan(-math.inf, ray.anchor_t, False, False))
-            else:
-                spans.append(TimeSpan(ray.anchor_t, math.inf, False, False))
-        if self.base is not None:
-            t0, t1 = self.base.window
-            lo, lo_closed = t0, True
-            for gap in sorted(self.gaps, key=lambda g: g.segment.t_start):
-                seg = gap.segment
-                spans.append(
-                    TimeSpan(lo, seg.t_start, lo_closed, gap.kept_end is KeptEnd.LOWER)
-                )
-                lo, lo_closed = seg.t_end, gap.kept_end is KeptEnd.UPPER
-            spans.append(TimeSpan(lo, t1, lo_closed, True))
+        spans = (span for span, _ in self._pieces)  # type: ignore[attr-defined]
         return tuple(sorted(spans, key=lambda s: (s.lo, s.hi)))
 
     def sample_times(
@@ -314,7 +305,7 @@ class GapWorldLine:
             for gap in self.gaps:
                 cand.add(gap.segment.t_start)
                 cand.add(gap.segment.t_end)
-            times.extend(t for t in sorted(cand) if self._time_in_base_set(t))
+            times.extend(t for t in sorted(cand) if self._branches(t))
         for ray in self.rays:
             offs = [margin, 2.0 * margin, 5.0 * margin]
             offs.extend(float(o) for o in np.linspace(10.0 * margin, reach, per_branch))
@@ -329,31 +320,15 @@ class GapWorldLine:
             out.append(Event(t, self._position(t)))
         return out
 
-    def _branches(self, t: float) -> Iterator[tuple[float, ...]]:
+    def _branches(self, t: float) -> list[tuple[float, ...]]:
         """Positions of the point set at time t: rays covering t first,
         then the base line when t lies in its window outside the gaps."""
-        for ray in self.rays:
-            if ray.covers(t):
-                yield ray.position(t)
-        if self.base is not None:
-            t0, t1 = self.base.window
-            if t0 <= t <= t1 and self._time_in_base_set(t):
-                yield self.base.eval(t)
+        return [at(t) for span, at in self._pieces if span.contains(t)]  # type: ignore[attr-defined]
 
     def _position(self, t: float) -> tuple[float, ...]:
         for x in self._branches(t):
             return x
         raise ValueError(f"time {t!r} not covered by the point set")
-
-    @cached_property
-    def _dense_sample(self) -> list[Event]:
-        """sample_events() at its defaults, built once per line."""
-        return self.sample_events()
-
-    def probe_sample(self, p: Event) -> list[Event]:
-        """Dense sample for extension probes; points sharing p's time
-        come first so off-line probes are rejected cheaply."""
-        return [Event(p.t, x) for x in self._branches(p.t)] + self._dense_sample
 
 
 def make_gap_worldline(
@@ -385,16 +360,26 @@ def make_gap_worldline(
 
 
 def is_subluminal_chain_probe(gwl: GapWorldLine, p: Event) -> bool:
-    """Whether p is subluminally comparable with a dense sample of the
-    point set (kept gap endpoints included, removed points absent by
-    construction).  False certifies that p cannot extend the chain."""
-    spec = OrderSpec(OrderKind.SUBLUMINAL, gwl.c)
-    seen: set[Event] = set()
-    for q in gwl.probe_sample(p):
-        if q in seen:
-            continue
-        seen.add(q)
-        if not comparable(spec, p, q):
+    """Whether p is subluminally comparable with every point of the set.
+    Where a piece covers p.t, p must be its point there (the set is a
+    subluminal chain by construction).  Otherwise each piece, itself a
+    subluminal chain, lies wholly before or after p, and its near end
+    decides: strictly subluminal to a closed end (a kept gap endpoint or
+    a window end), causal <= to an open one (a removed gap endpoint or a
+    ray anchor).  False certifies that p cannot extend the chain."""
+    if p.n != gwl.n:
+        raise ValueError(f"dimension mismatch: {p.n} vs {gwl.n}")
+    here = gwl._branches(p.t)
+    if here:
+        return all(x == p.x for x in here)
+    sub = OrderSpec(OrderKind.SUBLUMINAL, gwl.c)
+    causal = OrderSpec(OrderKind.CAUSAL, gwl.c)
+    for span, at in gwl._pieces:  # type: ignore[attr-defined]
+        if span.hi <= p.t:  # the piece lies before p
+            u, v, closed = Event(span.hi, at(span.hi)), p, span.hi_closed
+        else:  # after p
+            u, v, closed = p, Event(span.lo, at(span.lo)), span.lo_closed
+        if not (strictly_below(sub, u, v) if closed else leq(causal, u, v)):
             return False
     return True
 
@@ -414,7 +399,9 @@ def canonical_gap_chain(
     endpoints are removed, the origin itself included, so every point of
     the chain is strictly time-like to `origin`: the chain avoids any
     subluminal antichain through that event.  Its time image omits the
-    whole interval [origin.t, origin.t + t_len].
+    whole interval [origin.t, origin.t + t_len]; where rounding puts the
+    hop's far end an ulp outside origin's light cone, that end comes a
+    few ulps later, so the two rays still form a chain.
 
     The backward orientation mirrors the construction in time.
     """
@@ -432,17 +419,19 @@ def canonical_gap_chain(
         raise ValueError("c must be positive and finite")
     zero = tuple(0.0 for _ in d)
     hop = tuple(x + c * t_len * v for x, v in zip(origin.x, d))
-    if orientation is Direction.FORWARD:
-        seg = LightSegment(origin.t, origin.t + t_len, d)
-        rays = (
-            Ray(origin.t, origin.x, zero, -1),
-            Ray(origin.t + t_len, hop, zero, +1),
-        )
+    span = 1 if orientation is Direction.FORWARD else -1
+    # Until the kernel relates the anchors (rounding can put hop an ulp
+    # off origin's cone), push hop's time out by 1, 2, 4, ... ulps of
+    # t_len; 2**39 ulps close no rounding gap, so then keep the start.
+    causal = OrderSpec(OrderKind.CAUSAL, c)
+    hop_t = origin.t + span * t_len
+    for k in range(40):
+        if hop_t == origin.t or comparable(causal, origin, Event(hop_t, hop)):
+            break
+        hop_t = origin.t + span * (t_len + math.ulp(t_len) * 2.0**k)
     else:
-        # Lower endpoint is the displaced position; motion runs back to origin.
-        seg = LightSegment(origin.t - t_len, origin.t, tuple(-v for v in d))
-        rays = (
-            Ray(origin.t, origin.x, zero, +1),
-            Ray(origin.t - t_len, hop, zero, -1),
-        )
+        hop_t = origin.t + span * t_len
+    # the segment runs from its lower endpoint: backward, from hop to origin
+    seg = LightSegment(min(origin.t, hop_t), max(origin.t, hop_t), tuple(span * v for v in d))
+    rays = (Ray(origin.t, origin.x, zero, -span), Ray(hop_t, hop, zero, span))
     return GapWorldLine(c=c, base=None, gaps=(Gap(seg, None),), rays=rays)

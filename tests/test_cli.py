@@ -12,7 +12,7 @@ import pytest
 from causalorder import cli, finite
 from causalorder.cli import main
 from causalorder.fileio import _fmt, read_events, read_surface, write_surface, write_worldline
-from causalorder.hypersurfaces import Grading, make_hypersurface
+from causalorder.hypersurfaces import Grading, Hypersurface, make_hypersurface
 from causalorder.order import Event, OrderKind, OrderSpec
 from causalorder.worldlines import canonical_gap_chain, make_polyline
 
@@ -318,8 +318,24 @@ def test_counterexample_certifies_gap(tmp_path):
     assert code == 0
     lines = body(out)
     assert "surface_hits 0 / 1000" in lines
+    assert "surface_avoided_certified true" in lines
     assert "chain_ok true" in lines
     assert "time_gap_certified true" in lines
+
+
+def test_counterexample_exit_follows_the_surface_certificate(monkeypatch, surface_file):
+    # heights one below the surface put the lower ray's crossing at
+    # origin.t - 1, inside its open time range; no sample lands there
+    heights = Hypersurface.heights
+    monkeypatch.setattr(Hypersurface, "heights", lambda self, points: heights(self, points) - 1.0)
+    for samples in ("0", "500"):
+        code, out, err = run(["counterexample", "--surface", str(surface_file),
+                              "--samples", samples])
+        assert (code, err) == (1, "")
+        lines = body(out)
+        assert f"surface_hits 0 / {samples}" in lines
+        assert "surface_avoided_certified false" in lines
+        assert "chain_ok true" in lines and "time_gap_certified true" in lines
 
 
 @pytest.mark.parametrize("t_len", ["1e308", "1.7e307"])
@@ -522,6 +538,15 @@ HOSTILE_CASES = [
 ]
 
 
+# lines that some hostile cases must print, on stdout or stderr
+HOSTILE_LINES = {
+    ("counterexample", "--surface", "{sf_ok}", "--samples", "0"):
+        "surface_avoided_certified true",
+    ("counterexample", "--surface", "{sf_ok}", "--samples", "-1"):
+        "error: samples must be >= 0",
+}
+
+
 @pytest.fixture(scope="module")
 def hostile_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("hostile")
@@ -536,6 +561,7 @@ def test_hostile_table_covers_every_subcommand():
     commands = {"sprinkle", "relate", "hasse", "cutset-check", "grade", "crossing",
                 "reconstruct", "counterexample", "cone-classify"}
     assert {argv[0] for argv, _ in HOSTILE_CASES} == commands
+    assert set(HOSTILE_LINES) <= {tuple(argv) for argv, _ in HOSTILE_CASES}
     code, out, _ = run(["--help"])  # usage: causalorder [-h] {sprinkle,relate,...} ...
     assert code == 0 and set(out.split("{", 1)[1].split("}", 1)[0].split(",")) == commands
 
@@ -548,3 +574,5 @@ def test_hostile_input_exits_cleanly(hostile_paths, argv, code):
     text = out + err
     assert not caught and "Traceback" not in text and "Warning" not in text
     assert (got, sum(l.startswith("error:") for l in text.splitlines())) == (code, code == 2)
+    if tuple(argv) in HOSTILE_LINES:
+        assert HOSTILE_LINES[tuple(argv)] in text.splitlines()

@@ -15,11 +15,11 @@ from causalorder.order import (
     OrderSpec,
     PairClass,
     classify_pair,
+    comparable,
     event,
     leq,
 )
 from causalorder.worldlines import (
-    GapWorldLine,
     KeptEnd,
     canonical_gap_chain,
     is_subluminal_chain_probe,
@@ -29,6 +29,7 @@ from causalorder.worldlines import (
 
 CAUSAL = OrderSpec(OrderKind.CAUSAL, 1.0)
 SUBLUMINAL = OrderSpec(OrderKind.SUBLUMINAL, 1.0)
+TEMPORAL = OrderSpec(OrderKind.TEMPORAL, 1.0)
 
 
 def zigzag(seed: int, n: int = 1, c: float = 1.0, verts: int = 6, top_speed: float = 1.0):
@@ -212,7 +213,7 @@ def test_gapped_line_is_a_subluminal_chain():
 
 
 def test_probe_own_points_and_removed_endpoint():
-    _, gwl = _gapped()
+    wl, gwl = _gapped()
     assert is_subluminal_chain_probe(gwl, event(2.0, 1.0))
     assert is_subluminal_chain_probe(gwl, event(0.0, 0.0))
     # the removed endpoint extends the causal chain but not the
@@ -222,25 +223,7 @@ def test_probe_own_points_and_removed_endpoint():
     assert classify_pair(event(0.0, 0.0), removed, 1.0) is PairClass.LIGHTLIKE_FORWARD
     # same time as a chain point, different position
     assert not is_subluminal_chain_probe(gwl, event(2.0, 0.5))
-
-
-def test_probe_sample_builds_the_dense_sample_once(monkeypatch):
-    calls = []
-    sample_events = GapWorldLine.sample_events
-
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return sample_events(self, *args, **kwargs)
-
-    monkeypatch.setattr(GapWorldLine, "sample_events", counted)
-    wl, gwl = _gapped()
-    probes = [event(2.0, 1.0), event(2.0, 0.5), event(0.0, 0.0), event(1.0, 1.0)]
-    verdicts = [is_subluminal_chain_probe(gwl, p) for p in probes]
-    assert verdicts == [True, False, True, False]
-    assert len(calls) == 1
-    p = event(2.0, 1.0)
-    assert gwl.probe_sample(p) == [p] + sample_events(gwl)
-    # the cached sample is no field: equality and hashing ignore it
+    # the pieces built with the line are no field: equality and hashing ignore them
     fresh = make_gap_worldline(wl, [KeptEnd.LOWER, KeptEnd.UPPER])
     assert gwl == fresh and hash(gwl) == hash(fresh)
 
@@ -299,6 +282,32 @@ def test_canonical_chain_backward_orientation_mirrors():
     assert not bwd.contains(event(-1.0, -1.0))  # displaced endpoint excluded
 
 
+def test_canonical_chain_anchors_are_causally_related():
+    # a generic light direction puts the rounded far end of the hop an
+    # ulp outside origin's light cone about half of the time; its time
+    # then moves out by a few ulps, so the two rays form a chain
+    rng = np.random.default_rng(3)
+    moved = 0
+    for i in range(300):
+        n = 1 + i % 3
+        origin = Event(float(rng.uniform(-5, 5)), tuple(rng.uniform(-5, 5, n).tolist()))
+        d = rng.standard_normal(n)
+        d /= np.linalg.norm(d)
+        t_len, c = float(rng.uniform(0.1, 3.0)), float(rng.choice([0.3, 1.0, 2.0]))
+        sign = 1.0 if i % 2 else -1.0
+        orientation = Direction.FORWARD if i % 2 else Direction.BACKWARD
+        gwl = canonical_gap_chain(origin, tuple(d.tolist()), t_len, c, orientation)
+        below, above = sorted(gwl.rays, key=lambda ray: ray.span)
+        assert leq(OrderSpec(OrderKind.CAUSAL, c), Event(below.anchor_t, below.anchor_x),
+                   Event(above.anchor_t, above.anchor_x))
+        far = next(ray for ray in gwl.rays if ray.anchor_t != origin.t)
+        seg = gwl.gaps[0].segment
+        assert {seg.t_start, seg.t_end} == {origin.t, far.anchor_t}
+        assert 0.0 <= sign * (far.anchor_t - (origin.t + sign * t_len)) <= 1e-13
+        moved += far.anchor_t != origin.t + sign * t_len
+    assert moved > 0
+
+
 def test_canonical_chain_probe_rejects_outsiders():
     gwl = canonical_gap_chain(event(0.0, 0.0, 0.0), (1.0, 0.0), 1.0, 1.0)
     rng = np.random.default_rng(0)
@@ -331,3 +340,102 @@ def test_canonical_chain_extension_set_is_the_removed_segment():
     for i, a in enumerate(seg_pts):
         for b in seg_pts[i + 1 :]:
             assert classify_pair(a, b, 1.0) is PairClass.LIGHTLIKE_FORWARD
+
+
+# ------------------------------------------------ probes on the exact line
+
+def generic_light_polyline(seed: int):
+    """Segments alternating between 0.3c and exactly c (c = 1) in random
+    directions, 1-3 space dimensions, slow at both ends.  Returns the
+    line and the time ranges of its light-speed segments.  Unlike the
+    dyadic, axis-aligned light stretches of criterion 4, the rounded
+    points of these lie an ulp off each other's light cones."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 3
+    t, x = float(rng.uniform(-1, 1)), rng.uniform(-1, 1, n)
+    verts = [(t, tuple(float(v) for v in x))]
+    light = []
+    for i in range(2 * int(rng.integers(1, 4)) + 1):
+        dt = float(rng.uniform(0.2, 1.5))
+        direction = rng.standard_normal(n)
+        direction /= np.linalg.norm(direction)
+        x = x + (1.0 if i % 2 else 0.3) * dt * direction
+        if i % 2:
+            light.append((t, t + dt))
+        t += dt
+        verts.append((t, tuple(float(v) for v in x)))
+    return make_polyline(verts, 1.0), light
+
+
+def test_probes_accept_every_point_of_generic_light_speed_lines():
+    for seed in range(200):
+        wl, light = generic_light_polyline(seed)
+        assert [(s.t_start, s.t_end) for s in wl.light_segments()] == light
+        rng = np.random.default_rng(seed)
+        times = [t for t, _ in wl.vertices] + [float(t) for t in rng.uniform(*wl.window, 7)]
+        for t in times:
+            p = wl.event_at(t)
+            assert wl.extend_probe(p, CAUSAL) and wl.extend_probe(p, TEMPORAL), (seed, t)
+            in_run = any(lo <= t <= hi for lo, hi in light)
+            assert wl.extend_probe(p, SUBLUMINAL) is not in_run, (seed, t)
+        kept = [KeptEnd.LOWER if k else KeptEnd.UPPER for k in rng.integers(0, 2, len(light))]
+        gwl = make_gap_worldline(wl, kept)
+        points = gwl.sample_events() + [
+            wl.event_at(t) for t in times if gwl.contains(wl.event_at(t))
+        ]
+        for q in points:
+            assert gwl.contains(q)
+            assert is_subluminal_chain_probe(gwl, q), (seed, q)
+
+
+def _sampled_extend_probe(wl, grid, p, spec):
+    """The sampled probe the closed form replaced: p against the line at
+    its own time, then at the grid times: every vertex and 33 times
+    across the window."""
+    return all(comparable(spec, p, wl.event_at(t)) for t in [p.t] + grid)
+
+
+def _sampled_chain_probe(gwl, sample, p):
+    """The sampled probe the closed form replaced: p against the set at
+    its own time, then against a dense sample of the set."""
+    spec = OrderSpec(OrderKind.SUBLUMINAL, gwl.c)
+    own = [Event(p.t, x) for x in gwl._branches(p.t)]
+    return all(comparable(spec, p, q) for q in own + sample)
+
+
+def test_closed_form_probes_match_the_sampled_ones():
+    from test_acceptance import DIMS, _on_removed_segment, _random_polyline
+
+    # criterion 4's off-line probes
+    for seed in range(100):
+        wl = _random_polyline(seed, DIMS[seed % 3])
+        grid = [t for t, _ in wl.vertices] + np.linspace(*wl.window, 33).tolist()
+        rng = np.random.default_rng(50_000 + seed)
+        for _ in range(1000):
+            tp = float(rng.uniform(*wl.window))
+            on_line = wl.eval(tp)
+            p = Event(tp, tuple(float(v + rng.uniform(-5.0, 5.0)) for v in on_line))
+            assert wl.extend_probe(p, CAUSAL) == _sampled_extend_probe(wl, grid, p, CAUSAL)
+
+    # criterion 7's random and removed-segment probes
+    origin = event(0.0, 0.0, 0.0)
+    chain = canonical_gap_chain(origin, (1.0, 0.0), 1.0, 1.0)
+    sample = chain.sample_events()
+    rng = np.random.default_rng(0)
+    probes = [
+        Event(float(rng.uniform(-5.0, 6.0)),
+              (float(rng.uniform(-5.0, 5.0)), float(rng.uniform(-5.0, 5.0))))
+        for _ in range(10_000)
+    ]
+    segment = [event(r, r, 0.0) for r in (0.0, 0.5, 1.0)]
+    assert all(_on_removed_segment(p, origin, (1.0, 0.0), 1.0) for p in segment)
+    for p in probes + segment:
+        assert is_subluminal_chain_probe(chain, p) == _sampled_chain_probe(chain, sample, p), p
+
+    # the kept-endpoint gap lines: _gapped() and criterion 7's
+    crit7 = make_polyline([(-1.0, (0.5,)), (0.0, (0.0,)), (1.0, (1.0,)), (2.0, (1.0,))], 1.0)
+    probes = [event(2.0, 1.0), event(2.0, 0.5), event(0.0, 0.0), event(1.0, 1.0)]
+    for gwl in (_gapped()[1], make_gap_worldline(crit7, [KeptEnd.LOWER])):
+        sample = gwl.sample_events()
+        for p in probes:
+            assert is_subluminal_chain_probe(gwl, p) == _sampled_chain_probe(gwl, sample, p), p
