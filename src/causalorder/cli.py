@@ -265,22 +265,26 @@ def cmd_counterexample(args, argv) -> int:
     )
     if not np.isfinite(11.0 * args.t_len):  # the largest sample parameter
         raise ValueError("t-len too large: samples reach 11 * t-len, which must be finite")
-    rng = np.random.default_rng(args.seed)
-    params = np.concatenate(
-        [-rng.uniform(1e-3, 10.0 * args.t_len, args.samples // 2),
-         args.t_len + rng.uniform(1e-3, 10.0 * args.t_len, args.samples - args.samples // 2)]
-    )
-    sign = 1.0 if (args.dir or "fwd") == "fwd" else -1.0
-    times = [origin.t + sign * p for p in params.tolist()]
-    if times and args.tol < 0:  # as Grading.level_contains, once there is a sample
-        raise ValueError("tol must be >= 0")
-    events = [Event(t, chain._position(t)) for t in times]
-    hits = int(np.count_nonzero(np.abs(Grading(hs).values(events)) <= args.tol))
     # a static ray at x_r meets the surface only at t = h(x_r)
     ray_heights = hs.heights([ray.anchor_x for ray in chain.rays])
     if not np.isfinite(ray_heights).all():
         raise ValueError("surface height at the chain overflows")
     avoided = not any(ray.covers(h) for ray, h in zip(chain.rays, ray_heights.tolist()))
+    if args.samples and args.tol < 0:  # as Grading.level_contains, once there is a sample
+        raise ValueError("tol must be >= 0")
+    # the first draws lie on the ray anchored at origin, the rest on the displaced one
+    rng = np.random.default_rng(args.seed)
+    lower = args.samples // 2
+    params = [-rng.uniform(1e-3, 10.0 * args.t_len, lower),
+              args.t_len + rng.uniform(1e-3, 10.0 * args.t_len, args.samples - lower)]
+    sign = 1.0 if (args.dir or "fwd") == "fwd" else -1.0
+    hits = 0
+    with np.errstate(over="ignore"):  # a time that overflows is rejected below
+        for ray, h, p in zip(chain.rays, ray_heights.tolist(), params):
+            ts = ray.inside(origin.t + sign * p)
+            if not np.isfinite(ts).all():
+                raise ValueError("sample time overflows")
+            hits += int(np.count_nonzero(np.abs(ts - h) <= args.tol))  # each sample sits at x_r
     # two rays open at their anchors form a chain iff the anchors are causally ordered
     below, above = sorted(chain.rays, key=lambda ray: ray.span)
     chain_ok = leq(OrderSpec(OrderKind.CAUSAL, chain.c), Event(below.anchor_t, below.anchor_x),
@@ -356,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
     p.add_argument("--tol", type=float, default=0.0, help="light-cone tolerance")
-    order_flags(p)
+    p.add_argument("--c", type=float)
+    p.add_argument("--dir", choices=[d.value for d in Direction])
     p.set_defaults(func=cmd_relate)
 
     p = sub.add_parser("hasse", help="relation matrix summary and DOT export")

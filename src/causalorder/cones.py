@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .order import MAX_SPACE_DIM, Direction, Event, OrderKind, _strictly_before, distance
+from .order import (MAX_SPACE_DIM, Direction, Event, OrderKind, _check_box, _require_speed,
+                    _strictly_before, apply_dilation, distance)
 
 DEFAULT_PROBE_SPAN = 8.0
 
@@ -45,17 +46,7 @@ class ConeOracle:
     probe_box: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.dimension <= MAX_SPACE_DIM:
-            raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
-        box = tuple((float(lo), float(hi)) for lo, hi in self.probe_box)
-        if len(box) != self.dimension + 1:
-            raise ValueError(
-                f"probe box needs {self.dimension + 1} axes, got {len(box)}"
-            )
-        for lo, hi in box:
-            if not (lo < hi and math.isfinite(hi - lo)):  # uniform draws need a finite width
-                raise ValueError("probe box axes need lo < hi with finite hi - lo")
-        object.__setattr__(self, "probe_box", box)
+        object.__setattr__(self, "probe_box", _check_box(self.dimension, self.probe_box))
 
 
 @dataclass(frozen=True)
@@ -88,8 +79,8 @@ def standard_cone(
     kind: OrderKind, direction: Direction, c: float, n: int
 ) -> ConeOracle:
     """Reference oracle for the three families at speed c in dimension n."""
-    if kind is not OrderKind.TEMPORAL and not (math.isfinite(c) and c > 0):
-        raise ValueError("c must be positive and finite")
+    if kind is not OrderKind.TEMPORAL:
+        _require_speed(c)
     if not 0 <= n <= MAX_SPACE_DIM:
         raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
 
@@ -169,7 +160,7 @@ def check_invariance(
                     f"rotation broke membership at {e} (rotated to {rot})",
                 )
         r = float(rng.uniform(0.1, 10.0))
-        scaled = Event(r * e.t, tuple(r * v for v in e.x))
+        scaled = apply_dilation(r, e)
         checks += 1
         if oracle.membership(scaled) != member:
             return InvarianceReport(
@@ -287,9 +278,7 @@ def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> C
     # The boundary speed is one of the bracket ends; prefer the cleaner
     # dyadic, which is the exact speed whenever one was specified.
     c_hat = lo_s if _significand_bits(lo_s) < _significand_bits(hi_s) else hi_s
-    inner = axis_event(lo_s)
-    doubled = Event(2.0 * inner.t, tuple(2.0 * v for v in inner.x))
-    if lo_s > 0.0 and not member(doubled):
+    if lo_s > 0.0 and not member(apply_dilation(2.0, axis_event(lo_s))):
         return ConeClass(
             ConeKind.UNKNOWN,
             direction,
@@ -315,8 +304,7 @@ def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> C
         if not member(v):
             continue
         found += 1
-        doubled = Event(2.0 * v.t, tuple(2.0 * s for s in v.x))
-        if not member(doubled):
+        if not member(apply_dilation(2.0, v)):
             return ConeClass(
                 ConeKind.UNKNOWN,
                 direction,

@@ -25,31 +25,35 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _payload_lines(path: Path) -> list[tuple[int, str]]:
-    out = []
+def _read_header(
+    path: Path, keys: Sequence[str]
+) -> tuple[int, dict[str, str], int, float, list[tuple[int, str]]]:
+    """The header every format starts with: its line number, its fields
+    (exactly keys, dim and c among them), dim in [0, MAX_SPACE_DIM], c as
+    a number, and the numbered payload lines after it."""
+    rows = []
     for no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.append((no, line))
-    return out
-
-
-def _parse_header(
-    path: Path, no: int, line: str, required: Sequence[str]
-) -> dict[str, str]:
+            rows.append((no, line))
+    if not rows:
+        raise ParseError(f"{path}:1: missing header")
+    no, header = rows[0]
     fields: dict[str, str] = {}
-    for tok in line.split():
+    for tok in header.split():
         if "=" not in tok:
             raise ParseError(f"{path}:{no}: malformed header token {tok!r}")
         key, val = tok.split("=", 1)
         fields[key] = val
-    missing = [k for k in required if k not in fields]
-    extra = [k for k in fields if k not in required]
-    if missing or extra:
-        raise ParseError(
-            f"{path}:{no}: header must have exactly {' '.join(required)}"
-        )
-    return fields
+    if sorted(fields) != sorted(keys):
+        raise ParseError(f"{path}:{no}: header must have exactly {' '.join(keys)}")
+    try:
+        dim = int(fields["dim"])
+    except ValueError:
+        raise ParseError(f"{path}:{no}: dim must be an integer") from None
+    if not 0 <= dim <= MAX_SPACE_DIM:
+        raise ParseError(f"{path}:{no}: dim must be in [0, {MAX_SPACE_DIM}]")
+    return no, fields, dim, _parse_float(path, no, fields["c"], "c"), rows[1:]
 
 
 def _parse_floats(path: Path, no: int, line: str, want: int) -> list[float]:
@@ -60,13 +64,6 @@ def _parse_floats(path: Path, no: int, line: str, want: int) -> list[float]:
         return [float(t) for t in toks]
     except ValueError as exc:
         raise ParseError(f"{path}:{no}: {exc}") from None
-
-
-def _parse_int(path: Path, no: int, val: str, key: str) -> int:
-    try:
-        return int(val)
-    except ValueError:
-        raise ParseError(f"{path}:{no}: {key} must be an integer") from None
 
 
 def _parse_float(path: Path, no: int, val: str, key: str) -> float:
@@ -97,15 +94,7 @@ def write_events(
 
 def read_events(path: str | Path) -> tuple[list[Event], OrderSpec]:
     path = Path(path)
-    rows = _payload_lines(path)
-    if not rows:
-        raise ParseError(f"{path}:1: missing header")
-    no, header = rows[0]
-    fields = _parse_header(path, no, header, ["dim", "c", "order", "dir"])
-    dim = _parse_int(path, no, fields["dim"], "dim")
-    if not 0 <= dim <= MAX_SPACE_DIM:
-        raise ParseError(f"{path}:{no}: dim must be in [0, {MAX_SPACE_DIM}]")
-    c = _parse_float(path, no, fields["c"], "c")
+    no, fields, dim, c, rows = _read_header(path, ["dim", "c", "order", "dir"])
     try:
         kind = OrderKind(fields["order"])
         direction = Direction(fields["dir"])
@@ -113,7 +102,7 @@ def read_events(path: str | Path) -> tuple[list[Event], OrderSpec]:
     except ValueError as exc:
         raise ParseError(f"{path}:{no}: {exc}") from None
     events = []
-    for no, line in rows[1:]:
+    for no, line in rows:
         vals = _parse_floats(path, no, line, dim + 1)
         try:
             events.append(Event(vals[0], tuple(vals[1:])))
@@ -134,20 +123,14 @@ def write_surface(path: str | Path, hs: Hypersurface) -> None:
 
 def read_surface(path: str | Path) -> Hypersurface:
     path = Path(path)
-    rows = _payload_lines(path)
-    if not rows:
-        raise ParseError(f"{path}:1: missing header")
-    no, header = rows[0]
-    fields = _parse_header(path, no, header, ["dim", "c", "k"])
-    dim = _parse_int(path, no, fields["dim"], "dim")
-    c = _parse_float(path, no, fields["c"], "c")
+    no, fields, dim, c, rows = _read_header(path, ["dim", "c", "k"])
     k = _parse_float(path, no, fields["k"], "k")
+    if not rows:
+        raise ParseError(f"{path}:{no}: surface needs at least one anchor")
     anchors = []
-    for no, line in rows[1:]:
+    for no, line in rows:
         vals = _parse_floats(path, no, line, dim + 1)
         anchors.append((tuple(vals[1:]), vals[0]))
-    if not anchors:
-        raise ParseError(f"{path}:{rows[0][0]}: surface needs at least one anchor")
     try:
         return make_hypersurface(anchors, k, c)
     except ValueError as exc:
@@ -185,16 +168,10 @@ def read_worldline(
     path: str | Path,
 ) -> tuple[PolyWorldLine, list[tuple[float, float, KeptEnd]]]:
     path = Path(path)
-    rows = _payload_lines(path)
-    if not rows:
-        raise ParseError(f"{path}:1: missing header")
-    no, header = rows[0]
-    fields = _parse_header(path, no, header, ["dim", "c", "order", "dir"])
-    dim = _parse_int(path, no, fields["dim"], "dim")
-    c = _parse_float(path, no, fields["c"], "c")
+    _, _, dim, c, rows = _read_header(path, ["dim", "c", "order", "dir"])
     vertices: list[tuple[float, tuple[float, ...]]] = []
     gaps: list[tuple[float, float, KeptEnd]] = []
-    for no, line in rows[1:]:
+    for no, line in rows:
         if line.startswith("gap"):
             toks = line.split()
             if len(toks) != 4:

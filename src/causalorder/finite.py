@@ -27,15 +27,14 @@ summation order, blocking or fused multiply-add can round it.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .order import BLOCK, MAX_SPACE_DIM, TILE_CELLS, Direction, Event, OrderKind, OrderSpec
-from .order import _coordinates, _strict_block
+from .order import BLOCK, TILE_CELLS, Direction, Event, OrderKind, OrderSpec
+from .order import _check_box, _coordinates, _strict_block
 
 MAX_EVENTS = 2000
 MAX_ANTICHAIN_EVENTS = 24
@@ -63,17 +62,7 @@ class SprinkleConfig:
     def __post_init__(self) -> None:
         if self.count < 0:
             raise ValueError("count must be >= 0")
-        if not 0 <= self.dimension <= MAX_SPACE_DIM:
-            raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
-        box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-        if len(box) != self.dimension + 1:
-            raise ValueError(
-                f"box needs {self.dimension + 1} axes (space then time), got {len(box)}"
-            )
-        for lo, hi in box:
-            if not (lo < hi and math.isfinite(hi - lo)):  # uniform draws need a finite width
-                raise ValueError("box axes need lo < hi with finite hi - lo")
-        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "box", _check_box(self.dimension, self.box))
 
 
 def sprinkle(cfg: SprinkleConfig) -> list[Event]:
@@ -114,11 +103,6 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     evs = tuple(events)
     if len(evs) > MAX_EVENTS:
         raise ValueError(f"at most {MAX_EVENTS} events supported, got {len(evs)}")
-    if evs:
-        n = evs[0].n
-        for e in evs:
-            if e.n != n:
-                raise ValueError("all events must share one space dimension")
     t, xs = _coordinates(evs)
     if len(evs) ** 2 <= TILE_CELLS:  # one kernel tile: no sort, no permute
         rel, covers = _strict_block(spec.kind, spec.c, t, xs, t, xs), None

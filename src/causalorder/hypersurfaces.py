@@ -42,6 +42,7 @@ from .order import (
     _distances,
     _first_upper_hit,
     _point_distances,
+    _require_speed,
 )
 from .worldlines import PolyWorldLine
 
@@ -61,8 +62,7 @@ class Hypersurface:
     def __post_init__(self) -> None:
         k = float(self.modulus)
         c = float(self.c)
-        if not (math.isfinite(c) and c > 0):
-            raise ValueError("c must be positive and finite")
+        _require_speed(c)
         if not (math.isfinite(k) and k > 0):
             raise ValueError("modulus k must be positive and finite")
         if k * c >= 1.0:
@@ -84,14 +84,13 @@ class Hypersurface:
             )
         if bad is not None:
             raise ValueError(f"anchors {bad[0]} and {bad[1]} violate the Lipschitz bound")
-        # height and heights read one contiguous column per anchor axis
+        # the one anchor array: height and heights read one contiguous column per axis
         axes = np.asfortranarray(xs)
-        for a in (xs, hs, axes):
+        for a in (hs, axes):
             a.flags.writeable = False
         object.__setattr__(self, "anchors", tuple(zip(map(tuple, xs.tolist()), hs.tolist())))
         object.__setattr__(self, "modulus", k)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_xs", xs)
         object.__setattr__(self, "_hs", hs)
         object.__setattr__(self, "_axes", axes)
         object.__setattr__(self, "_rows", max(1, TILE_CELLS // count))
@@ -200,7 +199,7 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
     k2 = hs.modulus * hs.modulus
     t = np.array([tv for tv, _ in wl.vertices])
     x = np.array([xv for _, xv in wl.vertices]).reshape(len(t), wl.n)
-    xs, hv = hs._xs, hs._hs  # type: ignore[attr-defined]
+    xs, hv = hs._axes, hs._hs  # type: ignore[attr-defined]
     with np.errstate(all="ignore"):  # overflow: a NaN answer fails the residual check
         v = np.diff(x, axis=0) / np.diff(t)[:, None]
         a = 1.0 - k2 * np.einsum("ij,ij->i", v, v)
@@ -215,7 +214,8 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
         if f0 > 0 or f1 < 0:
             raise ValueError("no crossing inside the window")
         s = int(np.argmax((phi[:-1] < 0) & (phi[1:] >= 0)))
-        d, lag = x[s] - xs, t[s] - hv
+        # row-major d, whatever the anchors' layout: BLAS sums d @ v by layout
+        d, lag = np.subtract(x[s], xs, order="C"), t[s] - hv
         beta = k2 * (d @ v[s]) - lag
         cc = lag * lag - k2 * np.einsum("ij,ij->i", d, d)
         # beta^2 - a*cc = k^2 (a |e|^2 + k^2 (e.v)^2), e = d - lag*v the

@@ -116,8 +116,27 @@ class OrderSpec:
 
     def __post_init__(self) -> None:
         if self.kind is not OrderKind.TEMPORAL:
-            if not (math.isfinite(self.c) and self.c > 0):
-                raise ValueError("c must be positive and finite")
+            _require_speed(self.c)
+
+
+def _require_speed(c: float) -> None:
+    """The one check of a signal speed c."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError("c must be positive and finite")
+
+
+def _check_box(dimension: int, box: Sequence) -> tuple[tuple[float, float], ...]:
+    """The one check of a sampling box in a space dimension: the box as
+    floats, once it has dimension + 1 axes (space then time), each with
+    lo < hi and a finite width, which uniform draws need."""
+    if not 0 <= dimension <= MAX_SPACE_DIM:
+        raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    if len(box) != dimension + 1:
+        raise ValueError(f"box needs {dimension + 1} axes (space then time), got {len(box)}")
+    if not all(lo < hi and math.isfinite(hi - lo) for lo, hi in box):
+        raise ValueError("box axes need lo < hi with finite hi - lo")
+    return box
 
 
 def _require_same_dim(u: Event, v: Event) -> None:
@@ -309,8 +328,7 @@ def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
     times and distinct positions are always space-like.
     """
     _require_same_dim(u, v)
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError("c must be positive and finite")
+    _require_speed(c)
     if eps < 0 or not math.isfinite(eps):
         raise ValueError("eps must be finite and >= 0")
     if u == v:
@@ -407,12 +425,9 @@ def interval_is_chain_sampled(
         ps[:, axis] = rng.uniform(lo, hi, size=samples)
     t, xs = _coordinates([a, b])
     ta, xa, tb, xb = t[:1], xs[:1], t[1:], xs[1:]
-    kind = OrderKind.CAUSAL
-    above_a = _strict_block(kind, c, ta, xa, ts, ps) | _equal_block(ta, xa, ts, ps)
-    below_b = _strict_block(kind, c, ts, ps, tb, xb) | _equal_block(ts, ps, tb, xb)
-    keep = above_a[0] & below_b[:, 0]
+    keep = _analytic_block(c, ta, xa, ts, ps)[0] & _analytic_block(c, ts, ps, tb, xb)[:, 0]
     return _all_comparable(
-        kind, c, np.concatenate([ta, ts[keep], tb]), np.concatenate([xa, ps[keep], xb])
+        OrderKind.CAUSAL, c, np.concatenate([ta, ts[keep], tb]), np.concatenate([xa, ps[keep], xb])
     )
 
 
@@ -438,8 +453,7 @@ def reconstruct_causal_analytic(u: Event, v: Event, c: float) -> bool:
     pair.  _analytic_block is its batched form.
     """
     _require_same_dim(u, v)
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError("c must be positive and finite")
+    _require_speed(c)
     return u == v or _strictly_before(OrderKind.CAUSAL, c, u, v)
 
 

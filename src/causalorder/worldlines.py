@@ -29,8 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .order import (Direction, Event, OrderKind, OrderSpec, comparable, distance, leq,
-                    pairwise_comparable, strictly_below)
+from .order import (Direction, Event, OrderKind, OrderSpec, _require_speed, comparable, distance,
+                    leq, pairwise_comparable, strictly_below)
 
 SPEED_REL_TOL = 1e-9
 DIR_DOT_TOL = 1e-12
@@ -46,8 +46,7 @@ class PolyWorldLine:
     c: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.c) and self.c > 0):
-            raise ValueError("c must be positive and finite")
+        _require_speed(self.c)
         if len(self.vertices) < 2:
             raise ValueError("a world line needs at least 2 vertices")
         verts = []
@@ -213,6 +212,12 @@ class Ray:
         dt = t - self.anchor_t
         return tuple(x + v * dt for x, v in zip(self.anchor_x, self.velocity))
 
+    def inside(self, t: np.ndarray) -> np.ndarray:
+        """Times t, where one rounded onto or past the open anchor moved to
+        the first double inside the ray."""
+        first = math.nextafter(self.anchor_t, self.span * math.inf)
+        return np.maximum(t, first) if self.span > 0 else np.minimum(t, first)
+
 
 @dataclass(frozen=True)
 class TimeSpan:
@@ -285,14 +290,13 @@ class GapWorldLine:
         spans = (span for span, _ in self._pieces)  # type: ignore[attr-defined]
         return tuple(sorted(spans, key=lambda s: (s.lo, s.hi)))
 
-    def sample_times(
-        self, per_branch: int = 40, margin: float = 1e-3, reach: float | None = None
-    ) -> list[float]:
+    def sample_times(self, per_branch: int = 40, reach: float | None = None) -> list[float]:
         """Deterministic dense time sample of the represented set.
 
-        Ray branches are sampled from `margin` past the anchor out to
-        `reach` (default ten times the largest gap span), with a few
-        extra points hugging the anchor.
+        Ray branches are sampled from 1e-3 past the anchor out to `reach`
+        (default ten times the largest gap span), with a few extra points
+        hugging the anchor; a time that rounds onto the anchor moves one
+        ulp inside the ray.
         """
         if reach is None:
             spans = [g.segment.t_end - g.segment.t_start for g in self.gaps]
@@ -307,28 +311,17 @@ class GapWorldLine:
                 cand.add(gap.segment.t_end)
             times.extend(t for t in sorted(cand) if self._branches(t))
         for ray in self.rays:
-            offs = [margin, 2.0 * margin, 5.0 * margin]
-            offs.extend(float(o) for o in np.linspace(10.0 * margin, reach, per_branch))
-            times.extend(ray.anchor_t + ray.span * off for off in offs)
+            offs = np.concatenate([[1e-3, 2e-3, 5e-3], np.linspace(1e-2, reach, per_branch)])
+            times.extend(ray.inside(ray.anchor_t + ray.span * offs).tolist())
         return sorted(times)
 
-    def sample_events(
-        self, per_branch: int = 40, margin: float = 1e-3, reach: float | None = None
-    ) -> list[Event]:
-        out: list[Event] = []
-        for t in self.sample_times(per_branch, margin, reach):
-            out.append(Event(t, self._position(t)))
-        return out
+    def sample_events(self, per_branch: int = 40, reach: float | None = None) -> list[Event]:
+        return [Event(t, self._branches(t)[0]) for t in self.sample_times(per_branch, reach)]
 
     def _branches(self, t: float) -> list[tuple[float, ...]]:
         """Positions of the point set at time t: rays covering t first,
         then the base line when t lies in its window outside the gaps."""
         return [at(t) for span, at in self._pieces if span.contains(t)]  # type: ignore[attr-defined]
-
-    def _position(self, t: float) -> tuple[float, ...]:
-        for x in self._branches(t):
-            return x
-        raise ValueError(f"time {t!r} not covered by the point set")
 
 
 def make_gap_worldline(
@@ -415,8 +408,7 @@ def canonical_gap_chain(
         raise ValueError(f"light direction must have unit norm, got {nrm!r}")
     if not (math.isfinite(t_len) and t_len > 0):
         raise ValueError("t_len must be positive and finite")
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError("c must be positive and finite")
+    _require_speed(c)
     zero = tuple(0.0 for _ in d)
     hop = tuple(x + c * t_len * v for x, v in zip(origin.x, d))
     span = 1 if orientation is Direction.FORWARD else -1

@@ -209,7 +209,7 @@ def test_heights_match_height_bit_for_bit():
                     pts = np.concatenate([rng.uniform(-8, 8, (600, n)),
                                           rng.uniform(-1, 1, (50, n)) * 1e200,
                                           rng.uniform(-1, 1, (45, n)) * 1e300,
-                                          hs._xs[:5]])
+                                          hs._axes[:5]])
                     got = hs.heights(pts)
                     assert got.shape == (len(pts),) and got.dtype == np.float64
                     one = [hs.height(x) for x in pts.tolist()]

@@ -13,7 +13,7 @@ from causalorder import cli, finite
 from causalorder.cli import main
 from causalorder.fileio import _fmt, read_events, read_surface, write_surface, write_worldline
 from causalorder.hypersurfaces import Grading, Hypersurface, make_hypersurface
-from causalorder.order import Event, OrderKind, OrderSpec
+from causalorder.order import Direction, Event, OrderKind, OrderSpec
 from causalorder.worldlines import canonical_gap_chain, make_polyline
 
 
@@ -76,6 +76,13 @@ def test_relate_frozen_lightlike_pair(tmp_path):
     code, out, _ = run(["relate", str(path), "0", "1"])
     assert "class spacelike" in body(out)
     assert "leq causal false" in body(out)
+
+
+def test_relate_takes_no_order_flag(event_file):
+    # relate prints leq under all three orders, so there is no --order to pick one
+    code, out, err = run(["relate", str(event_file), "3", "17", "--order", "causal"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].endswith("error: unrecognized arguments: --order causal")
 
 
 def test_relate_bad_index_is_usage_error(event_file):
@@ -197,38 +204,58 @@ def test_grade_lines_match_grading_value(tmp_path, surface_file):
     assert [l for l in body(out) if l.startswith("grade ")] == want
 
 
-def _level_samples(surface_path, samples, seed):
-    """The grading and sample events of counterexample's default run:
-    the two-ray chain from the first anchor, the same sample times."""
+def _level_samples(surface_path, samples, seed, direction="fwd"):
+    """The grading and sample events of counterexample's run with the
+    default light direction and t-len: the two-ray chain from the first
+    anchor, the same sample times (the first half on the ray at the
+    anchor), placed where the chain's point set is at each time."""
     hs = read_surface(surface_path)
     origin = hs.graph_event(hs.anchors[0][0])
-    chain = canonical_gap_chain(origin, (1.0, 0.0), 1.0, hs.c)
+    chain = canonical_gap_chain(origin, (1.0, 0.0), 1.0, hs.c, Direction(direction))
     rng = np.random.default_rng(seed)
     params = np.concatenate([-rng.uniform(1e-3, 10.0, samples // 2),
                              1.0 + rng.uniform(1e-3, 10.0, samples - samples // 2)])
-    times = [origin.t + p for p in params.tolist()]
-    return Grading(hs), [Event(t, chain._position(t)) for t in times]
+    sign = 1.0 if direction == "fwd" else -1.0
+    times = [origin.t + sign * p for p in params.tolist()]
+    return Grading(hs), [Event(t, chain._branches(t)[0]) for t in times]
 
 
 def test_counterexample_hits_match_level_contains(surface_file):
-    g, events = _level_samples(surface_file, 2000, 3)
-    nearest = min(abs(g.value(e)) for e in events)  # one sample sits on this band's edge
-    counts = []
-    for tol in (0.0, 0.5, nearest):
-        code, out, err = run(["counterexample", "--surface", str(surface_file),
-                              "--samples", "2000", "--seed", "3", f"--tol={tol!r}"])
-        assert err == ""
-        want = sum(g.level_contains(0.0, e, tol) for e in events)
-        assert f"surface_hits {want} / 2000" in body(out)
-        assert code == (0 if want == 0 else 1)
-        counts.append(want)
-    assert counts[0] == 0 < counts[2] <= counts[1]  # the 0.5 band holds lower-ray samples
+    for direction in ("fwd", "bwd"):
+        g, events = _level_samples(surface_file, 2000, 3, direction)
+        nearest = min(abs(g.value(e)) for e in events)  # one sample sits on this band's edge
+        counts = []
+        for tol in (0.0, 0.5, nearest, 2.0):
+            code, out, err = run(["counterexample", "--surface", str(surface_file), "--dir",
+                                  direction, "--samples", "2000", "--seed", "3", f"--tol={tol!r}"])
+            assert err == ""
+            hit = [g.level_contains(0.0, e, tol) for e in events]
+            assert f"surface_hits {sum(hit)} / 2000" in body(out)
+            assert code == (0 if sum(hit) == 0 else 1)
+            counts.append((sum(hit[:1000]), sum(hit[1000:])))  # per ray
+        assert counts[0] == (0, 0) and counts[1][1] == 0  # 0.5 holds only the anchor ray's samples
+        assert 0 < sum(counts[2]) <= sum(counts[1]) < sum(counts[3])
+        assert min(counts[3]) > 0  # the 2.0 band holds samples of both rays
     code, out, err = run(["counterexample", "--surface", str(surface_file),
                           "--samples", "2000", "--seed", "3", "--tol=nan"])
     assert code == 0 and "surface_hits 0 / 2000" in body(out)
     code, out, err = run(["counterexample", "--surface", str(surface_file), "--tol=-1"])
     assert code == 2 and out == ""
     assert err == "error: tol must be >= 0\n"
+
+
+def test_counterexample_samples_stay_inside_the_rays_near_1e14(tmp_path):
+    # 1e-3 is below half an ulp of 1e14, so some draws round onto an
+    # open ray anchor; they move one ulp inside their ray
+    path = tmp_path / "s14.txt"
+    write_surface(path, make_hypersurface([((0.0, 0.0), 1e14), ((3.0, 4.0), 1e14 + 2.0)], 0.5, 1.0))
+    for flags, samples in ((["--samples", "500"], 500), ([], 10_000)):
+        code, out, err = run(["counterexample", "--surface", str(path), *flags])
+        assert code == 0 and err == ""
+        lines = body(out)
+        assert f"surface_hits 0 / {samples}" in lines
+        for name in ("surface_avoided_certified", "chain_ok", "time_gap_certified"):
+            assert f"{name} true" in lines
 
 
 def test_crossing_reports_root_and_residual(tmp_path):

@@ -143,12 +143,12 @@ def test_surfaces_compare_and_hash_by_anchors():
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != random_surface(6, anchors=8)
     assert a == Hypersurface(a.anchors, a.modulus, a.c)
-    for arr in (a._xs, a._hs):
+    for arr in (a._axes, a._hs):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
-    assert a._xs.shape == (8, 2) and a._hs.shape == (8,)
-    assert make_hypersurface([((), 1.0), ((), 1.0)], 0.5, 1.0)._xs.shape == (2, 0)
+    assert a._axes.shape == (8, 2) and a._hs.shape == (8,)
+    assert make_hypersurface([((), 1.0), ((), 1.0)], 0.5, 1.0)._axes.shape == (2, 0)
 
 
 def test_inconsistent_anchors_rejected_with_indices():

@@ -271,6 +271,16 @@ def test_canonical_chain_is_subluminal_chain():
             assert leq(spec, a, b) or leq(spec, b, a)
 
 
+def test_canonical_chain_samples_stay_inside_the_rays_near_1e14():
+    # offsets of 1e-3 round onto the open anchors at t = 1e14 (an ulp is
+    # 1/64 there); such a sample moves one ulp inside its ray
+    gwl = canonical_gap_chain(event(1e14, 0.0), (1.0,), 1.0, 1.0)
+    events = gwl.sample_events()
+    assert len(events) == 2 * 43
+    assert all(gwl.contains(p) for p in events)
+    assert min(abs(p.t - 1e14) for p in events) == 1e14 - math.nextafter(1e14, 0.0)
+
+
 def test_canonical_chain_backward_orientation_mirrors():
     fwd = canonical_gap_chain(event(0.0, 0.0), (1.0,), 1.0, 1.0)
     bwd = canonical_gap_chain(event(0.0, 0.0), (1.0,), 1.0, 1.0, orientation=Direction.BACKWARD)
