@@ -1,6 +1,12 @@
 """Finite event sets under the space-time orders: sprinkling, relation
-matrices, Hasse diagrams, chain/antichain enumeration, cutset checks,
-and reconstruction of the causal order from the subluminal one.
+matrices, Hasse diagrams, maximal chains, antichain enumeration, cutset
+checks, and reconstruction of the causal order from the subluminal one.
+
+Maximal chains are cover paths from a minimal to a maximal element.
+count_maximal_chains counts them exactly, with no cap, in one pass over
+the covers; maximal_chains serves them as a lazy sequence, in
+lexicographic order, that unranks any index from the same path counts,
+so its cost follows the number of covers, not of chains.
 
 Relation matrices hold the strict relation (diagonal False), indexed in
 input order.  build fills them with order._strict_block, the batched
@@ -27,9 +33,14 @@ summation order, blocking or fused multiply-add can round it.
 
 from __future__ import annotations
 
+import operator
+import sys
+from bisect import bisect_right
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -38,15 +49,6 @@ from .order import _check_box, _coordinates, _strict_block
 
 MAX_EVENTS = 2000
 MAX_ANTICHAIN_EVENTS = 24
-DEFAULT_CHAIN_CAP = 1_000_000
-
-
-class CapExceeded(Exception):
-    """Enumeration hit its cap; .partial holds the results found so far."""
-
-    def __init__(self, message: str, partial: tuple):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -224,19 +226,90 @@ def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]
                 yield path + [nxt]
 
 
-def maximal_chains(
-    fcs: FiniteCausalSet, cap: int = DEFAULT_CHAIN_CAP
-) -> list[list[int]]:
-    """All maximal chains as index lists, in lexicographic order;
-    CapExceeded carries the first `cap` when enumeration overruns."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    out: list[list[int]] = []
-    for chain in _walk(fcs):
-        if len(out) >= cap:
-            raise CapExceeded(f"more than {cap} maximal chains", tuple(out))
-        out.append(chain)
-    return out
+def _chain_index(fcs: FiniteCausalSet) -> tuple[list[list[int]], list, int]:
+    """The covers as successor lists, ascending, with the minimal
+    elements as the successors of a virtual last vertex n; for each
+    vertex with successors, the running sums of their numbers of cover
+    paths to a maximal element; and the number of maximal chains, the
+    paths from n.  One pass over a linear extension, last vertex first:
+    sorting stably by the number of elements below is one, in every
+    order and direction, since u < v puts more below v than below u."""
+    n = len(fcs)
+    rows, cols = np.nonzero(fcs.covers)  # row-major, whatever the layout
+    ends = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    succ = [cols[a:b] for a, b in zip(ends, ends[1:])]
+    succ.append(fcs.minimal.tolist())
+    paths = [1] * n
+    sums: list = [None] * (n + 1)
+    for v in np.argsort(fcs.relation.sum(axis=0), kind="stable")[::-1].tolist():
+        if succ[v]:
+            sums[v] = list(accumulate([paths[w] for w in succ[v]]))
+            paths[v] = sums[v][-1]
+    sums[n] = list(accumulate([paths[r] for r in succ[n]]))
+    return succ, sums, sums[n][-1] if n else 0
+
+
+def count_maximal_chains(fcs: FiniteCausalSet) -> int:
+    """The number of maximal chains, exactly, with no cap: each is a
+    cover path from a minimal to a maximal element, counted in one pass
+    that reads each cover once."""
+    return _chain_index(fcs)[2]
+
+
+class _MaximalChains(Sequence):
+    """The maximal chains of a set as a read-only sequence of index
+    lists, in lexicographic order, none built until asked for.  An index
+    unranks its chain by bisecting the running path counts of the
+    successors along it; a slice returns a list; iteration is the lazy
+    walk.  len raises OverflowError above sys.maxsize, as range does;
+    count_maximal_chains gives the count then."""
+
+    def __init__(self, fcs: FiniteCausalSet) -> None:
+        self._fcs = fcs
+        self._succ, self._sums, self._total = _chain_index(fcs)
+
+    def __len__(self) -> int:
+        if self._total > sys.maxsize:
+            raise OverflowError(
+                f"{self._total} maximal chains exceed sys.maxsize; "
+                "count_maximal_chains gives the count"
+            )
+        return self._total
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self._unrank(i) for i in range(self._total)[key]]
+        i = operator.index(key)
+        if i < 0:
+            i += self._total
+        if not 0 <= i < self._total:
+            raise IndexError("maximal chain index out of range")
+        return self._unrank(i)
+
+    def _unrank(self, i: int) -> list[int]:
+        v, chain = len(self._fcs), []
+        while self._succ[v]:
+            sums = self._sums[v]
+            k = bisect_right(sums, i)
+            if k:
+                i -= sums[k - 1]
+            v = self._succ[v][k]
+            chain.append(v)
+        return chain
+
+    def __bool__(self) -> bool:  # without len, so a huge count is still true
+        return self._total > 0
+
+    def __iter__(self) -> Iterator[list[int]]:
+        return _walk(self._fcs)
+
+
+def maximal_chains(fcs: FiniteCausalSet) -> Sequence[list[int]]:
+    """All maximal chains as index lists, in lexicographic order: a
+    lazy, indexable view, so the caller bounds the work by slicing or
+    with itertools.islice."""
+    return _MaximalChains(fcs)
 
 
 def maximal_antichains(fcs: FiniteCausalSet) -> list[list[int]]:

@@ -179,6 +179,19 @@ def is_antichain_sample(hs: Hypersurface, points: Sequence[Sequence[float]]) -> 
 CROSSING_TOL = 1e-9
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each row of an (m, n) array a with the same row
+    of b, or with b itself when b is one row of n: summed over axis 0,
+    1, ... in that order, as _distances sums, so neither the memory
+    layout nor a BLAS kernel picks the last bits."""
+    if not a.shape[1]:
+        return np.zeros(len(a))
+    out = a[:, 0] * b[..., 0]
+    for axis in range(1, a.shape[1]):
+        out += a[:, axis] * b[..., axis]
+    return out
+
+
 def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL) -> float:
     """Unique time at which wl crosses the surface graph, in closed form.
 
@@ -202,7 +215,7 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
     xs, hv = hs._axes, hs._hs  # type: ignore[attr-defined]
     with np.errstate(all="ignore"):  # overflow: a NaN answer fails the residual check
         v = np.diff(x, axis=0) / np.diff(t)[:, None]
-        a = 1.0 - k2 * np.einsum("ij,ij->i", v, v)
+        a = 1.0 - k2 * _row_dots(v, v)
         if hs.modulus * wl.c >= 1.0 or not (a > 0).all():
             raise ValueError("world line speed bound breaks the k*c < 1 margin")
         phi = t - (_distances(x, xs) * hs.modulus + hv).min(axis=1)  # bits of t - height
@@ -214,15 +227,14 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
         if f0 > 0 or f1 < 0:
             raise ValueError("no crossing inside the window")
         s = int(np.argmax((phi[:-1] < 0) & (phi[1:] >= 0)))
-        # row-major d, whatever the anchors' layout: BLAS sums d @ v by layout
-        d, lag = np.subtract(x[s], xs, order="C"), t[s] - hv
-        beta = k2 * (d @ v[s]) - lag
-        cc = lag * lag - k2 * np.einsum("ij,ij->i", d, d)
+        d, lag = x[s] - xs, t[s] - hv
+        beta = k2 * _row_dots(d, v[s]) - lag
+        cc = lag * lag - k2 * _row_dots(d, d)
         # beta^2 - a*cc = k^2 (a |e|^2 + k^2 (e.v)^2), e = d - lag*v the
         # segment's offset from x_i at time h_i: no cancellation
         e = d - lag[:, None] * v[s]
-        ev = e @ v[s]
-        root = np.sqrt(k2 * (a[s] * np.einsum("ij,ij->i", e, e) + k2 * ev * ev))
+        ev = _row_dots(e, v[s])
+        root = np.sqrt(k2 * (a[s] * _row_dots(e, e) + k2 * ev * ev))
         tau = np.where(beta >= 0, (beta + root) / a[s], cc / (beta - root))
         t_star = float(np.clip(t[s] + tau.min(), t[s], t[s + 1]))
     residual = t_star - hs.height(wl.eval(t_star))

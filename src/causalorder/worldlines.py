@@ -412,13 +412,18 @@ def canonical_gap_chain(
     zero = tuple(0.0 for _ in d)
     hop = tuple(x + c * t_len * v for x, v in zip(origin.x, d))
     span = 1 if orientation is Direction.FORWARD else -1
+    hop_t = origin.t + span * t_len
+    if hop_t == origin.t:
+        raise ValueError(
+            f"t_len {t_len!r} is lost in rounding at origin.t = {origin.t!r}, "
+            f"whose time resolution is math.ulp(origin.t) = {math.ulp(origin.t)!r}"
+        )
     # Until the kernel relates the anchors (rounding can put hop an ulp
     # off origin's cone), push hop's time out by 1, 2, 4, ... ulps of
     # t_len; 2**39 ulps close no rounding gap, so then keep the start.
     causal = OrderSpec(OrderKind.CAUSAL, c)
-    hop_t = origin.t + span * t_len
     for k in range(40):
-        if hop_t == origin.t or comparable(causal, origin, Event(hop_t, hop)):
+        if comparable(causal, origin, Event(hop_t, hop)):
             break
         hop_t = origin.t + span * (t_len + math.ulp(t_len) * 2.0**k)
     else:

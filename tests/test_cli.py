@@ -469,6 +469,7 @@ HOSTILE_FILES = {
     "sf_nine": "dim=9 c=1 k=0.5\n" + _NINE + "\n",
     "sf_empty": "",
     "sf_1d": "dim=1 c=1 k=0.5\n0 0\n",
+    "sf_1e14": "dim=1 c=1 k=0.5\n1e14 0\n",
     "wl_ok": _WL1 + "-5 2\n5 2\n",
     "wl_nan": _WL1 + "-5 nan\n5 0\n",
     "wl_inf": _WL1 + "-5 0\ninf 0\n",
@@ -545,6 +546,7 @@ HOSTILE_CASES = [
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "nan"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "1e308"], 2),
     (["counterexample", "--surface", "{sf_huge}", "--samples", "20", "--t-len", "1e300"], 2),
+    (["counterexample", "--surface", "{sf_1e14}", "--t-len", "1e-3"], 2),
     (["cone-classify", "--oracle", "causal:1:fwd", "--dim", "9"], 2),
     (["cone-classify", "--oracle", "causal:0:fwd", "--dim", "1"], 2),
     (["cone-classify", "--oracle", "causal:nan:fwd", "--dim", "1"], 2),
@@ -571,6 +573,9 @@ HOSTILE_LINES = {
         "surface_avoided_certified true",
     ("counterexample", "--surface", "{sf_ok}", "--samples", "-1"):
         "error: samples must be >= 0",
+    ("counterexample", "--surface", "{sf_1e14}", "--t-len", "1e-3"):
+        "error: t_len 0.001 is lost in rounding at origin.t = 100000000000000.0, "
+        "whose time resolution is math.ulp(origin.t) = 0.015625",
 }
 
 

@@ -1,5 +1,6 @@
 """Finite sprinkled posets: relation matrices, Hasse reduction,
-chain/antichain enumeration, cutsets, and matrix-level reconstruction."""
+maximal chain counts and views, antichain enumeration, cutsets, and
+matrix-level reconstruction."""
 
 import math
 import re
@@ -12,10 +13,10 @@ from causalorder import finite
 from causalorder.cones import cone_order_leq, standard_cone
 from causalorder.finite import (
     MAX_EVENTS,
-    CapExceeded,
     SprinkleConfig,
     build,
     compare_relations,
+    count_maximal_chains,
     find_avoiding_chain,
     hasse,
     is_cutset,
@@ -305,10 +306,50 @@ def test_reconstruct_matches_reference():
 
 def test_maximal_chains_frozen():
     chain3 = build([event(0.0, 0.0), event(1.0, 0.0), event(2.0, 0.0)], CAUSAL)
-    assert maximal_chains(chain3) == [[0, 1, 2]]
+    assert list(maximal_chains(chain3)) == [[0, 1, 2]]
     anti = build([event(0.0, float(i)) for i in range(3)], CAUSAL)
-    assert maximal_chains(anti) == [[0], [1], [2]]
-    assert maximal_chains(_diamond()) == [[0, 1, 3], [0, 2, 3]]
+    assert list(maximal_chains(anti)) == [[0], [1], [2]]
+    assert list(maximal_chains(_diamond())) == [[0, 1, 3], [0, 2, 3]]
+
+
+def test_chain_count_and_view_match_the_walk():
+    # the count against the walk's chains, and every index and slice of
+    # the view against the list, on every small set and the empty one
+    slices = [slice(None), slice(2, None), slice(None, -3), slice(-5, -1),
+              slice(1, None, 3), slice(None, None, -1), slice(-2, 0, -4), slice(7, 3)]
+    for events in [*_small_sets(), []]:
+        for kind in OrderKind:
+            for direction in Direction:
+                fcs = build(events, OrderSpec(kind, 1.0, direction))
+                walk = list(finite._walk(fcs))
+                view = maximal_chains(fcs)
+                assert count_maximal_chains(fcs) == len(view) == len(walk)
+                assert list(view) == walk
+                assert [view[i] for i in range(-len(walk), len(walk))] == walk + walk
+                for sl in slices:
+                    assert view[sl] == walk[sl]
+                for i in (len(walk), -len(walk) - 1):
+                    with pytest.raises(IndexError):
+                        view[i]
+
+
+def test_chain_count_past_sys_maxsize():
+    # 64 layers of two events, each below both of the next layer: a
+    # chain picks one event per layer, so there are 2**64 of them, and
+    # chain i picks the odd event of layer k when bit 63 - k of i is set
+    ladder = build([event(float(k), x) for k in range(64) for x in (0.0, 0.1)], CAUSAL)
+    assert count_maximal_chains(ladder) == 2**64
+    view = maximal_chains(ladder)
+    with pytest.raises(OverflowError, match="count_maximal_chains"):
+        len(view)
+    assert view and not maximal_chains(build([], CAUSAL))
+    assert view[0] == list(range(0, 128, 2))
+    assert view[2**63] == [1] + list(range(2, 128, 2))
+    assert view[-1] == view[2**64 - 1] == list(range(1, 128, 2))
+    assert view[2**64 - 2:] == [view[-2], view[-1]]
+    assert view[:3] == [chain for _, chain in zip(range(3), view)]
+    with pytest.raises(IndexError):
+        view[2**64]
 
 
 def test_maximal_antichains_frozen():
@@ -347,12 +388,12 @@ def test_maximal_antichains_are_maximal():
             assert any(rel[o, i] or rel[i, o] for i in ac)
 
 
-def test_chain_cap_carries_partial_result():
+def test_first_chains_of_a_large_count():
     events = sprinkle2(100, 4)
     fcs = build(events, CAUSAL)
-    with pytest.raises(CapExceeded) as exc:
-        maximal_chains(fcs, cap=3)
-    assert len(exc.value.partial) == 3
+    view = maximal_chains(fcs)
+    walk = finite._walk(fcs)
+    assert view[:3] == [next(walk) for _ in range(3)]
 
 
 # ----------------------------------------------------------------- cutsets
@@ -363,7 +404,7 @@ def _cutset_trio():
 
 def test_cutset_frozen_examples():
     fcs = _cutset_trio()
-    assert maximal_chains(fcs) == [[0, 1], [2]]
+    assert list(maximal_chains(fcs)) == [[0, 1], [2]]
     assert is_cutset(fcs, [1, 2])
     assert not is_cutset(fcs, [2])
     assert find_avoiding_chain(fcs, [2]) == [0, 1]
@@ -401,6 +442,21 @@ def test_cutset_rejects_comparable_input():
     assert 0 < rejected < 200
 
 
+def test_time_level_of_a_lattice_is_a_causal_cutset_only():
+    # the paper's distinction on exact data: in the 1+1 integer lattice
+    # the t = 0 level meets every maximal causal chain, but a subluminal
+    # chain jumps over it from (-1, -3) to (1, -2), since both level
+    # points causally between them, (0, -3) and (0, -2), are light-like
+    # to one end
+    events = [event(float(t), float(x)) for t in range(-3, 4) for x in range(-3, 4)]
+    level = [i for i, e in enumerate(events) if e.t == 0.0]
+    assert is_cutset(build(events, CAUSAL), level)
+    sub = build(events, SUBLUMINAL)
+    assert not is_cutset(sub, level)
+    chain = [(events[i].t, events[i].x[0]) for i in find_avoiding_chain(sub, level)]
+    assert chain == [(-3, -3), (-2, -3), (-1, -3), (1, -2), (2, -2), (3, -2)]
+
+
 def test_whole_antichain_set_is_cutset():
     anti = build([event(0.0, float(i)) for i in range(5)], CAUSAL)
     assert is_cutset(anti, list(range(5)))
@@ -432,7 +488,7 @@ def test_avoiding_chain_matches_enumeration():
         for kind in OrderKind:
             for direction in Direction:
                 fcs = build(events, OrderSpec(kind, 1.0, direction))
-                chains = maximal_chains(fcs)
+                chains = list(maximal_chains(fcs))
                 for ac in _antichain_queries(fcs, rng):
                     expected = next((ch for ch in chains if not set(ac) & set(ch)), None)
                     assert find_avoiding_chain(fcs, ac) == expected
@@ -441,10 +497,24 @@ def test_avoiding_chain_matches_enumeration():
     assert queries > 5000
 
 
+def _chain_count_reference(fcs):
+    """Cover paths counted the other way: from the minimal elements up,
+    in time order, summed over the maximal elements."""
+    n = len(fcs)
+    into = [[] for _ in range(n)]
+    for i, j in hasse(fcs):
+        into[j].append(i)
+    paths = [0] * n
+    for j in sorted(range(n), key=lambda i: fcs.events[i].t):
+        paths[j] = sum(paths[i] for i in into[j]) if into[j] else 1
+    return sum(paths[i] for i in range(n) if not fcs.relation[i].any())
+
+
 def test_cutset_check_at_max_events():
-    # far more maximal chains than the enumeration cap of a million
+    # about 1e19 maximal chains: far too many to list, counted exactly
     box = ((-1.0, 1.0), (-1.0, 1.0))
     fcs = build(sprinkle(SprinkleConfig(MAX_EVENTS, 1, box, 11)), CAUSAL)
+    assert count_maximal_chains(fcs) == _chain_count_reference(fcs) == 9991468692842737627
     minimal = np.flatnonzero(~fcs.relation.any(axis=0)).tolist()
     assert is_cutset(fcs, minimal)
     covers = set(hasse(fcs))

@@ -281,6 +281,19 @@ def test_canonical_chain_samples_stay_inside_the_rays_near_1e14():
     assert min(abs(p.t - 1e14) for p in events) == 1e14 - math.nextafter(1e14, 0.0)
 
 
+def test_canonical_chain_rejects_a_hop_lost_in_rounding():
+    # at t = 1e14 an ulp is 1/64, so a hop of 1e-3 leaves the time where
+    # it was; the error names t_len and that resolution
+    for orientation in Direction:
+        with pytest.raises(ValueError) as exc:
+            canonical_gap_chain(event(1e14, 0.0), (1.0,), 1e-3, 1.0, orientation)
+        msg = str(exc.value)
+        assert "t_len 0.001" in msg and f"math.ulp(origin.t) = {math.ulp(1e14)!r}" in msg
+    # one ulp of hop is enough
+    gwl = canonical_gap_chain(event(1e14, 0.0), (1.0,), math.ulp(1e14), 1.0)
+    assert gwl.rays[1].anchor_t > 1e14
+
+
 def test_canonical_chain_backward_orientation_mirrors():
     fwd = canonical_gap_chain(event(0.0, 0.0), (1.0,), 1.0, 1.0)
     bwd = canonical_gap_chain(event(0.0, 0.0), (1.0,), 1.0, 1.0, orientation=Direction.BACKWARD)
