@@ -12,22 +12,12 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import fileio
 from .fileio import _fmt
-from .cones import ConeKind, ConeOracle, affine_cone, check_invariance, classify_cone, standard_cone
-from .finite import (
-    SprinkleConfig,
-    build,
-    compare_relations,
-    find_avoiding_chain,
-    hasse,
-    reconstruct_order,
-    sprinkle,
-)
-from .hypersurfaces import Grading, crossing_time
 from .order import (
     BLOCK,
     Direction,
@@ -40,7 +30,12 @@ from .order import (
     classify_pair,
     leq,
 )
-from .worldlines import canonical_gap_chain
+
+# finite, hypersurfaces, worldlines and cones are imported inside the
+# commands that call them, so a process loads only its command's modules.
+if TYPE_CHECKING:
+    from .cones import ConeOracle
+
 
 class Report:
     """Accumulates output lines; timing goes last and is the only
@@ -98,6 +93,8 @@ def _parse_oracle(text: str, dim: int) -> ConeOracle:
     """Oracle specs: causal:<c>:<fwd|bwd>, subluminal:<c>:<fwd|bwd>,
     temporal:<fwd|bwd>, affine:<r;r;...>:<spec> with ';'-separated rows
     of ','-separated entries acting on (x, t)."""
+    from .cones import affine_cone, standard_cone
+
     head, _, rest = text.partition(":")
     if head == "temporal":
         if rest not in ("fwd", "bwd"):
@@ -129,6 +126,8 @@ def _parse_oracle(text: str, dim: int) -> ConeOracle:
 # ---------------------------------------------------------------- commands
 
 def cmd_sprinkle(args, argv) -> int:
+    from .finite import SprinkleConfig, sprinkle
+
     box = _parse_box(args.box, args.dim + 1)
     cfg = SprinkleConfig(args.count, args.dim, box, args.seed)
     events = sprinkle(cfg)
@@ -160,6 +159,8 @@ def cmd_relate(args, argv) -> int:
 
 
 def cmd_hasse(args, argv) -> int:
+    from .finite import build, hasse
+
     events, spec = fileio.read_events(args.file)
     fcs = build(events, _spec_from_args(args, spec))
     edges = hasse(fcs)
@@ -176,6 +177,8 @@ def cmd_hasse(args, argv) -> int:
 
 
 def cmd_cutset_check(args, argv) -> int:
+    from .finite import build, find_avoiding_chain
+
     events, spec = fileio.read_events(args.file)
     fcs = build(events, _spec_from_args(args, spec))
     witness = find_avoiding_chain(fcs, args.indices)
@@ -192,6 +195,8 @@ def cmd_cutset_check(args, argv) -> int:
 
 
 def cmd_grade(args, argv) -> int:
+    from .hypersurfaces import Grading
+
     hs = fileio.read_surface(args.surface)
     events, _ = fileio.read_events(args.file)
     rep = Report(argv)
@@ -202,6 +207,8 @@ def cmd_grade(args, argv) -> int:
 
 
 def cmd_crossing(args, argv) -> int:
+    from .hypersurfaces import crossing_time
+
     hs = fileio.read_surface(args.surface)
     wl, _ = fileio.read_worldline(args.worldline)
     t_star = crossing_time(hs, wl, tol=args.tol)
@@ -214,6 +221,8 @@ def cmd_crossing(args, argv) -> int:
 
 
 def cmd_reconstruct(args, argv) -> int:
+    from .finite import build, compare_relations, reconstruct_order
+
     events, spec = fileio.read_events(args.file)
     c = args.c if args.c is not None else spec.c
     rep = Report(argv)
@@ -241,6 +250,8 @@ def cmd_reconstruct(args, argv) -> int:
 
 
 def cmd_counterexample(args, argv) -> int:
+    from .worldlines import canonical_gap_chain
+
     if args.samples < 0:
         raise ValueError("samples must be >= 0")
     hs = fileio.read_surface(args.surface)
@@ -307,6 +318,8 @@ def cmd_counterexample(args, argv) -> int:
 
 
 def cmd_cone_classify(args, argv) -> int:
+    from .cones import ConeKind, check_invariance, classify_cone
+
     oracle = _parse_oracle(args.oracle, args.dim)
     rep = Report(argv, seed=args.seed)
     code = 0

@@ -10,11 +10,15 @@ digits so values round-trip exactly.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .hypersurfaces import Hypersurface, make_hypersurface
 from .order import MAX_SPACE_DIM, Direction, Event, OrderKind, OrderSpec
-from .worldlines import GapWorldLine, KeptEnd, PolyWorldLine, make_gap_worldline, make_polyline
+
+# hypersurfaces and worldlines load inside the readers that build their
+# objects, so reading or writing events loads neither.
+if TYPE_CHECKING:
+    from .hypersurfaces import Hypersurface
+    from .worldlines import GapWorldLine, KeptEnd, PolyWorldLine
 
 
 class ParseError(ValueError):
@@ -122,6 +126,8 @@ def write_surface(path: str | Path, hs: Hypersurface) -> None:
 
 
 def read_surface(path: str | Path) -> Hypersurface:
+    from .hypersurfaces import make_hypersurface
+
     path = Path(path)
     no, fields, dim, c, rows = _read_header(path, ["dim", "c", "k"])
     k = _parse_float(path, no, fields["k"], "k")
@@ -167,6 +173,8 @@ def write_gap_worldline(path: str | Path, gwl: GapWorldLine) -> None:
 def read_worldline(
     path: str | Path,
 ) -> tuple[PolyWorldLine, list[tuple[float, float, KeptEnd]]]:
+    from .worldlines import KeptEnd, make_polyline
+
     path = Path(path)
     _, _, dim, c, rows = _read_header(path, ["dim", "c", "order", "dir"])
     vertices: list[tuple[float, tuple[float, ...]]] = []
@@ -193,6 +201,8 @@ def read_worldline(
 def gap_worldline_from_file(path: str | Path) -> GapWorldLine:
     """Rebuild a GapWorldLine: gap rows must match the line's own light
     segments one for one."""
+    from .worldlines import make_gap_worldline
+
     wl, gap_rows = read_worldline(path)
     segs = wl.light_segments()
     if len(gap_rows) != len(segs):
@@ -214,12 +224,14 @@ def gap_worldline_from_file(path: str | Path) -> GapWorldLine:
 
 def dot_digraph(num_nodes: int, edges: Sequence[tuple[int, int]], name: str = "hasse") -> str:
     """DOT digraph with 0-based index nodes and lexicographic edges."""
+    edges = sorted(edges)
+    arcs = [f"  {i} -> {j};" for i, j in edges if 0 <= j < num_nodes]
+    # sorted, the sources run from edges[0][0] to edges[-1][0]
+    if edges and not (len(arcs) == len(edges) and 0 <= edges[0][0] and edges[-1][0] < num_nodes):
+        i, j = next((i, j) for i, j in edges if not (0 <= i < num_nodes and 0 <= j < num_nodes))
+        raise ValueError(f"edge ({i}, {j}) outside node range [0, {num_nodes})")
     lines = [f"digraph {name} {{"]
-    for i in range(num_nodes):
-        lines.append(f"  {i};")
-    for i, j in sorted(edges):
-        if not (0 <= i < num_nodes and 0 <= j < num_nodes):
-            raise ValueError(f"edge ({i}, {j}) outside node range [0, {num_nodes})")
-        lines.append(f"  {i} -> {j};")
+    lines += [f"  {i};" for i in range(num_nodes)]
+    lines += arcs
     lines.append("}")
     return "\n".join(lines) + "\n"

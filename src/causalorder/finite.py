@@ -36,7 +36,6 @@ from __future__ import annotations
 import operator
 import sys
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -376,6 +375,21 @@ def is_cutset(fcs: FiniteCausalSet, antichain: Sequence[int]) -> bool:
     return find_avoiding_chain(fcs, antichain) is None
 
 
+def _multiplicity(t: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """For each event, how many events equal it (itself included), as
+    float32: equal rows by exact coordinate comparison, as Event
+    equality decides it (-0.0 == 0.0), are adjacent once sorted."""
+    keys = np.column_stack([t, xs])
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    first = np.ones(len(t), dtype=bool)  # first of its value in sorted order
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    sizes = np.diff(np.append(np.flatnonzero(first), len(t)))
+    mult = np.empty(len(t), dtype=np.float32)
+    mult[order] = np.repeat(sizes, sizes)
+    return mult
+
+
 def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     """Causal relation recovered from a subluminal set, using the set's
     own events as witnesses: i related to j when i is subluminally below
@@ -388,16 +402,16 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     """
     if fcs.spec.kind is not OrderKind.SUBLUMINAL:
         raise ValueError("reconstruction expects a subluminal relation")
-    rel, events = fcs.relation, fcs.events
-    n = len(events)
+    rel = fcs.relation
+    t, xs = _coordinates(fcs.events)
+    mult = _multiplicity(t, xs)
+    n = len(t)
     width = BLOCK if n * n > TILE_CELLS else n + 1  # one band needs no order
     if width < n:  # time order (reversed for the dual order): upper triangular
-        order = np.argsort([e.t for e in events], kind="stable")
+        order = np.argsort(t, kind="stable")
         if fcs.spec.direction is Direction.BACKWARD:
             order = order[::-1]
-        rel, events = _permute(rel, order), [events[i] for i in order]
-    per_value = Counter(events)
-    mult = np.array([per_value[e] for e in events], dtype=np.float32)
+        rel, mult = _permute(rel, order), mult[order]
     rf = rel.astype(np.float32)
     above = rf.sum(axis=1)
     rec = np.empty((n, n), dtype=bool)

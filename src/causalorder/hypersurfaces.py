@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -44,7 +44,9 @@ from .order import (
     _point_distances,
     _require_speed,
 )
-from .worldlines import PolyWorldLine
+
+if TYPE_CHECKING:  # annotations only
+    from .worldlines import PolyWorldLine
 
 
 @dataclass(frozen=True)

@@ -4,14 +4,19 @@ import contextlib
 import hashlib
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from causalorder import cli, finite
 from causalorder.cli import main
-from causalorder.fileio import _fmt, read_events, read_surface, write_surface, write_worldline
+from causalorder.fileio import (_fmt, read_events, read_surface, write_events, write_surface,
+                                write_worldline)
 from causalorder.hypersurfaces import Grading, Hypersurface, make_hypersurface
 from causalorder.order import Direction, Event, OrderKind, OrderSpec
 from causalorder.worldlines import canonical_gap_chain, make_polyline
@@ -608,3 +613,61 @@ def test_hostile_input_exits_cleanly(hostile_paths, argv, code):
     assert (got, sum(l.startswith("error:") for l in text.splitlines())) == (code, code == 2)
     if tuple(argv) in HOSTILE_LINES:
         assert HOSTILE_LINES[tuple(argv)] in text.splitlines()
+
+
+# Each command imports only the modules it runs: numpy, fileio and order
+# are loaded with the CLI itself, the rest inside the commands.
+CLI_MODULES = {"causalorder", "causalorder.cli", "causalorder.fileio", "causalorder.order"}
+FINITE = CLI_MODULES | {"causalorder.finite"}
+GEOMETRY = CLI_MODULES | {"causalorder.hypersurfaces", "causalorder.worldlines"}
+MODULE_BUDGET = [
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=-1:1", "--out", "{out}"], FINITE),
+    (["relate", "{ev}", "0", "1"], CLI_MODULES),
+    (["hasse", "{ev}", "--dot", "{out}"], FINITE),
+    (["cutset-check", "{ev}", "--indices", "{minimal}"], FINITE),
+    (["reconstruct", "{ev}"], FINITE),
+    (["reconstruct", "{ev}", "--mode", "sampled"], FINITE),
+    (["grade", "{ev}", "--surface", "{surface}"], CLI_MODULES | {"causalorder.hypersurfaces"}),
+    (["crossing", "--surface", "{surface}", "--worldline", "{line}"], GEOMETRY),
+    (["counterexample", "--surface", "{surface}", "--samples", "10"], GEOMETRY),
+    (["cone-classify", "--oracle", "causal:1:fwd", "--dim", "2"], CLI_MODULES | {"causalorder.cones"}),
+]
+
+
+def _loaded_modules(code: str, *args: str) -> tuple[set[str], str]:
+    """The causalorder modules loaded after a fresh interpreter runs code,
+    and its stdout without the last line, which lists them."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    code += "; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'causalorder'))"
+    res = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    out, _, last = res.stdout.rstrip("\n").rpartition("\n")
+    return set(last.split()), out
+
+
+def test_importing_the_cli_loads_only_fileio_and_order():
+    assert _loaded_modules("import sys, causalorder.cli")[0] == CLI_MODULES
+
+
+def test_module_budget_covers_every_subcommand():
+    assert {argv[0] for argv, _ in MODULE_BUDGET} == {argv[0] for argv, _ in HOSTILE_CASES}
+
+
+@pytest.mark.parametrize("argv, modules", MODULE_BUDGET,
+                         ids=[" ".join(a for a in argv if "{" not in a) for argv, _ in MODULE_BUDGET])
+def test_each_subcommand_loads_only_its_modules(tmp_path, surface_file, argv, modules):
+    paths = {"ev": tmp_path / "ev.txt", "out": tmp_path / "out.txt", "surface": surface_file,
+             "line": tmp_path / "line.txt"}
+    events = [Event(0.1 * k, (0.05 * k * (-1) ** k, 0.0)) for k in range(12)]
+    write_events(paths["ev"], events, OrderSpec(OrderKind.CAUSAL, 1.0))
+    write_worldline(paths["line"], make_polyline([(-10.0, (0.0, 0.0)), (10.0, (0.5, 0.0))], 1.0))
+    minimal = ",".join(map(str, finite.build(events, OrderSpec(OrderKind.CAUSAL, 1.0)).minimal))
+    argv = [a.format(minimal=minimal, **paths) for a in argv]
+    loaded, out = _loaded_modules(
+        "import sys; from causalorder import cli; assert cli.main(sys.argv[1:]) == 0", *argv
+    )
+    assert out.startswith(f"# command: {argv[0]}")
+    assert loaded == modules

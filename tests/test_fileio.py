@@ -1,6 +1,7 @@
 """Plain-text file formats: round-trips, located parse errors, DOT export."""
 
 import math
+import re
 
 import pytest
 
@@ -159,5 +160,13 @@ def test_dot_export_golden():
 
 
 def test_dot_rejects_out_of_range_edges():
-    with pytest.raises(ValueError):
-        dot_digraph(2, [(0, 5)])
+    # the message names the first bad edge in lexicographic order
+    for edges, bad in [
+        ([(0, 5)], (0, 5)),
+        ([(1, 0), (3, 0)], (3, 0)),
+        ([(0, 1), (-1, 0)], (-1, 0)),
+        ([(1, 0), (0, -1)], (0, -1)),
+        ([(1, 9), (0, 1), (1, 0), (0, 7)], (0, 7)),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"edge {bad} outside node range [0, 2)")):
+            dot_digraph(2, edges)

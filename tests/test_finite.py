@@ -40,6 +40,7 @@ from causalorder.order import (
     leq,
     reconstruct_causal_analytic,
     reconstruct_causal_sampled,
+    _coordinates,
     _strict_block,
 )
 
@@ -568,6 +569,28 @@ def test_reconstruct_handles_duplicate_events():
     truth = build(events, CAUSAL).relation
     assert compare_relations(rec, truth).false_negatives == 0
     assert rec[0, 2] and rec[1, 2]
+
+
+def test_multiplicity_counts_equal_events_as_event_equality():
+    # -0.0 == 0.0, so (0, -0) and (-0, 0) are one value, as for Event
+    rng = np.random.default_rng(5)
+    for dim in (0, 1, 2, 3):
+        grid = rng.integers(-1, 2, (60, dim + 1)).astype(float)
+        grid[rng.random(grid.shape) < 0.3] *= -0.0  # signed zeros and zeros
+        events = [Event(r[0], tuple(r[1:])) for r in grid]
+        per_value = Counter(events)
+        t, xs = _coordinates(events)
+        mult = finite._multiplicity(t, xs)
+        assert mult.dtype == np.float32
+        assert mult.tolist() == [per_value[e] for e in events]
+    assert finite._multiplicity(np.empty(0), np.empty((0, 2))).shape == (0,)
+
+
+def test_reconstruct_treats_signed_zeros_as_one_event():
+    events = [event(0.0, 0.0), event(-0.0, -0.0), event(1.0, 1.0), event(3.0, 1.0), event(1.0, -0.0)]
+    for direction in Direction:
+        fcs = build(events, OrderSpec(OrderKind.SUBLUMINAL, 1.0, direction))
+        assert np.array_equal(reconstruct_order(fcs), _witness_reconstruction(events, fcs.relation))
 
 
 def test_compare_relations_counts_and_validation():
