@@ -131,8 +131,7 @@ def cmd_sprinkle(args, argv) -> int:
     box = _parse_box(args.box, args.dim + 1)
     cfg = SprinkleConfig(args.count, args.dim, box, args.seed)
     events = sprinkle(cfg)
-    spec = OrderSpec(OrderKind(args.order or "causal"), args.c if args.c is not None else 1.0,
-                     Direction(args.dir or "fwd"))
+    spec = _spec_from_args(args, OrderSpec(OrderKind.CAUSAL))
     fileio.write_events(args.out, events, spec, dim=args.dim)
     rep = Report(argv, seed=args.seed)
     rep.add(f"written {args.out}")

@@ -11,7 +11,10 @@ Closedness cannot be decided topologically from finitely many samples;
 it is operationalized by one exact probe at the estimated boundary
 speed.  The bisection runs on a dyadic bracket,
 so any exactly representable boundary speed is probed exactly and the
-convention gives the right answer for cleanly specified cones.
+convention gives the right answer for cleanly specified cones.  Every
+unknown verdict leaves classify_cone through one exit, with the
+direction, probe count and bracket found so far.  Sampled events come
+from order._box_events, as finite.sprinkle's do.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .order import (MAX_SPACE_DIM, Direction, Event, OrderKind, _check_box, _require_speed,
+from .order import (Direction, Event, OrderKind, _box_events, _check_box, _require_speed,
                     _strictly_before, apply_dilation, distance)
 
 DEFAULT_PROBE_SPAN = 8.0
@@ -81,8 +84,7 @@ def standard_cone(
     """Reference oracle for the three families at speed c in dimension n."""
     if kind is not OrderKind.TEMPORAL:
         _require_speed(c)
-    if not 0 <= n <= MAX_SPACE_DIM:
-        raise ValueError(f"space dimension must be in [0, {MAX_SPACE_DIM}]")
+    box = _check_box(n, ((-DEFAULT_PROBE_SPAN, DEFAULT_PROBE_SPAN),) * (n + 1))
 
     apex = Event(0.0, (0.0,) * n)
 
@@ -92,7 +94,6 @@ def standard_cone(
         return _strictly_before(kind, c, apex, e) or e == apex
 
     member = fwd if direction is Direction.FORWARD else (lambda e: fwd(_neg(e)))
-    box = tuple((-DEFAULT_PROBE_SPAN, DEFAULT_PROBE_SPAN) for _ in range(n + 1))
     return ConeOracle(member, n, box)
 
 
@@ -142,11 +143,12 @@ def check_invariance(
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(seed)
     n = oracle.dimension
-    lo = np.array([a for a, _ in oracle.probe_box])
-    hi = np.array([b for _, b in oracle.probe_box])
-    draws = rng.uniform(lo, hi, size=(n_samples, n + 1))
-    events = [Event(r[-1], r[:-1]) for r in draws.tolist()]
+    events = _box_events(rng, oracle.probe_box, n_samples)
     checks = 0
+
+    def fail(why: str) -> InvarianceReport:
+        return InvarianceReport(False, checks, why)
+
     for i, e in enumerate(events):
         member = oracle.membership(e)
         if n > 0:
@@ -154,20 +156,12 @@ def check_invariance(
             rot = Event(e.t, (q @ np.asarray(e.x)).tolist())
             checks += 1
             if oracle.membership(rot) != member:
-                return InvarianceReport(
-                    False,
-                    checks,
-                    f"rotation broke membership at {e} (rotated to {rot})",
-                )
+                return fail(f"rotation broke membership at {e} (rotated to {rot})")
         r = float(rng.uniform(0.1, 10.0))
         scaled = apply_dilation(r, e)
         checks += 1
         if oracle.membership(scaled) != member:
-            return InvarianceReport(
-                False,
-                checks,
-                f"dilation by {r!r} broke membership at {e}",
-            )
+            return fail(f"dilation by {r!r} broke membership at {e}")
         if i + 1 < len(events):
             u, v = e, events[i + 1]
             shift = tuple(rng.uniform(a, b) for a, b in oracle.probe_box[:n])
@@ -175,11 +169,7 @@ def check_invariance(
             sv = Event(v.t, tuple(a + d for a, d in zip(v.x, shift)))
             checks += 1
             if cone_order_leq(oracle, u, v) != cone_order_leq(oracle, su, sv):
-                return InvarianceReport(
-                    False,
-                    checks,
-                    f"translation by {shift} broke the order at ({u}, {v})",
-                )
+                return fail(f"translation by {shift} broke the order at ({u}, {v})")
     return InvarianceReport(True, checks)
 
 
@@ -225,45 +215,34 @@ def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> C
             raise ValueError(f"probe budget {budget} exhausted")
         return bool(oracle.membership(e))
 
+    direction: Direction | None = None
+    bracket: tuple[float, float] | None = None
+
+    def unknown(witness: str) -> ConeClass:
+        """The one non-cone verdict, with the evidence gathered so far."""
+        return ConeClass(ConeKind.UNKNOWN, direction, None,
+                         ConeEvidence(count, bracket=bracket, witness=witness))
+
     zero = Event(0.0, tuple(0.0 for _ in range(n)))
     if not member(zero):
-        return ConeClass(
-            ConeKind.UNKNOWN,
-            None,
-            None,
-            ConeEvidence(count, witness="origin is not a member"),
-        )
+        return unknown("origin is not a member")
     up = member(Event(1.0, zero.x))
     down = member(Event(-1.0, zero.x))
     if up == down:
-        which = "both" if up else "neither"
-        return ConeClass(
-            ConeKind.UNKNOWN,
-            None,
-            None,
-            ConeEvidence(count, witness=f"{which} of (0, +1) and (0, -1) are members"),
-        )
+        return unknown(f"{'both' if up else 'neither'} of (0, +1) and (0, -1) are members")
     direction = Direction.FORWARD if up else Direction.BACKWARD
     sgn = 1.0 if up else -1.0
     # Dilation spot-check on the established member.
     if not member(Event(2.0 * sgn, zero.x)):
-        return ConeClass(
-            ConeKind.UNKNOWN,
-            direction,
-            None,
-            ConeEvidence(count, witness="(0, t) member but (0, 2t) is not"),
-        )
+        return unknown("(0, t) member but (0, 2t) is not")
     if n == 0:
         return ConeClass(ConeKind.TEMPORAL, direction, None, ConeEvidence(count))
 
     def axis_event(speed: float) -> Event:
-        x = [0.0] * n
-        x[0] = speed
-        return Event(sgn, tuple(x))
+        return Event(sgn, (speed,) + zero.x[1:])
 
     corner = [max(abs(lo), abs(hi)) for lo, hi in oracle.probe_box[:n]]
-    raw_bound = distance([0.0] * n, corner)
-    bound = _next_pow2(raw_bound)
+    bound = _next_pow2(distance(zero.x, corner))
     if member(axis_event(bound)):
         return ConeClass(ConeKind.TEMPORAL, direction, None, ConeEvidence(count))
     lo_s, hi_s = 0.0, bound
@@ -275,50 +254,28 @@ def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> C
             lo_s = mid
         else:
             hi_s = mid
+    bracket = (lo_s, hi_s)
     # The boundary speed is one of the bracket ends; prefer the cleaner
     # dyadic, which is the exact speed whenever one was specified.
     c_hat = lo_s if _significand_bits(lo_s) < _significand_bits(hi_s) else hi_s
     if lo_s > 0.0 and not member(apply_dilation(2.0, axis_event(lo_s))):
-        return ConeClass(
-            ConeKind.UNKNOWN,
-            direction,
-            None,
-            ConeEvidence(
-                count,
-                bracket=(lo_s, hi_s),
-                witness=f"member at speed {lo_s!r} fails doubling",
-            ),
-        )
+        return unknown(f"member at speed {lo_s!r} fails doubling")
     boundary = member(axis_event(c_hat))
     # A cone is closed under doubling; spot-check sampled members.
     # Doubling is exact in binary floats, so honest oracles never trip this.
-    rng = np.random.default_rng(seed)
-    lo = np.array([a for a, _ in oracle.probe_box])
-    hi = np.array([b for _, b in oracle.probe_box])
     found = 0
-    for _ in range(64):
+    for v in _box_events(np.random.default_rng(seed), oracle.probe_box, 64):
         if found >= 8:
             break
-        draw = rng.uniform(lo, hi)
-        v = Event(float(draw[-1]), tuple(float(s) for s in draw[:-1]))
         if not member(v):
             continue
         found += 1
         if not member(apply_dilation(2.0, v)):
-            return ConeClass(
-                ConeKind.UNKNOWN,
-                direction,
-                None,
-                ConeEvidence(
-                    count,
-                    bracket=(lo_s, hi_s),
-                    witness=f"member {v} fails doubling",
-                ),
-            )
+            return unknown(f"member {v} fails doubling")
     kind = ConeKind.CAUSAL if boundary else ConeKind.SUBLUMINAL
     return ConeClass(
         kind,
         direction,
         float(c_hat),
-        ConeEvidence(count, bracket=(lo_s, hi_s), boundary_member=boundary),
+        ConeEvidence(count, bracket=bracket, boundary_member=boundary),
     )

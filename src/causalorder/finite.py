@@ -44,7 +44,7 @@ from typing import Iterator
 import numpy as np
 
 from .order import BLOCK, TILE_CELLS, Direction, Event, OrderKind, OrderSpec
-from .order import _check_box, _coordinates, _strict_block
+from .order import _box_events, _check_box, _coordinates, _strict_block
 
 MAX_EVENTS = 2000
 MAX_ANTICHAIN_EVENTS = 24
@@ -67,13 +67,7 @@ class SprinkleConfig:
 
 
 def sprinkle(cfg: SprinkleConfig) -> list[Event]:
-    rng = np.random.default_rng(cfg.seed)
-    lo = np.array([a for a, _ in cfg.box])
-    hi = np.array([b for _, b in cfg.box])
-    draws = rng.uniform(lo, hi, size=(cfg.count, cfg.dimension + 1))
-    return [
-        Event(float(row[-1]), tuple(float(v) for v in row[:-1])) for row in draws
-    ]
+    return _box_events(np.random.default_rng(cfg.seed), cfg.box, cfg.count)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ array of points in row tiles, with the bits of the per-anchor scalar
 expression min(h_i + k * distance(x, x_i)); height is its one-point
 case, the same bits from order._point_distances over the contiguous
 anchor columns, with no 2-D array or tile loop.  Grading.values,
-is_antichain_sample and grading_monotone_on lift or grade all their
-points with one heights call.  The Lipschitz check, one scan over row
-tiles of the upper triangle of anchor pairs, names the first violating
-pair a pair loop would.  is_antichain_sample asks
+is_antichain_sample, grading_monotone_on and crossing_time lift or
+grade all their points with one heights call.  The Lipschitz check, one
+scan over row tiles of the upper triangle of anchor pairs, names the
+first violating pair a pair loop would.  is_antichain_sample asks
 order._comparable_block, the comparability form of the rectangular
 batched cone kernel, whether any two lifted points are related.
 """
@@ -220,7 +220,7 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
         a = 1.0 - k2 * _row_dots(v, v)
         if hs.modulus * wl.c >= 1.0 or not (a > 0).all():
             raise ValueError("world line speed bound breaks the k*c < 1 margin")
-        phi = t - (_distances(x, xs) * hs.modulus + hv).min(axis=1)  # bits of t - height
+        phi = t - hs.heights(x)
         (t0, t1), (f0, f1) = wl.window, (phi[0], phi[-1])
         if abs(f0) <= tol:
             return t0

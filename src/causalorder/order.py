@@ -139,6 +139,14 @@ def _check_box(dimension: int, box: Sequence) -> tuple[tuple[float, float], ...]
     return box
 
 
+def _box_events(rng: np.random.Generator, box: Sequence, count: int) -> list[Event]:
+    """`count` uniform events from a checked box (space axes first, time
+    last), in one block draw whose rows hold the bits of per-row draws."""
+    lo, hi = np.array(box).T
+    draws = rng.uniform(lo, hi, size=(count, len(box)))
+    return [Event(r[-1], r[:-1]) for r in draws.tolist()]
+
+
 def _require_same_dim(u: Event, v: Event) -> None:
     if len(u.x) != len(v.x):
         raise ValueError(f"dimension mismatch: {len(u.x)} vs {len(v.x)}")

@@ -14,6 +14,11 @@ to the construction origin, so the chain misses every subluminal
 antichain containing that origin, while its time image omits the whole
 gap interval.
 
+A PolyWorldLine takes one distance and one c*dt per segment, once, for
+both its speed check and its merged light-speed runs; light_segments
+returns those runs, so extend_probe, make_gap_worldline and
+fileio.gap_worldline_from_file never rescan the line.
+
 Extension probes are decided on the exact line, not on samples of it:
 two distinct events at one time are incomparable in every order, so a
 probe at a covered time must be the line's own point there.
@@ -56,18 +61,29 @@ class PolyWorldLine:
             if e.n != n:
                 raise ValueError("all vertices must share one space dimension")
             verts.append((e.t, e.x))
-        for i in range(len(verts) - 1):
-            (t0, x0), (t1, x1) = verts[i], verts[i + 1]
+        runs: list[LightSegment] = []
+        for i, ((t0, x0), (t1, x1)) in enumerate(zip(verts, verts[1:])):
             dt = t1 - t0
             if dt <= 0:
                 raise ValueError(f"vertex times must strictly increase (index {i + 1})")
-            dist = distance(x0, x1)
-            if dist > self.c * dt * (1.0 + SPEED_REL_TOL):
+            dist, reach = distance(x0, x1), self.c * dt
+            if dist > reach * (1.0 + SPEED_REL_TOL):
                 raise ValueError(
                     f"segment {i} exceeds speed {self.c:g}: speed {dist / dt:.17g}"
                 )
+            if not (dist > 0.0 and abs(dist - reach) <= SPEED_REL_TOL * reach):
+                continue
+            d = tuple((b - a) / dist for a, b in zip(x0, x1))
+            last = runs[-1] if runs else None
+            if (last is not None and last.t_end == t0  # the previous segment, collinear
+                    and sum(p * q for p, q in zip(last.direction, d)) >= 1.0 - DIR_DOT_TOL):
+                runs[-1] = LightSegment(last.t_start, t1, last.direction)
+            else:
+                runs.append(LightSegment(t0, t1, d))
         object.__setattr__(self, "vertices", tuple(verts))
+        # no fields, so equality and hashing ignore them
         object.__setattr__(self, "_times", tuple(t for t, _ in verts))
+        object.__setattr__(self, "_light", tuple(runs))
 
     @property
     def n(self) -> int:
@@ -128,30 +144,10 @@ class PolyWorldLine:
     def light_segments(self) -> tuple["LightSegment", ...]:
         """Maximal runs of consecutive segments at speed exactly c
         (relative tolerance 1e-9) with a common direction (unit-vector
-        dot >= 1 - 1e-12).  Collinear neighbours merge, so the result
-        is stable under inserting extra vertices along a run."""
-        runs: list[LightSegment] = []
-        cur: list | None = None  # [t_start, t_end, dir]
-        for i in range(len(self.vertices) - 1):
-            (t0, x0), (t1, x1) = self.vertices[i], self.vertices[i + 1]
-            dt = t1 - t0
-            dist = distance(x0, x1)
-            light = dist > 0.0 and abs(dist - self.c * dt) <= SPEED_REL_TOL * (self.c * dt)
-            if not light:
-                if cur is not None:
-                    runs.append(LightSegment(cur[0], cur[1], cur[2]))
-                    cur = None
-                continue
-            d = tuple((b - a) / dist for a, b in zip(x0, x1))
-            if cur is not None and sum(p * q for p, q in zip(cur[2], d)) >= 1.0 - DIR_DOT_TOL:
-                cur[1] = t1
-            else:
-                if cur is not None:
-                    runs.append(LightSegment(cur[0], cur[1], cur[2]))
-                cur = [t0, t1, d]
-        if cur is not None:
-            runs.append(LightSegment(cur[0], cur[1], cur[2]))
-        return tuple(runs)
+        dot >= 1 - 1e-12), found once when the line is built.  Collinear
+        neighbours merge, so the result is stable under inserting extra
+        vertices along a run."""
+        return self._light  # type: ignore[attr-defined]
 
 
 def make_polyline(

@@ -429,6 +429,14 @@ def test_cone_classify_standard_and_unknown():
     assert code == 2
 
 
+def test_cone_classify_degenerate_affine_is_unknown():
+    # the map sends (0, +1) and (0, -1) onto the apex, so both are members
+    code, out, _ = run(["cone-classify", "--oracle", "affine:1,0;0,0:causal:1:fwd", "--dim", "1"])
+    assert code == 1
+    assert body(out)[-4:] == ["kind unknown", "direction unknown",
+                              "witness both of (0, +1) and (0, -1) are members", "probes 3"]
+
+
 def test_usage_errors(tmp_path):
     assert run(["nonsense"])[0] == 2
     assert run([])[0] == 2

@@ -9,13 +9,14 @@ from causalorder.cones import (
     ConeEvidence,
     ConeKind,
     ConeOracle,
+    InvarianceReport,
     affine_cone,
     check_invariance,
     classify_cone,
     cone_order_leq,
     standard_cone,
 )
-from causalorder.order import Direction, Event, OrderKind, OrderSpec, event, leq
+from causalorder.order import Direction, Event, OrderKind, OrderSpec, distance, event, leq
 
 
 def test_standard_cone_frozen_memberships():
@@ -68,6 +69,18 @@ def test_invariance_fails_anisotropic_with_witness():
     rep = check_invariance(stretched, 300, 1)
     assert not rep.passed
     assert rep.counterexample
+
+
+def test_invariance_reports_the_first_dilation_failure():
+    # a ball is rotation invariant but not dilation invariant
+    ball = ConeOracle(lambda e: sum(v * v for v in e.x) + e.t * e.t <= 25.0, 2,
+                      ((-8.0, 8.0),) * 3)
+    assert check_invariance(ball, 200, 0) == InvarianceReport(
+        False,
+        8,
+        "dilation by 1.5238701954821423 broke membership at "
+        "Event(t=0.6979998634467659, x=(1.7061724122748778, 3.6719449757439744))",
+    )
 
 
 def test_affine_identity_is_transparent():
@@ -131,6 +144,42 @@ def test_classify_rejects_empty_origin():
     r = classify_cone(nothing)
     assert r.kind is ConeKind.UNKNOWN
     assert "origin" in r.evidence.witness
+
+
+def _causal_fwd(e: Event) -> bool:
+    return e == Event(0.0, (0.0,) * e.n) or (e.t > 0 and distance([0.0] * e.n, e.x) <= e.t)
+
+
+def _half_ball(e: Event) -> bool:
+    return e == Event(0.0, (0.0,) * e.n) or (e.t > 0 and sum(v * v for v in e.x) + e.t * e.t <= 9.0)
+
+
+BOX_1D = ((-8.0, 8.0), (-8.0, 8.0))
+FWD, BWD = Direction.FORWARD, Direction.BACKWARD
+
+
+@pytest.mark.parametrize("membership, seed, direction, probes, bracket, witness", [
+    (lambda e: False, 0, None, 1, None, "origin is not a member"),
+    (lambda e: True, 0, None, 3, None, "both of (0, +1) and (0, -1) are members"),
+    (lambda e: e.t == 0.0 and e.x == (0.0,), 3, None, 3, None,
+     "neither of (0, +1) and (0, -1) are members"),
+    (lambda e: e.t == 0.0 or 0.0 < e.t <= 1.5, 0, FWD, 4, None,
+     "(0, t) member but (0, 2t) is not"),
+    (lambda e: e.t == 0.0 or -1.5 <= e.t < 0.0, 3, BWD, 4, None,
+     "(0, t) member but (0, 2t) is not"),
+    (_half_ball, 0, FWD, 60, (2.82842712474619, 2.8284271247461903),
+     "member at speed 2.82842712474619 fails doubling"),
+    # the axis probes never pass t = 2, so only a sampled member finds the cut
+    (lambda e: _causal_fwd(e) and e.t <= 4.0, 0, FWD, 67, (1.0, 1.0000000000000002),
+     "member Event(t=3.6719449757439744, x=(1.7061724122748778,)) fails doubling"),
+    (lambda e: _causal_fwd(e) and e.t <= 4.0, 3, FWD, 83, (1.0, 1.0000000000000002),
+     "member Event(t=3.868106881109286, x=(-3.229390549481204,)) fails doubling"),
+], ids=["origin", "both", "neither", "short-fwd", "short-bwd", "axis-doubling",
+        "sampled-doubling-0", "sampled-doubling-3"])
+def test_classify_unknown_exits(membership, seed, direction, probes, bracket, witness):
+    r = classify_cone(ConeOracle(membership, 1, BOX_1D), seed=seed)
+    assert r == ConeClass(ConeKind.UNKNOWN, direction, None,
+                          ConeEvidence(probes, bracket=bracket, witness=witness))
 
 
 def test_classify_budget_guard():
