@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 a check command found a failing property or
 could not finish (an order-axiom violation), 2 usage or parse errors.
-Reports echo the command and seed; every line except the trailing
-`# elapsed` one is byte-deterministic for fixed inputs and seed.
+Each command returns its exit code and report lines; `main` alone
+writes them. Reports echo the command and seed; every line except the
+trailing `# elapsed` one is byte-deterministic for fixed inputs and
+seed. `# elapsed` is the wall time from after argument parsing to the
+report write, so it includes reading the inputs and the command's lazy
+imports.
 """
 
 from __future__ import annotations
@@ -35,24 +39,6 @@ from .order import (
 # commands that call them, so a process loads only its command's modules.
 if TYPE_CHECKING:
     from .cones import ConeOracle
-
-
-class Report:
-    """Accumulates output lines; timing goes last and is the only
-    non-deterministic line."""
-
-    def __init__(self, argv: list[str], seed: int | None = None):
-        self._t0 = time.perf_counter()
-        self.lines = [f"# command: {' '.join(argv)}"]
-        if seed is not None:
-            self.lines.append(f"# seed: {seed}")
-
-    def add(self, line: str) -> None:
-        self.lines.append(line)
-
-    def emit(self) -> None:
-        self.lines.append(f"# elapsed {time.perf_counter() - self._t0:.3f}s")
-        sys.stdout.write("\n".join(self.lines) + "\n")
 
 
 def _parse_box(text: str, axes: int) -> tuple[tuple[float, float], ...]:
@@ -125,7 +111,7 @@ def _parse_oracle(text: str, dim: int) -> ConeOracle:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_sprinkle(args, argv) -> int:
+def cmd_sprinkle(args) -> tuple[int, list[str]]:
     from .finite import SprinkleConfig, sprinkle
 
     box = _parse_box(args.box, args.dim + 1)
@@ -133,99 +119,73 @@ def cmd_sprinkle(args, argv) -> int:
     events = sprinkle(cfg)
     spec = _spec_from_args(args, OrderSpec(OrderKind.CAUSAL))
     fileio.write_events(args.out, events, spec, dim=args.dim)
-    rep = Report(argv, seed=args.seed)
-    rep.add(f"written {args.out}")
-    rep.add(f"events {len(events)}")
-    rep.emit()
-    return 0
+    return 0, [f"written {args.out}", f"events {len(events)}"]
 
 
-def cmd_relate(args, argv) -> int:
+def cmd_relate(args) -> tuple[int, list[str]]:
     events, spec = fileio.read_events(args.file)
     if not (0 <= args.i < len(events) and 0 <= args.j < len(events)):
         raise ValueError(f"indices must be in [0, {len(events) - 1}]")
     u, v = events[args.i], events[args.j]
     c = args.c if args.c is not None else spec.c
     direction = Direction(args.dir) if args.dir else spec.direction
-    rep = Report(argv)
-    rep.add(f"pair {args.i} {args.j}")
-    rep.add(f"class {classify_pair(u, v, c, args.tol).value}")
+    lines = [f"pair {args.i} {args.j}", f"class {classify_pair(u, v, c, args.tol).value}"]
     for kind in OrderKind:
         val = leq(OrderSpec(kind, c, direction), u, v)
-        rep.add(f"leq {kind.value} {str(val).lower()}")
-    rep.emit()
-    return 0
+        lines.append(f"leq {kind.value} {str(val).lower()}")
+    return 0, lines
 
 
-def cmd_hasse(args, argv) -> int:
+def cmd_hasse(args) -> tuple[int, list[str]]:
     from .finite import build, hasse
 
     events, spec = fileio.read_events(args.file)
     fcs = build(events, _spec_from_args(args, spec))
     edges = hasse(fcs)
-    rep = Report(argv)
-    rep.add(f"events {len(fcs)}")
-    rep.add(f"edges {len(edges)}")
+    lines = [f"events {len(fcs)}", f"edges {len(edges)}"]
     if args.dot:
         Path(args.dot).write_text(
             fileio.dot_digraph(len(fcs), edges), encoding="utf-8"
         )
-        rep.add(f"written {args.dot}")
-    rep.emit()
-    return 0
+        lines.append(f"written {args.dot}")
+    return 0, lines
 
 
-def cmd_cutset_check(args, argv) -> int:
+def cmd_cutset_check(args) -> tuple[int, list[str]]:
     from .finite import build, find_avoiding_chain
 
     events, spec = fileio.read_events(args.file)
     fcs = build(events, _spec_from_args(args, spec))
     witness = find_avoiding_chain(fcs, args.indices)
-    rep = Report(argv)
-    rep.add(f"antichain {','.join(str(i) for i in args.indices)}")
+    lines = [f"antichain {','.join(str(i) for i in args.indices)}"]
     if witness is None:
-        rep.add("cutset true")
-        rep.emit()
-        return 0
-    rep.add("cutset false")
-    rep.add(f"avoiding_chain {','.join(str(i) for i in witness)}")
-    rep.emit()
-    return 1
+        return 0, [*lines, "cutset true"]
+    return 1, [*lines, "cutset false", f"avoiding_chain {','.join(str(i) for i in witness)}"]
 
 
-def cmd_grade(args, argv) -> int:
+def cmd_grade(args) -> tuple[int, list[str]]:
     from .hypersurfaces import Grading
 
     hs = fileio.read_surface(args.surface)
     events, _ = fileio.read_events(args.file)
-    rep = Report(argv)
-    for i, v in enumerate(Grading(hs).values(events).tolist()):
-        rep.add(f"grade {i} {_fmt(v)}")
-    rep.emit()
-    return 0
+    return 0, [f"grade {i} {_fmt(v)}" for i, v in enumerate(Grading(hs).values(events).tolist())]
 
 
-def cmd_crossing(args, argv) -> int:
+def cmd_crossing(args) -> tuple[int, list[str]]:
     from .hypersurfaces import crossing_time
 
     hs = fileio.read_surface(args.surface)
     wl, _ = fileio.read_worldline(args.worldline)
     t_star = crossing_time(hs, wl, tol=args.tol)
     residual = t_star - hs.height(wl.eval(t_star))
-    rep = Report(argv)
-    rep.add(f"t_star {_fmt(t_star)}")
-    rep.add(f"residual {_fmt(residual)}")
-    rep.emit()
-    return 0
+    return 0, [f"t_star {_fmt(t_star)}", f"residual {_fmt(residual)}"]
 
 
-def cmd_reconstruct(args, argv) -> int:
+def cmd_reconstruct(args) -> tuple[int, list[str]]:
     from .finite import build, compare_relations, reconstruct_order
 
     events, spec = fileio.read_events(args.file)
     c = args.c if args.c is not None else spec.c
-    rep = Report(argv)
-    rep.add(f"mode {args.mode}")
     if args.mode == "analytic":
         causal = build(events, OrderSpec(OrderKind.CAUSAL, c))
         t, xs = _coordinates(events)
@@ -236,19 +196,16 @@ def cmd_reconstruct(args, argv) -> int:
             wrong = _analytic_block(c, *band, t, xs) != truth
             np.fill_diagonal(wrong[:, a:], False)  # the pairs (i, i)
             diffs += int(np.count_nonzero(wrong))
-        rep.add(f"differences {diffs}")
-        rep.emit()
-        return 0 if diffs == 0 else 1
+        return 0 if diffs == 0 else 1, ["mode analytic", f"differences {diffs}"]
     sub = build(events, OrderSpec(OrderKind.SUBLUMINAL, c))
     causal = build(events, OrderSpec(OrderKind.CAUSAL, c))
     diff = compare_relations(reconstruct_order(sub), causal.relation)
-    rep.add(f"false_positives {diff.false_positives}")
-    rep.add(f"false_negatives {diff.false_negatives}")
-    rep.emit()
-    return 0 if diff.false_negatives == 0 else 1
+    lines = ["mode sampled", f"false_positives {diff.false_positives}",
+             f"false_negatives {diff.false_negatives}"]
+    return 0 if diff.false_negatives == 0 else 1, lines
 
 
-def cmd_counterexample(args, argv) -> int:
+def cmd_counterexample(args) -> tuple[int, list[str]]:
     from .worldlines import canonical_gap_chain
 
     if args.samples < 0:
@@ -270,9 +227,8 @@ def cmd_counterexample(args, argv) -> int:
     d[0] = 1.0
     if args.light_dir:
         d = [float(v) for v in args.light_dir.split(",")]
-    chain = canonical_gap_chain(
-        origin, d, args.t_len, hs.c, Direction(args.dir or "fwd")
-    )
+    direction = Direction(args.dir)
+    chain = canonical_gap_chain(origin, d, args.t_len, hs.c, direction)
     if not np.isfinite(11.0 * args.t_len):  # the largest sample parameter
         raise ValueError("t-len too large: samples reach 11 * t-len, which must be finite")
     # a static ray at x_r meets the surface only at t = h(x_r)
@@ -287,7 +243,7 @@ def cmd_counterexample(args, argv) -> int:
     lower = args.samples // 2
     params = [-rng.uniform(1e-3, 10.0 * args.t_len, lower),
               args.t_len + rng.uniform(1e-3, 10.0 * args.t_len, args.samples - lower)]
-    sign = 1.0 if (args.dir or "fwd") == "fwd" else -1.0
+    sign = 1.0 if direction is Direction.FORWARD else -1.0
     hits = 0
     with np.errstate(over="ignore"):  # a time that overflows is rejected below
         for ray, h, p in zip(chain.rays, ray_heights.tolist(), params):
@@ -300,46 +256,40 @@ def cmd_counterexample(args, argv) -> int:
     chain_ok = leq(OrderSpec(OrderKind.CAUSAL, chain.c), Event(below.anchor_t, below.anchor_x),
                    Event(above.anchor_t, above.anchor_x))
     spans = chain.time_image()
-    rep = Report(argv, seed=args.seed)
-    rep.add(f"surface_hits {hits} / {args.samples}")
-    rep.add(f"surface_avoided_certified {str(avoided).lower()}")
-    rep.add(f"chain_ok {str(chain_ok).lower()}")
+    lines = [f"surface_hits {hits} / {args.samples}",
+             f"surface_avoided_certified {str(avoided).lower()}",
+             f"chain_ok {str(chain_ok).lower()}"]
     for s in spans:
-        lo = "-inf" if s.lo == -np.inf else _fmt(s.lo)
-        hi = "inf" if s.hi == np.inf else _fmt(s.hi)
-        rep.add(f"time_branch {'[' if s.lo_closed else '('}{lo}, {hi}{']' if s.hi_closed else ')'}")
+        lines.append(f"time_branch {'[' if s.lo_closed else '('}{_fmt(s.lo)}, "
+                     f"{_fmt(s.hi)}{']' if s.hi_closed else ')'}")
     gap_lo = min(seg.segment.t_start for seg in chain.gaps)
     gap_hi = max(seg.segment.t_end for seg in chain.gaps)
     omitted = all(s.hi <= gap_lo or s.lo >= gap_hi for s in spans)
-    rep.add(f"time_gap_certified {str(omitted).lower()}")
-    rep.emit()
-    return 0 if hits == 0 and avoided and chain_ok and omitted else 1
+    lines.append(f"time_gap_certified {str(omitted).lower()}")
+    return 0 if hits == 0 and avoided and chain_ok and omitted else 1, lines
 
 
-def cmd_cone_classify(args, argv) -> int:
+def cmd_cone_classify(args) -> tuple[int, list[str]]:
     from .cones import ConeKind, check_invariance, classify_cone
 
     oracle = _parse_oracle(args.oracle, args.dim)
-    rep = Report(argv, seed=args.seed)
+    lines = []
     code = 0
     if args.invariance_samples:
         inv = check_invariance(oracle, args.invariance_samples, args.seed)
-        rep.add(f"invariance {'pass' if inv.passed else 'fail'}")
+        lines.append(f"invariance {'pass' if inv.passed else 'fail'}")
         if not inv.passed:
-            rep.add(f"invariance_witness {inv.counterexample}")
+            lines.append(f"invariance_witness {inv.counterexample}")
             code = 1
     result = classify_cone(oracle, budget=args.budget, seed=args.seed)
-    rep.add(f"kind {result.kind.value}")
-    rep.add(f"direction {result.direction.value if result.direction else 'unknown'}")
+    lines.append(f"kind {result.kind.value}")
+    lines.append(f"direction {result.direction.value if result.direction else 'unknown'}")
     if result.c_estimate is not None:
-        rep.add(f"c_estimate {_fmt(result.c_estimate)}")
+        lines.append(f"c_estimate {_fmt(result.c_estimate)}")
     if result.evidence.witness:
-        rep.add(f"witness {result.evidence.witness}")
-    rep.add(f"probes {result.evidence.probes}")
-    rep.emit()
-    if result.kind is ConeKind.UNKNOWN:
-        return 1
-    return code
+        lines.append(f"witness {result.evidence.witness}")
+    lines.append(f"probes {result.evidence.probes}")
+    return 1 if result.kind is ConeKind.UNKNOWN else code, lines
 
 
 # ------------------------------------------------------------------ parser
@@ -411,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-t", type=float, help="expected surface time at the basepoint")
     p.add_argument("--light-dir", help="comma-separated unit direction")
     p.add_argument("--t-len", type=float, default=1.0)
-    p.add_argument("--dir", choices=[d.value for d in Direction])
+    p.add_argument("--dir", choices=[d.value for d in Direction], default="fwd")
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.0)
@@ -432,19 +382,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    t0 = time.perf_counter()
     try:
-        return args.func(args, argv)
-    except (ValueError, OSError) as exc:
+        code, lines = args.func(args)
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ValueError, OSError)) else 1
+    head = [f"# command: {' '.join(argv)}"]
+    if "seed" in args:  # sprinkle, counterexample and cone-classify
+        head.append(f"# seed: {args.seed}")
+    elapsed = f"# elapsed {time.perf_counter() - t0:.3f}s"
+    sys.stdout.write("\n".join([*head, *lines, elapsed]) + "\n")
+    return code
 
 
 def console_main() -> None:

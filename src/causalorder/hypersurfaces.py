@@ -105,11 +105,17 @@ class Hypersurface:
         """h(x) = min over anchors of h_i + k ||x - x_i|| for every row x
         of the (m, n) array points, in row tiles of at most TILE_CELLS
         point-anchor cells.  No points give no heights, whatever their
-        width."""
-        xs = np.asarray(points, dtype=float)
+        width; points that form no (m, n) array raise ValueError."""
         axes, rows = self._axes, self._rows  # type: ignore[attr-defined]
-        if len(xs) and (xs.ndim != 2 or xs.shape[1] != axes.shape[1]):
-            raise ValueError(f"dimension mismatch: {xs.shape[-1]} vs {axes.shape[1]}")
+        try:
+            xs = np.asarray(points, dtype=float)
+        except ValueError:  # ragged rows, or entries that are not numbers
+            xs = None
+        if xs is None or (xs.ndim != 2 and (xs.ndim == 0 or len(xs))):
+            got = "ragged or non-numeric rows" if xs is None else f"shape {xs.shape}"
+            raise ValueError(f"points must be an (m, {axes.shape[1]}) array, got {got}")
+        if len(xs) and xs.shape[1] != axes.shape[1]:
+            raise ValueError(f"dimension mismatch: {xs.shape[1]} vs {axes.shape[1]}")
         out = np.empty(len(xs))
         with np.errstate(over="ignore"):  # overflow to inf, silently, as in the scalar route
             for i0 in range(0, len(xs), rows):

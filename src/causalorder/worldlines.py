@@ -400,7 +400,7 @@ def canonical_gap_chain(
     if origin.n == 0:
         raise ValueError("need at least one space dimension")
     nrm = distance([0.0] * len(d), d)
-    if abs(nrm - 1.0) > 1e-9:
+    if not abs(nrm - 1.0) <= 1e-9:  # nan too
         raise ValueError(f"light direction must have unit norm, got {nrm!r}")
     if not (math.isfinite(t_len) and t_len > 0):
         raise ValueError("t_len must be positive and finite")

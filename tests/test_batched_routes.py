@@ -5,6 +5,7 @@ against the per-point height."""
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -226,3 +227,17 @@ def test_heights_match_height_bit_for_bit():
     for bad in ((), (0.0,), (0.0, 0.0, 0.0)):  # the one-point case says the same
         with pytest.raises(ValueError, match=rf"^dimension mismatch: {len(bad)} vs 2$"):
             hs.height(bad)
+
+
+def test_heights_name_the_shape_of_badly_shaped_points():
+    hs = make_hypersurface([((0.0, 0.0), 0.0), ((1.0, 0.0), 0.25)], 0.5, 1.0)
+    # one point passed flat, a bare number, a stack of arrays
+    for points, shape in (([1.0, 2.0], (2,)), (3.0, ()), (np.zeros((2, 2, 2)), (2, 2, 2))):
+        want = f"points must be an (m, 2) array, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            hs.heights(points)
+    ragged = [(1.0, 2.0), (1.0,)]
+    for call in (hs.heights, lambda pts: is_antichain_sample(hs, pts)):
+        with pytest.raises(ValueError, match=r"^points must be an \(m, 2\) array, got ragged "):
+            call(ragged)
+    assert hs.heights([]).shape == (0,)

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -457,6 +458,23 @@ def test_reports_are_deterministic(event_file):
     assert len(outputs) == 1
 
 
+def test_elapsed_covers_the_whole_command(monkeypatch, event_file):
+    build = finite.build
+
+    def slow_build(*a, **kw):
+        time.sleep(0.05)
+        return build(*a, **kw)
+
+    monkeypatch.setattr(finite, "build", slow_build)
+    minimal = ",".join(map(str, build(*read_events(event_file)).minimal))
+    for argv in (["hasse", str(event_file)], ["cutset-check", str(event_file), "--indices", minimal]):
+        code, out, err = run(argv)
+        assert code == 0, err
+        last = out.splitlines()[-1]
+        assert last.startswith("# elapsed ") and last.endswith("s")
+        assert float(last[len("# elapsed "):-1]) >= 0.05, argv
+
+
 # Hostile inputs for every subcommand.  Event rows are `t x y` under a
 # 2+1 header, surface rows `h x y`, world-line rows `t x` under a 1+1
 # header; "nine" files claim nine space axes.
@@ -555,6 +573,7 @@ HOSTILE_CASES = [
     (["counterexample", "--surface", "{sf_ok}", "--base-t", "nan"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--light-dir", "0,0"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--light-dir", "1e308,0"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--light-dir", "nan,0"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "-0.0"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "nan"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "1e308"], 2),
@@ -586,6 +605,8 @@ HOSTILE_LINES = {
         "surface_avoided_certified true",
     ("counterexample", "--surface", "{sf_ok}", "--samples", "-1"):
         "error: samples must be >= 0",
+    ("counterexample", "--surface", "{sf_ok}", "--light-dir", "nan,0"):
+        "error: light direction must have unit norm, got nan",
     ("counterexample", "--surface", "{sf_1e14}", "--t-len", "1e-3"):
         "error: t_len 0.001 is lost in rounding at origin.t = 100000000000000.0, "
         "whose time resolution is math.ulp(origin.t) = 0.015625",
@@ -621,6 +642,15 @@ def test_hostile_input_exits_cleanly(hostile_paths, argv, code):
     assert (got, sum(l.startswith("error:") for l in text.splitlines())) == (code, code == 2)
     if tuple(argv) in HOSTILE_LINES:
         assert HOSTILE_LINES[tuple(argv)] in text.splitlines()
+    if code == 2:
+        assert out == ""
+    else:  # the report: command, a seed exactly where --seed exists, lines, one elapsed
+        lines = out.splitlines()
+        assert lines[0].startswith("# command: ")
+        seeded = argv[0] in ("sprinkle", "counterexample", "cone-classify")
+        assert [l for l in lines if l.startswith("# seed:")] == (["# seed: 0"] if seeded else [])
+        assert [l.startswith("# elapsed ") for l in lines] == [False] * (len(lines) - 1) + [True]
+        assert lines[-1].endswith("s")
 
 
 # Each command imports only the modules it runs: numpy, fileio and order

@@ -250,6 +250,8 @@ def test_canonical_chain_requires_unit_direction():
         canonical_gap_chain(event(0.0, 0.0, 0.0), (1.0, 1.0), 1.0, 1.0)
     with pytest.raises(ValueError):
         canonical_gap_chain(event(0.0, 0.0, 0.0), (1.0, 0.0), 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^light direction must have unit norm, got nan$"):
+        canonical_gap_chain(event(0.0, 0.0, 0.0), (math.nan, 0.0), 1.0, 1.0)
 
 
 def test_canonical_chain_points_are_timelike_to_origin():
