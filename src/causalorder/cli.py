@@ -31,6 +31,7 @@ from .order import (
     _analytic_block,
     _coordinates,
     _equal_block,
+    _require_tol,
     classify_pair,
     leq,
 )
@@ -154,10 +155,11 @@ def cmd_hasse(args) -> tuple[int, list[str]]:
 def cmd_cutset_check(args) -> tuple[int, list[str]]:
     from .finite import build, find_avoiding_chain
 
+    indices = _parse_indices(args.indices)
     events, spec = fileio.read_events(args.file)
     fcs = build(events, _spec_from_args(args, spec))
-    witness = find_avoiding_chain(fcs, args.indices)
-    lines = [f"antichain {','.join(str(i) for i in args.indices)}"]
+    witness = find_avoiding_chain(fcs, indices)
+    lines = [f"antichain {','.join(str(i) for i in indices)}"]
     if witness is None:
         return 0, [*lines, "cutset true"]
     return 1, [*lines, "cutset false", f"avoiding_chain {','.join(str(i) for i in witness)}"]
@@ -212,8 +214,6 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
         raise ValueError("samples must be >= 0")
     hs = fileio.read_surface(args.surface)
     n = hs.dimension
-    if n < 1:
-        raise ValueError("need at least one space dimension")
     if args.basepoint:
         x0 = tuple(float(v) for v in args.basepoint.split(","))
         if len(x0) != n:
@@ -223,8 +223,7 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
     if args.base_t is not None and not abs(args.base_t - hs.height(x0)) <= 1e-9:  # nan too
         raise ValueError("surface does not pass through the requested base event")
     origin = hs.graph_event(x0)
-    d = [0.0] * n
-    d[0] = 1.0
+    d = [1.0] + [0.0] * (n - 1)
     if args.light_dir:
         d = [float(v) for v in args.light_dir.split(",")]
     direction = Direction(args.dir)
@@ -236,8 +235,8 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
     if not np.isfinite(ray_heights).all():
         raise ValueError("surface height at the chain overflows")
     avoided = not any(ray.covers(h) for ray, h in zip(chain.rays, ray_heights.tolist()))
-    if args.samples and args.tol < 0:  # as Grading.level_contains, once there is a sample
-        raise ValueError("tol must be >= 0")
+    if args.samples:  # as Grading.level_contains, once there is a sample
+        _require_tol(args.tol)
     # the first draws lie on the ray anchored at origin, the rest on the displaced one
     rng = np.random.default_rng(args.seed)
     lower = args.samples // 2
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cutset-check", help="does the antichain meet every maximal chain")
     p.add_argument("file")
-    p.add_argument("--indices", type=_parse_indices, required=True)
+    p.add_argument("--indices", required=True)
     order_flags(p)
     p.set_defaults(func=cmd_cutset_check)
 

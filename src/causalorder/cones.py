@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .order import (Direction, Event, OrderKind, _box_events, _check_box, _require_speed,
+from .order import (Direction, Event, OrderKind, _box_events, _check_box, _require_positive,
                     _strictly_before, apply_dilation, distance)
 
 DEFAULT_PROBE_SPAN = 8.0
@@ -83,7 +83,7 @@ def standard_cone(
 ) -> ConeOracle:
     """Reference oracle for the three families at speed c in dimension n."""
     if kind is not OrderKind.TEMPORAL:
-        _require_speed(c)
+        _require_positive(c, "c")
     box = _check_box(n, ((-DEFAULT_PROBE_SPAN, DEFAULT_PROBE_SPAN),) * (n + 1))
 
     apex = Event(0.0, (0.0,) * n)

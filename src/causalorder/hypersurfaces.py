@@ -27,7 +27,6 @@ batched cone kernel, whether any two lifted points are related.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -42,7 +41,9 @@ from .order import (
     _distances,
     _first_upper_hit,
     _point_distances,
-    _require_speed,
+    _require_dim,
+    _require_positive,
+    _require_tol,
 )
 
 if TYPE_CHECKING:  # annotations only
@@ -64,9 +65,8 @@ class Hypersurface:
     def __post_init__(self) -> None:
         k = float(self.modulus)
         c = float(self.c)
-        _require_speed(c)
-        if not (math.isfinite(k) and k > 0):
-            raise ValueError("modulus k must be positive and finite")
+        _require_positive(c, "c")
+        _require_positive(k, "modulus k")
         if k * c >= 1.0:
             raise ValueError(f"need k*c < 1 for a space-like graph, got {k * c!r}")
         if not self.anchors:
@@ -114,8 +114,8 @@ class Hypersurface:
         if xs is None or (xs.ndim != 2 and (xs.ndim == 0 or len(xs))):
             got = "ragged or non-numeric rows" if xs is None else f"shape {xs.shape}"
             raise ValueError(f"points must be an (m, {axes.shape[1]}) array, got {got}")
-        if len(xs) and xs.shape[1] != axes.shape[1]:
-            raise ValueError(f"dimension mismatch: {xs.shape[1]} vs {axes.shape[1]}")
+        if len(xs):
+            _require_dim(xs.shape[1], axes.shape[1])
         out = np.empty(len(xs))
         with np.errstate(over="ignore"):  # overflow to inf, silently, as in the scalar route
             for i0 in range(0, len(xs), rows):
@@ -129,8 +129,7 @@ class Hypersurface:
         """h(x), the one-point case of heights, with its bits: the same
         anchor distances, scaled by k and shifted by h_i in the same order."""
         axes = self._axes  # type: ignore[attr-defined]
-        if len(x) != axes.shape[1]:
-            raise ValueError(f"dimension mismatch: {len(x)} vs {axes.shape[1]}")
+        _require_dim(len(x), axes.shape[1])
         with np.errstate(over="ignore"):  # overflow to inf, silently, as in heights
             env = _point_distances(x, axes)
             env *= self.modulus
@@ -164,8 +163,7 @@ class Grading:
             return t - self.surface.heights(xs)
 
     def level_contains(self, r: float, e: Event, tol: float = 0.0) -> bool:
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+        _require_tol(tol)
         return abs(self.value(e) - r) <= tol
 
 
@@ -213,8 +211,7 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
     the crossing lies outside the window or a segment breaks the k*c < 1
     margin, RuntimeError when the residual misses tol.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _require_tol(tol)
     if hs.dimension != wl.n:
         raise ValueError(f"dimension mismatch: surface {hs.dimension} vs line {wl.n}")
     k2 = hs.modulus * hs.modulus
@@ -255,11 +252,8 @@ def grading_monotone_on(
     g: Grading, wl: PolyWorldLine, sample_times: Sequence[float]
 ) -> bool:
     """Strict increase of the grading along the line at sorted sample times."""
-    t0, t1 = wl.window
     prev = None
     for t in sample_times:
-        if t < t0 or t > t1:
-            raise ValueError(f"sample time {t!r} outside window")
         if prev is not None and not t > prev:
             raise ValueError("sample times must be strictly increasing")
         prev = t

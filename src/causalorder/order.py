@@ -116,13 +116,25 @@ class OrderSpec:
 
     def __post_init__(self) -> None:
         if self.kind is not OrderKind.TEMPORAL:
-            _require_speed(self.c)
+            _require_positive(self.c, "c")
 
 
-def _require_speed(c: float) -> None:
-    """The one check of a signal speed c."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError("c must be positive and finite")
+def _require_positive(value: float, what: str) -> None:
+    """The one check of a speed, modulus, factor or length named `what`."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be positive and finite")
+
+
+def _require_tol(value: float, what: str = "tol") -> None:
+    """The one check of a tolerance: finite and >= 0, so NaN fails."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value!r}")
+
+
+def _require_dim(got: int, want: int) -> None:
+    """The one check that two space dimensions agree."""
+    if got != want:
+        raise ValueError(f"dimension mismatch: {got} vs {want}")
 
 
 def _check_box(dimension: int, box: Sequence) -> tuple[tuple[float, float], ...]:
@@ -139,17 +151,17 @@ def _check_box(dimension: int, box: Sequence) -> tuple[tuple[float, float], ...]
     return box
 
 
-def _box_events(rng: np.random.Generator, box: Sequence, count: int) -> list[Event]:
-    """`count` uniform events from a checked box (space axes first, time
-    last), in one block draw whose rows hold the bits of per-row draws."""
+def _box_draw(rng: np.random.Generator, box: Sequence, count: int) -> np.ndarray:
+    """The one uniform draw from a checked box (space axes first, time
+    last): a (count, len(box)) block whose rows hold the bits of per-row
+    draws."""
     lo, hi = np.array(box).T
-    draws = rng.uniform(lo, hi, size=(count, len(box)))
-    return [Event(r[-1], r[:-1]) for r in draws.tolist()]
+    return rng.uniform(lo, hi, size=(count, len(box)))
 
 
-def _require_same_dim(u: Event, v: Event) -> None:
-    if len(u.x) != len(v.x):
-        raise ValueError(f"dimension mismatch: {len(u.x)} vs {len(v.x)}")
+def _box_events(rng: np.random.Generator, box: Sequence, count: int) -> list[Event]:
+    """`count` uniform events from a checked box, as _box_draw draws them."""
+    return [Event(r[-1], r[:-1]) for r in _box_draw(rng, box, count).tolist()]
 
 
 def distance(a: Iterable[float], b: Iterable[float]) -> float:
@@ -232,9 +244,8 @@ def _coordinates(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray]:
     """Times (m,) and spatial coordinates (m, n) of events that share
     one space dimension."""
     dim = events[0].n if events else 0
-    for e in events:
-        if e.n != dim:
-            raise ValueError(f"dimension mismatch: {dim} vs {e.n}")
+    # one call with the first dimension that differs: a call per event slows build
+    _require_dim(dim, next((e.n for e in events if e.n != dim), dim))
     t = np.array([e.t for e in events], dtype=float)
     xs = np.array([e.x for e in events], dtype=float).reshape(len(events), dim)
     return t, xs
@@ -335,10 +346,9 @@ def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
     default 0 keeps the boundary comparison exact.  Pairs with equal
     times and distinct positions are always space-like.
     """
-    _require_same_dim(u, v)
-    _require_speed(c)
-    if eps < 0 or not math.isfinite(eps):
-        raise ValueError("eps must be finite and >= 0")
+    _require_dim(len(u.x), len(v.x))
+    _require_positive(c, "c")
+    _require_tol(eps, "eps")
     if u == v:
         return PairClass.EQUAL
     backward = v.t < u.t
@@ -362,7 +372,7 @@ def strictly_below(spec: OrderSpec, u: Event, v: Event) -> bool:
     """Strict relation u < v under the given order spec."""
     if spec.direction is Direction.BACKWARD:
         u, v = v, u
-    _require_same_dim(u, v)
+    _require_dim(len(u.x), len(v.x))
     return _strictly_before(spec.kind, spec.c, u, v)
 
 
@@ -396,17 +406,14 @@ def interval_is_chain(a: Event, b: Event, c: float) -> bool:
     raise ValueError("endpoints must satisfy a <= b in the causal order")
 
 
-def _interval_box(a: Event, b: Event, c: float) -> tuple[tuple[float, float], list[tuple[float, float]]]:
+def _interval_box(a: Event, b: Event, c: float) -> list[tuple[float, float]]:
     # Any p in [a, b] stays within c*dt of both endpoints, so this box
-    # covers the whole interval.
-    dt = b.t - a.t
-    pad = 0.5 * c * dt
-    spans = [
-        (min(xa, xb) - pad, max(xa, xb) + pad) for xa, xb in zip(a.x, b.x)
-    ]
-    if not all(math.isfinite(hi - lo) for lo, hi in [(a.t, b.t), *spans]):
+    # (space axes first, time last) covers the whole interval.
+    pad = 0.5 * c * (b.t - a.t)
+    box = [(min(xa, xb) - pad, max(xa, xb) + pad) for xa, xb in zip(a.x, b.x)] + [(a.t, b.t)]
+    if not all(math.isfinite(hi - lo) for lo, hi in box):
         raise ValueError("the bounding box of the interval is not finite")
-    return (a.t, b.t), spans
+    return box
 
 
 def interval_is_chain_sampled(
@@ -425,12 +432,8 @@ def interval_is_chain_sampled(
         raise ValueError("endpoints must satisfy a <= b in the causal order")
     if a == b:
         return True
-    rng = np.random.default_rng(seed)
-    (t_lo, t_hi), spans = _interval_box(a, b, c)
-    ts = rng.uniform(t_lo, t_hi, size=samples)
-    ps = np.empty((samples, len(spans)))
-    for axis, (lo, hi) in enumerate(spans):
-        ps[:, axis] = rng.uniform(lo, hi, size=samples)
+    draws = _box_draw(np.random.default_rng(seed), _interval_box(a, b, c), samples)
+    ts, ps = draws[:, -1], draws[:, :-1]
     t, xs = _coordinates([a, b])
     ta, xa, tb, xb = t[:1], xs[:1], t[1:], xs[1:]
     keep = _analytic_block(c, ta, xa, ts, ps)[0] & _analytic_block(c, ts, ps, tb, xb)[:, 0]
@@ -460,8 +463,8 @@ def reconstruct_causal_analytic(u: Event, v: Event, c: float) -> bool:
     contained in that closed cone.  Agrees with leq(causal) on every
     pair.  _analytic_block is its batched form.
     """
-    _require_same_dim(u, v)
-    _require_speed(c)
+    _require_dim(len(u.x), len(v.x))
+    _require_positive(c, "c")
     return u == v or _strictly_before(OrderKind.CAUSAL, c, u, v)
 
 
@@ -508,6 +511,5 @@ def apply_space_isometry(q, b, e: Event) -> Event:
 
 def apply_dilation(r: float, e: Event) -> Event:
     """Scale the whole event by r > 0: (t, x) -> (r t, r x)."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError("dilation factor must be positive and finite")
+    _require_positive(r, "dilation factor")
     return Event(r * e.t, tuple(r * v for v in e.x))

@@ -34,8 +34,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .order import (Direction, Event, OrderKind, OrderSpec, _require_speed, comparable, distance,
-                    leq, pairwise_comparable, strictly_below)
+from .order import (Direction, Event, OrderKind, OrderSpec, _require_dim, _require_positive,
+                    _require_tol, comparable, distance, leq, pairwise_comparable, strictly_below)
 
 SPEED_REL_TOL = 1e-9
 DIR_DOT_TOL = 1e-12
@@ -51,7 +51,7 @@ class PolyWorldLine:
     c: float
 
     def __post_init__(self) -> None:
-        _require_speed(self.c)
+        _require_positive(self.c, "c")
         if len(self.vertices) < 2:
             raise ValueError("a world line needs at least 2 vertices")
         verts = []
@@ -118,10 +118,6 @@ class PolyWorldLine:
         line.  The rounded points of a light-speed stretch in a generic
         direction lie an ulp off each other's light cones, so they are
         usually not a chain although the exact line is one."""
-        t0, t1 = self.window
-        for t in sample_times:
-            if t < t0 or t > t1:
-                raise ValueError(f"sample time {t!r} outside window")
         return pairwise_comparable(spec, [self.event_at(t) for t in sample_times])
 
     def extend_probe(self, p: Event, spec: OrderSpec) -> bool:
@@ -133,8 +129,7 @@ class PolyWorldLine:
         t0, t1 = self.window
         if p.t < t0 or p.t > t1:
             raise ValueError("probe time outside window; maximality is window-relative")
-        if p.n != self.n:
-            raise ValueError(f"dimension mismatch: {p.n} vs {self.n}")
+        _require_dim(p.n, self.n)
         if p != self.event_at(p.t):
             return False
         return spec.kind is not OrderKind.SUBLUMINAL or not any(
@@ -275,10 +270,8 @@ class GapWorldLine:
         """Membership of p in the represented point set.  tol bounds the
         spatial distance from the trajectory; time handling is exact, so
         removed gap endpoints report False even at distance zero."""
-        if p.n != self.n:
-            raise ValueError(f"dimension mismatch: {p.n} vs {self.n}")
-        if tol < 0:
-            raise ValueError("tol must be >= 0")
+        _require_dim(p.n, self.n)
+        _require_tol(tol)
         return any(distance(x, p.x) <= tol for x in self._branches(p.t))
 
     def time_image(self) -> tuple[TimeSpan, ...]:
@@ -321,20 +314,16 @@ class GapWorldLine:
 
 
 def make_gap_worldline(
-    wl: PolyWorldLine, kept_ends: Sequence[KeptEnd | str | None]
+    wl: PolyWorldLine, kept_ends: Sequence[KeptEnd | None]
 ) -> GapWorldLine:
     """Remove every maximal light-speed stretch of wl, keeping the named
     endpoint of each (None removes both endpoints).  Gaps must be
     pairwise disjoint and must not touch the window boundary."""
     segs = wl.light_segments()
-    ends: list[KeptEnd | None] = []
-    for k in kept_ends:
-        if k is None or isinstance(k, KeptEnd):
-            ends.append(k)
-        elif isinstance(k, str):
-            ends.append(KeptEnd(k))
-        else:
-            raise ValueError(f"kept end must be lower/upper/None, got {k!r}")
+    ends = list(kept_ends)
+    for k in ends:
+        if not (k is None or isinstance(k, KeptEnd)):
+            raise ValueError(f"kept end must be a KeptEnd or None, got {k!r}")
     if len(ends) != len(segs):
         raise ValueError(f"expected {len(segs)} kept-end choices, got {len(ends)}")
     t0, t1 = wl.window
@@ -356,8 +345,7 @@ def is_subluminal_chain_probe(gwl: GapWorldLine, p: Event) -> bool:
     decides: strictly subluminal to a closed end (a kept gap endpoint or
     a window end), causal <= to an open one (a removed gap endpoint or a
     ray anchor).  False certifies that p cannot extend the chain."""
-    if p.n != gwl.n:
-        raise ValueError(f"dimension mismatch: {p.n} vs {gwl.n}")
+    _require_dim(p.n, gwl.n)
     here = gwl._branches(p.t)
     if here:
         return all(x == p.x for x in here)
@@ -394,17 +382,15 @@ def canonical_gap_chain(
 
     The backward orientation mirrors the construction in time.
     """
-    d = tuple(float(v) for v in light_dir)
-    if len(d) != origin.n:
-        raise ValueError(f"dimension mismatch: {len(d)} vs {origin.n}")
     if origin.n == 0:
         raise ValueError("need at least one space dimension")
+    d = tuple(float(v) for v in light_dir)
+    _require_dim(len(d), origin.n)
     nrm = distance([0.0] * len(d), d)
     if not abs(nrm - 1.0) <= 1e-9:  # nan too
         raise ValueError(f"light direction must have unit norm, got {nrm!r}")
-    if not (math.isfinite(t_len) and t_len > 0):
-        raise ValueError("t_len must be positive and finite")
-    _require_speed(c)
+    _require_positive(t_len, "t_len")
+    _require_positive(c, "c")
     zero = tuple(0.0 for _ in d)
     hop = tuple(x + c * t_len * v for x, v in zip(origin.x, d))
     span = 1 if orientation is Direction.FORWARD else -1

@@ -19,6 +19,7 @@ from causalorder.order import (
     OrderSpec,
     PairClass,
     _analytic_block,
+    _box_events,
     _coordinates,
     classify_pair,
     comparable,
@@ -86,11 +87,9 @@ def test_pairwise_comparable_rejects_mixed_dimensions():
 def _interval_reference(a, b, c, samples, seed):
     """The per-point loop: same draws, Event by Event."""
     spec = OrderSpec(OrderKind.CAUSAL, c)
-    rng = np.random.default_rng(seed)
     pad = 0.5 * c * (b.t - a.t)
-    ts = rng.uniform(a.t, b.t, size=samples)
-    cols = [rng.uniform(min(p, q) - pad, max(p, q) + pad, size=samples) for p, q in zip(a.x, b.x)]
-    pts = [Event(float(ts[i]), tuple(float(col[i]) for col in cols)) for i in range(samples)]
+    box = [(min(p, q) - pad, max(p, q) + pad) for p, q in zip(a.x, b.x)] + [(a.t, b.t)]
+    pts = _box_events(np.random.default_rng(seed), box, samples)
     kept = [p for p in pts if leq(spec, a, p) and leq(spec, p, b)]
     return _loop_pairwise(spec, [a, *kept, b])
 

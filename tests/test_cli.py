@@ -244,10 +244,11 @@ def test_counterexample_hits_match_level_contains(surface_file):
         assert min(counts[3]) > 0  # the 2.0 band holds samples of both rays
     code, out, err = run(["counterexample", "--surface", str(surface_file),
                           "--samples", "2000", "--seed", "3", "--tol=nan"])
-    assert code == 0 and "surface_hits 0 / 2000" in body(out)
+    assert code == 2 and out == ""
+    assert err == "error: tol must be finite and >= 0, got nan\n"
     code, out, err = run(["counterexample", "--surface", str(surface_file), "--tol=-1"])
     assert code == 2 and out == ""
-    assert err == "error: tol must be >= 0\n"
+    assert err == "error: tol must be finite and >= 0, got -1.0\n"
 
 
 def test_counterexample_samples_stay_inside_the_rays_near_1e14(tmp_path):
@@ -492,6 +493,9 @@ HOSTILE_FILES = {
     "ev_empty": "",
     "ev_header": _EV2,
     "ev_1d": "dim=1 c=1 order=causal dir=fwd\n0 0\n1 0.5\n",
+    "ev_extra": "dim=1 c=1 order=causal dir=fwd extra=1\n0 0\n",
+    "ev_dimx": "dim=x c=1 order=causal dir=fwd\n0 0\n",
+    "ev_cz": "dim=1 c=z order=causal dir=fwd\n0 0\n",
     "sf_ok": "dim=2 c=1 k=0.5\n0 0 0\n2.5 3 4\n",
     "sf_nan": "dim=2 c=1 k=0.5\n0 nan 0\n",
     "sf_inf": "dim=2 c=1 k=0.5\ninf 0 0\n",
@@ -501,6 +505,8 @@ HOSTILE_FILES = {
     "sf_empty": "",
     "sf_1d": "dim=1 c=1 k=0.5\n0 0\n",
     "sf_1e14": "dim=1 c=1 k=0.5\n1e14 0\n",
+    "sf_0d": "dim=0 c=1 k=0.5\n0\n",
+    "sf_header": "dim=2 c=1 k=0.5\n",
     "wl_ok": _WL1 + "-5 2\n5 2\n",
     "wl_nan": _WL1 + "-5 nan\n5 0\n",
     "wl_inf": _WL1 + "-5 0\ninf 0\n",
@@ -537,6 +543,11 @@ HOSTILE_CASES = [
     (["sprinkle", "--count", "5", "--dim", "1", "--box=0:1", "--c", "0", "--out", "{out}"], 2),
     (["sprinkle", "--count", "-1", "--dim", "1", "--box=0:1", "--out", "{out}"], 2),
     (["sprinkle", "--count", "5", "--dim", "2", "--box=0:1,0:1", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box", "0-1", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=0:1,0:1,0:1", "--out", "{out}"], 2),
+    (["hasse", "{ev_extra}"], 2),
+    (["hasse", "{ev_dimx}"], 2),
+    (["hasse", "{ev_cz}"], 2),
     *[case for name, (hasse_, cut, rec, rel, grade) in _EVENT_CODES.items() for case in [
         (["hasse", f"{{{name}}}"], hasse_),
         (["cutset-check", f"{{{name}}}", "--indices", "0"], cut),
@@ -554,6 +565,8 @@ HOSTILE_CASES = [
     (["hasse", "{ev_huge}", "--c", "1e-308"], 0),
     (["cutset-check", "{ev_ok}", "--indices", "4"], 2),
     (["cutset-check", "{ev_ok}", "--indices", "-1"], 2),
+    (["cutset-check", "{ev_ok}", "--indices", "0,0"], 2),
+    (["cutset-check", "{ev_ok}", "--indices", "a,b"], 2),
     (["reconstruct", "{ev_ok}", "--c", "0"], 2),
     (["reconstruct", "{ev_ok}", "--mode", "sampled", "--c", "0"], 2),
     *[case for name, (grade, counter, cross) in _SURFACE_CODES.items() for case in [
@@ -565,8 +578,13 @@ HOSTILE_CASES = [
       for name, code in _LINE_CODES.items()],
     (["crossing", "--surface", "{sf_1d}", "--worldline", "{wl_ok}", "--tol", "1e308"], 0),
     (["grade", "{ev_huge}", "--surface", "{sf_huge}"], 0),
+    (["grade", "{ev_ok}", "--surface", "{sf_header}"], 2),
+    (["counterexample", "--surface", "{sf_0d}"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--samples", "0"], 0),
     (["counterexample", "--surface", "{sf_ok}", "--samples", "-1"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--samples", "10", "--tol", "nan"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--samples", "10", "--tol", "inf"], 2),
+    (["counterexample", "--surface", "{sf_ok}", "--samples", "0", "--tol", "nan"], 0),
     (["counterexample", "--surface", "{sf_ok}", "--basepoint", "nan,0"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--basepoint", "1e308,0"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--basepoint", "0"], 2),
@@ -584,6 +602,11 @@ HOSTILE_CASES = [
     (["cone-classify", "--oracle", "causal:nan:fwd", "--dim", "1"], 2),
     (["cone-classify", "--oracle", "causal:inf:fwd", "--dim", "1"], 2),
     (["cone-classify", "--oracle", "subluminal:-0.0:bwd", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "causal:x:fwd", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "causal:1:up", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "temporal:up", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "affine:1,a;0,1:causal:1:fwd", "--dim", "1"], 2),
+    (["cone-classify", "--oracle", "causal:1:fwd", "--dim", "2", "--budget", "20"], 2),
     (["cone-classify", "--oracle", "causal:1e308:fwd", "--dim", "2",
       "--invariance-samples", "50"], 0),
     (["cone-classify", "--oracle", "affine:nan,0;0,1:causal:1:fwd", "--dim", "1",
@@ -599,8 +622,37 @@ HOSTILE_CASES = [
 ]
 
 
-# lines that some hostile cases must print, on stdout or stderr
+# lines that some hostile cases must print, on stdout or stderr; {name}
+# stands for a path, as in the argv
 HOSTILE_LINES = {
+    ("sprinkle", "--count", "5", "--dim", "1", "--box", "0-1", "--out", "{out}"):
+        "error: box must be lo:hi[,lo:hi...], got '0-1'",
+    ("sprinkle", "--count", "5", "--dim", "1", "--box=0:1,0:1,0:1", "--out", "{out}"):
+        "error: box needs 1 or 2 axis ranges, got 3",
+    ("hasse", "{ev_extra}"): "error: {ev_extra}:1: header must have exactly dim c order dir",
+    ("hasse", "{ev_dimx}"): "error: {ev_dimx}:1: dim must be an integer",
+    ("hasse", "{ev_cz}"): "error: {ev_cz}:1: c must be a number",
+    ("cutset-check", "{ev_ok}", "--indices", "0,0"): "error: duplicate indices",
+    ("cutset-check", "{ev_ok}", "--indices", "a,b"): "error: bad index list 'a,b'",
+    ("grade", "{ev_ok}", "--surface", "{sf_header}"):
+        "error: {sf_header}:1: surface needs at least one anchor",
+    ("counterexample", "--surface", "{sf_0d}"): "error: need at least one space dimension",
+    ("counterexample", "--surface", "{sf_ok}", "--samples", "10", "--tol", "nan"):
+        "error: tol must be finite and >= 0, got nan",
+    ("counterexample", "--surface", "{sf_ok}", "--samples", "10", "--tol", "inf"):
+        "error: tol must be finite and >= 0, got inf",
+    ("counterexample", "--surface", "{sf_ok}", "--samples", "0", "--tol", "nan"):
+        "surface_hits 0 / 0",
+    ("cone-classify", "--oracle", "causal:x:fwd", "--dim", "1"):
+        "error: bad speed in 'causal:x:fwd'",
+    ("cone-classify", "--oracle", "causal:1:up", "--dim", "1"):
+        "error: bad direction in 'causal:1:up'",
+    ("cone-classify", "--oracle", "temporal:up", "--dim", "1"):
+        "error: bad oracle spec 'temporal:up'",
+    ("cone-classify", "--oracle", "affine:1,a;0,1:causal:1:fwd", "--dim", "1"):
+        "error: bad matrix in 'affine:1,a;0,1:causal:1:fwd'",
+    ("cone-classify", "--oracle", "causal:1:fwd", "--dim", "2", "--budget", "20"):
+        "error: probe budget 20 exhausted",
     ("counterexample", "--surface", "{sf_ok}", "--samples", "0"):
         "surface_avoided_certified true",
     ("counterexample", "--surface", "{sf_ok}", "--samples", "-1"):
@@ -641,7 +693,7 @@ def test_hostile_input_exits_cleanly(hostile_paths, argv, code):
     assert not caught and "Traceback" not in text and "Warning" not in text
     assert (got, sum(l.startswith("error:") for l in text.splitlines())) == (code, code == 2)
     if tuple(argv) in HOSTILE_LINES:
-        assert HOSTILE_LINES[tuple(argv)] in text.splitlines()
+        assert HOSTILE_LINES[tuple(argv)].format(**hostile_paths) in text.splitlines()
     if code == 2:
         assert out == ""
     else:  # the report: command, a seed exactly where --seed exists, lines, one elapsed

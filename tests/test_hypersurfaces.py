@@ -191,6 +191,13 @@ def test_flat_surface_grading_is_time():
     assert g.value(event(4.0, 0.0)) == 4.0
 
 
+def test_level_contains_rejects_tolerances_that_are_not_finite_and_non_negative():
+    g, e = Grading(cone_surface()), event(3.0, 3.0, 4.0)
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match=rf"^tol must be finite and >= 0, got {tol!r}$"):
+            g.level_contains(0.5, e, tol)
+
+
 def test_level_contains_own_value():
     hs = random_surface(12)
     g = Grading(hs)
@@ -402,3 +409,9 @@ def test_grading_monotone_rejects_unsorted_samples():
     wl = make_polyline([(-1.0, (0.0, 0.0)), (1.0, (0.5, 0.0))], 1.0)
     with pytest.raises(ValueError):
         grading_monotone_on(Grading(hs), wl, [0.5, 0.0])
+
+
+def test_grading_monotone_rejects_times_outside_the_window_through_eval():
+    wl = make_polyline([(-1.0, (0.0, 0.0)), (1.0, (0.5, 0.0))], 1.0)
+    with pytest.raises(ValueError, match=r"^time 1\.5 outside window \[-1\.0, 1\.0\]$"):
+        grading_monotone_on(Grading(cone_surface()), wl, [0.0, 1.5])

@@ -87,6 +87,12 @@ def test_any_polyline_is_a_causal_chain():
         assert wl.is_chain(CAUSAL, [float(t) for t in ts])
 
 
+def test_is_chain_rejects_times_outside_the_window_through_eval():
+    wl = make_polyline([(0.0, (0.0,)), (2.0, (1.0,))], 1.0)
+    with pytest.raises(ValueError, match=r"^time -0\.5 outside window \[0\.0, 2\.0\]$"):
+        wl.is_chain(CAUSAL, [0.0, -0.5])
+
+
 def test_light_segment_breaks_subluminal_chain():
     wl = make_polyline([(0.0, (0.0,)), (1.0, (1.0,)), (2.0, (1.0,))], 1.0)
     assert wl.is_chain(CAUSAL, [0.0, 0.5, 1.0, 2.0])
@@ -181,6 +187,20 @@ def test_gap_rejects_boundary_touch_and_wrong_count():
     wl, _ = _gapped()
     with pytest.raises(ValueError, match="expected 2"):
         make_gap_worldline(wl, [KeptEnd.LOWER])
+
+
+def test_gap_kept_ends_must_be_kept_end_members():
+    light = make_polyline([(0.0, (0.0,)), (1.0, (0.0,)), (2.0, (1.0,)), (3.0, (1.0,))], 1.0)
+    assert make_gap_worldline(light, [KeptEnd.LOWER]).gaps[0].kept_end is KeptEnd.LOWER
+    with pytest.raises(ValueError, match=r"^kept end must be a KeptEnd or None, got 'lower'$"):
+        make_gap_worldline(light, ["lower"])
+
+
+def test_gap_contains_rejects_tolerances_that_are_not_finite_and_non_negative():
+    _, gwl = _gapped()
+    for tol in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match=rf"^tol must be finite and >= 0, got {tol!r}$"):
+            gwl.contains(event(0.0, 0.0), tol)
 
 
 def test_gap_rejects_shared_endpoints():
