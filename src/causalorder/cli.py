@@ -69,6 +69,13 @@ def _parse_indices(text: str) -> list[int]:
         raise ValueError(f"bad index list {text!r}") from None
 
 
+def _parse_floats(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
+
+
 def _spec_from_args(args, default: OrderSpec) -> OrderSpec:
     kind = OrderKind(args.order) if args.order else default.kind
     c = args.c if args.c is not None else default.c
@@ -130,6 +137,7 @@ def cmd_relate(args) -> tuple[int, list[str]]:
     u, v = events[args.i], events[args.j]
     c = args.c if args.c is not None else spec.c
     direction = Direction(args.dir) if args.dir else spec.direction
+    _require_tol(args.tol)  # named for the flag, not for classify_pair's eps
     lines = [f"pair {args.i} {args.j}", f"class {classify_pair(u, v, c, args.tol).value}"]
     for kind in OrderKind:
         val = leq(OrderSpec(kind, c, direction), u, v)
@@ -215,7 +223,7 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
     hs = fileio.read_surface(args.surface)
     n = hs.dimension
     if args.basepoint:
-        x0 = tuple(float(v) for v in args.basepoint.split(","))
+        x0 = tuple(_parse_floats(args.basepoint, "--basepoint"))
         if len(x0) != n:
             raise ValueError(f"basepoint needs {n} coordinates")
     else:
@@ -225,7 +233,7 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
     origin = hs.graph_event(x0)
     d = [1.0] + [0.0] * (n - 1)
     if args.light_dir:
-        d = [float(v) for v in args.light_dir.split(",")]
+        d = _parse_floats(args.light_dir, "--light-dir")
     direction = Direction(args.dir)
     chain = canonical_gap_chain(origin, d, args.t_len, hs.c, direction)
     if not np.isfinite(11.0 * args.t_len):  # the largest sample parameter

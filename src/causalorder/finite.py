@@ -2,9 +2,10 @@
 matrices, Hasse diagrams, maximal chains, antichain enumeration, cutset
 checks, and reconstruction of the causal order from the subluminal one.
 
-Maximal chains are cover paths from a minimal to a maximal element.
-count_maximal_chains counts them exactly, with no cap, in one pass over
-the covers; maximal_chains serves them as a lazy sequence, in
+Maximal chains are cover paths from a minimal to a maximal element,
+and the covers are kept as the ascending cells i*n + j of the Hasse
+edges.  count_maximal_chains counts them exactly, with no cap, in one
+pass over the covers; maximal_chains serves them as a lazy sequence, in
 lexicographic order, that unranks any index from the same path counts,
 so its cost follows the number of covers, not of chains.
 
@@ -21,8 +22,9 @@ one is built in one pass over it in time order, last order.BLOCK-row
 band first: the kernel fills the band from its first column on, in row
 tiles sized for cache, and the band's two-step relation (behind the
 transitivity check and the covers) sums block (I, J) over K = I..J
-only, so no n x n two-step matrix is held.  Reconstruction's witness
-counts sum block (I, J) over K >= max(I, J) and mirror it to (J, I).
+only, so no n x n two-step or covers matrix is held.  Reconstruction's
+witness counts sum block (I, J) over K >= max(I, J) and mirror it to
+(J, I).
 
 The products run as float32 BLAS matmuls on 0/1 matrices.  They are
 exact: every entry of a product, whole or over a span of blocks, is an
@@ -73,9 +75,10 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
 @dataclass(frozen=True)
 class FiniteCausalSet:
     """Events plus the strict relation matrix of the chosen order, its
-    Hasse covers (i < j with no k between) and its minimal elements (the
-    indices, ascending, of the events with nothing below them): functions
-    of events and spec, so equality and hashing use those two alone."""
+    Hasse covers (i < j with no k between, as the ascending int64 cells
+    i*n + j) and its minimal elements (the indices, ascending, of the
+    events with nothing below them): functions of events and spec, so
+    equality and hashing use those two alone."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
@@ -96,17 +99,17 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     pair in row-major input order, found on the whole input-order matrix.
     """
     evs = tuple(events)
-    if len(evs) > MAX_EVENTS:
-        raise ValueError(f"at most {MAX_EVENTS} events supported, got {len(evs)}")
+    n = len(evs)
+    if n > MAX_EVENTS:
+        raise ValueError(f"at most {MAX_EVENTS} events supported, got {n}")
     t, xs = _coordinates(evs)
-    if len(evs) ** 2 <= TILE_CELLS:  # one kernel tile: no sort, no permute
-        rel, covers = _strict_block(spec.kind, spec.c, t, xs, t, xs), None
+    if n * n <= TILE_CELLS:  # one kernel tile: no sort, no permute
+        rel, cells = _strict_block(spec.kind, spec.c, t, xs, t, xs), None
     else:
-        rel, covers = _banded(spec.kind, spec.c, t, xs)
-    if spec.direction is Direction.BACKWARD:  # the dual order
-        rel, covers = rel.T, None if covers is None else covers.T
-    if covers is None:
-        covers = _checked_covers(rel)
+        rel, cells = _banded(spec.kind, spec.c, t, xs)
+    if spec.direction is Direction.BACKWARD:  # the dual order: cell (i, j) -> (j, i)
+        rel, cells = rel.T, None if cells is None else cells % n * n + cells // n
+    covers = _checked_covers(rel) if cells is None else np.sort(cells)
     minimal = (~rel.any(axis=0)).nonzero()[0]
     for m in (rel, covers, minimal):
         m.flags.writeable = False
@@ -115,33 +118,34 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
 
 def _checked_covers(rel: np.ndarray) -> np.ndarray:
     """The covers rel & ~((rel @ rel) > 0) of a relation in input order,
-    once antisymmetry and transitivity hold on it; otherwise
-    RuntimeError names the first violating pair in row-major order."""
+    as ascending cells i*n + j, once antisymmetry and transitivity hold
+    on it; otherwise RuntimeError names the first violating pair in
+    row-major order."""
     rf = rel.astype(np.float32)
     two_step = (rf @ rf) > 0
-    for axiom, bad in (("antisymmetry", rel & rel.T), ("transitivity", two_step & ~rel)):
+    for axiom, bad in (("antisymmetry", rel & rel.T), ("transitivity", two_step > rel)):
         if bad.any():  # ndarray.any: np.any's overhead outweighs a tiny set's check
             i, j = map(int, np.argwhere(bad)[0])
             raise RuntimeError(f"{axiom} violated at pair ({i}, {j})")
-    return rel & ~two_step
+    return (rel > two_step).ravel().nonzero()[0]  # rel & ~two_step, row-major
 
 
 def _banded(
     kind: OrderKind, c: float, t: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The forward relation and covers of events (t, xs), in input
-    order, from one pass over them in time order, last band first.  The
-    kernel writes band I (rows a:b) from column a on, so antisymmetry
-    can only fail in its diagonal block, and block (I, J) of its
-    two-step relation sums over K = I..J (the later bands are filled).
-    Once a check fails, the pass only fills the relation, and the covers
-    come back None."""
+    """The forward relation of events (t, xs) in input order, and its
+    cover cells i*n + j in input order but unsorted, from one pass over
+    them in time order, last band first.  The kernel writes band I (rows
+    a:b) from column a on, so antisymmetry can only fail in its diagonal
+    block, and block (I, J) of its two-step relation sums over K = I..J
+    (the later bands are filled).  Once a check fails, the pass only
+    fills the relation, and the cells come back None."""
     n = len(t)
     order = np.argsort(t, kind="stable")
     t, xs = t[order], xs[order]
     rel = np.zeros((n, n), dtype=bool)
-    covers = np.zeros((n, n), dtype=bool)
     rf = np.zeros((n, n), dtype=np.float32)
+    cells = []
     ok = True
     for a in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
         b = min(a + BLOCK, n)
@@ -158,9 +162,9 @@ def _banded(
             k = min(j + BLOCK, n)
             two_step = (rf[a:b, a:k] @ rf[a:k, j:k]) > 0
             ok = ok and not (two_step > rel[a:b, j:k]).any()  # two_step & ~rel
-            np.greater(rel[a:b, j:k], two_step, out=covers[a:b, j:k])  # rel & ~two_step
-    back = np.argsort(order)
-    return _permute(rel, back), _permute(covers, back) if ok else None
+            u, v = np.divmod(np.flatnonzero(rel[a:b, j:k] > two_step), k - j)  # rel & ~two_step
+            cells.append(order[a + u] * n + order[j + v])
+    return _permute(rel, np.argsort(order)), np.concatenate(cells) if ok else None
 
 
 def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -172,10 +176,18 @@ def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
 def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
     """Edges of the transitive reduction, in lexicographic order.  For a
     finite strict order the reduction is unique: (i, j) is an edge iff
-    i < j with no element strictly between, a True cell of the covers,
-    whose flat indices are row-major whatever their memory layout."""
-    rows, cols = np.divmod(np.flatnonzero(fcs.covers), len(fcs))
+    i < j with no element strictly between, the cover cell i*n + j, so
+    the ascending cells are the edges in order."""
+    rows, cols = np.divmod(fcs.covers, len(fcs))
     return list(zip(rows.tolist(), cols.tolist()))
+
+
+def _cover_rows(fcs: FiniteCausalSet) -> tuple[list[int], list[int]]:
+    """(ends, cols): the successors of v, ascending, are
+    cols[ends[v]:ends[v + 1]], the cells in [v*n, v*n + n)."""
+    n = len(fcs)
+    ends = np.searchsorted(fcs.covers, np.arange(n + 1) * n).tolist()
+    return ends, (fcs.covers % n).tolist()
 
 
 def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]:
@@ -185,10 +197,8 @@ def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]
     A vertex whose subtree yields no chain is dead and never entered
     again, so reaching the first chain, or proving there is none, takes
     each cover once.  With `skip` empty nothing dies: every chain comes.
-    A vertex's successor list is read off its covers row when the walk
-    first enters it, so a walk pruned at the roots reads no row."""
-    covers = fcs.covers
-    succ: list[list[int] | None] = [None] * len(fcs)
+    A vertex's successors are its slice of _cover_rows."""
+    ends, cols = _cover_rows(fcs)
     roots = fcs.minimal.tolist()
     dead = set(skip)
     found = 0  # chains yielded so far
@@ -208,9 +218,7 @@ def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]
         elif nxt in dead:
             continue
         else:
-            row = succ[nxt]
-            if row is None:
-                row = succ[nxt] = np.flatnonzero(covers[nxt]).tolist()
+            row = cols[ends[nxt]:ends[nxt + 1]]
             if row:
                 path.append(nxt)
                 stack.append((iter(row), found))
@@ -220,7 +228,7 @@ def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]
 
 
 def _chain_index(fcs: FiniteCausalSet) -> tuple[list[list[int]], list, int]:
-    """The covers as successor lists, ascending, with the minimal
+    """The successor lists of _cover_rows, with the minimal
     elements as the successors of a virtual last vertex n; for each
     vertex with successors, the running sums of their numbers of cover
     paths to a maximal element; and the number of maximal chains, the
@@ -228,9 +236,7 @@ def _chain_index(fcs: FiniteCausalSet) -> tuple[list[list[int]], list, int]:
     sorting stably by the number of elements below is one, in every
     order and direction, since u < v puts more below v than below u."""
     n = len(fcs)
-    rows, cols = np.nonzero(fcs.covers)  # row-major, whatever the layout
-    ends = np.searchsorted(rows, np.arange(n + 1)).tolist()
-    cols = cols.tolist()
+    ends, cols = _cover_rows(fcs)
     succ = [cols[a:b] for a, b in zip(ends, ends[1:])]
     succ.append(fcs.minimal.tolist())
     paths = [1] * n

@@ -4,6 +4,7 @@ matrix-level reconstruction."""
 
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -190,6 +191,14 @@ def _two_step(rel):
     return np.array(rows, dtype=bool).reshape(rel.shape)
 
 
+def _dense_covers(fcs):
+    """The covers as an n x n bool matrix, rebuilt from their cells."""
+    n = len(fcs)
+    m = np.zeros(n * n, dtype=bool)
+    m[fcs.covers] = True
+    return m.reshape(n, n)
+
+
 def test_two_step_relation_is_read_only():
     fcs = build(sprinkle2(20, 4), CAUSAL)
     rel = fcs.relation
@@ -198,7 +207,7 @@ def test_two_step_relation_is_read_only():
          for i in range(20)]
     )
     assert expected.any()
-    assert np.array_equal(rel & ~fcs.covers, expected)
+    assert np.array_equal(rel & ~_dense_covers(fcs), expected)
     assert not fcs.covers.flags.writeable
     assert "covers" not in repr(fcs)
     assert not hasattr(fcs, "two_step")
@@ -332,6 +341,18 @@ def test_chain_count_and_view_match_the_walk():
                 for i in (len(walk), -len(walk) - 1):
                     with pytest.raises(IndexError):
                         view[i]
+
+
+def test_empty_and_one_event_sets_have_no_covers():
+    for events, chains in (([], []), ([event(0.0, 0.0)], [[0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # n = 0 divides the empty cells by 0
+            fcs = build(events, CAUSAL)
+            assert hasse(fcs) == []
+            assert count_maximal_chains(fcs) == len(chains)
+            assert list(maximal_chains(fcs)) == chains
+            assert find_avoiding_chain(fcs, []) == (chains[0] if chains else None)
+            assert find_avoiding_chain(fcs, range(len(events))) is None
 
 
 def test_chain_count_past_sys_maxsize():
@@ -687,14 +708,35 @@ def test_multiblock_build_matches_brute_force(kind, direction):
         assert fcs.relation[i, j] == (leq(spec, events[i], events[j])
                                       and events[i] != events[j])
     covers = rel & ~_two_step(rel)
-    assert np.array_equal(fcs.covers, covers)
-    assert np.array_equal(fcs.relation & ~fcs.covers, _two_step(rel))
+    dense = _dense_covers(fcs)
+    assert np.array_equal(dense, covers)
+    assert np.array_equal(fcs.relation & ~dense, _two_step(rel))
     assert hasse(fcs) == [(i, j) for i in range(MULTI) for j in range(MULTI) if covers[i, j]]
     assert fcs.minimal.tolist() == [j for j in range(MULTI) if not rel[:, j].any()]
     for m in (fcs.relation, fcs.covers, fcs.minimal):
         assert not m.flags.writeable
         # row reads (hasse, the chain walk) stay contiguous
         assert m.flags.c_contiguous or direction is Direction.BACKWARD
+
+
+@pytest.mark.parametrize("n", [100, MULTI])  # one kernel tile, then bands
+@pytest.mark.parametrize("direction", list(Direction))
+def test_covers_are_the_ascending_cells_of_the_hasse_edges(n, direction):
+    fcs = build(_multiblock_set(2, 2, n), OrderSpec(OrderKind.CAUSAL, 1.0, direction))
+    covers = fcs.covers
+    assert covers.dtype == np.int64 and covers.ndim == 1
+    assert (np.diff(covers) > 0).all()
+    assert not covers.flags.writeable
+    assert covers.nbytes == 8 * len(hasse(fcs)) > 0
+
+
+@pytest.mark.parametrize("n", [100, MULTI])
+def test_backward_covers_are_the_forward_covers_swapped(n):
+    events = _multiblock_set(4, 2, n)
+    for kind in OrderKind:
+        fwd = hasse(build(events, OrderSpec(kind, 1.0)))
+        bwd = hasse(build(events, OrderSpec(kind, 1.0, Direction.BACKWARD)))
+        assert fwd and bwd == sorted((j, i) for i, j in fwd)
 
 
 def _by_position(ts, rel):
@@ -726,7 +768,7 @@ def test_block_product_is_exact_on_any_matrix(seed, monkeypatch):
     fcs = build([Event(t, (0.0,)) for t in ts], CAUSAL)
     rel = by_time[np.ix_(pos, pos)]
     assert np.array_equal(fcs.relation, rel)
-    assert np.array_equal(fcs.relation & ~fcs.covers, _two_step(rel))
+    assert np.array_equal(fcs.relation & ~_dense_covers(fcs), _two_step(rel))
 
 
 def _with_pairs(events, pairs):
@@ -860,7 +902,7 @@ def test_build_matches_brute_force_at_tile_and_band_edges(n):
                 fcs = build(events, OrderSpec(kind, 1.0, direction))
                 rel = fwd.T if direction is Direction.BACKWARD else fwd
                 assert np.array_equal(fcs.relation, rel)
-                assert np.array_equal(fcs.relation & ~fcs.covers, _two_step(rel))
+                assert np.array_equal(fcs.relation & ~_dense_covers(fcs), _two_step(rel))
                 assert hasse(fcs) == list(map(tuple, np.argwhere(rel & ~_two_step(rel)).tolist()))
                 assert fcs.minimal.tolist() == np.flatnonzero(~rel.any(axis=0)).tolist()
                 if kind is OrderKind.SUBLUMINAL:
