@@ -77,9 +77,10 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 def _spec_from_args(args, default: OrderSpec) -> OrderSpec:
-    kind = OrderKind(args.order) if args.order else default.kind
+    """default, but for each of --order, --c and --dir the command has and the call sets."""
+    kind = OrderKind(args.order) if vars(args).get("order") else default.kind
     c = args.c if args.c is not None else default.c
-    direction = Direction(args.dir) if args.dir else default.direction
+    direction = Direction(args.dir) if vars(args).get("dir") else default.direction
     return OrderSpec(kind, c, direction)
 
 
@@ -109,11 +110,7 @@ def _parse_oracle(text: str, dim: int) -> ConeOracle:
             rows = [[float(v) for v in row.split(",")] for row in m_text.split(";")]
         except ValueError:
             raise ValueError(f"bad matrix in {text!r}") from None
-        base = _parse_oracle(base_text, dim)
-        try:
-            return affine_cone(base, rows)
-        except ValueError as exc:
-            raise ValueError(str(exc)) from None
+        return affine_cone(_parse_oracle(base_text, dim), rows)
     raise ValueError(f"unknown oracle kind {head!r}")
 
 
@@ -135,12 +132,11 @@ def cmd_relate(args) -> tuple[int, list[str]]:
     if not (0 <= args.i < len(events) and 0 <= args.j < len(events)):
         raise ValueError(f"indices must be in [0, {len(events) - 1}]")
     u, v = events[args.i], events[args.j]
-    c = args.c if args.c is not None else spec.c
-    direction = Direction(args.dir) if args.dir else spec.direction
     _require_tol(args.tol)  # named for the flag, not for classify_pair's eps
-    lines = [f"pair {args.i} {args.j}", f"class {classify_pair(u, v, c, args.tol).value}"]
+    spec = _spec_from_args(args, spec)
+    lines = [f"pair {args.i} {args.j}", f"class {classify_pair(u, v, spec.c, args.tol).value}"]
     for kind in OrderKind:
-        val = leq(OrderSpec(kind, c, direction), u, v)
+        val = leq(OrderSpec(kind, spec.c, spec.direction), u, v)
         lines.append(f"leq {kind.value} {str(val).lower()}")
     return 0, lines
 
@@ -195,7 +191,7 @@ def cmd_reconstruct(args) -> tuple[int, list[str]]:
     from .finite import build, compare_relations, reconstruct_order
 
     events, spec = fileio.read_events(args.file)
-    c = args.c if args.c is not None else spec.c
+    c = _spec_from_args(args, spec).c
     if args.mode == "analytic":
         causal = build(events, OrderSpec(OrderKind.CAUSAL, c))
         t, xs = _coordinates(events)

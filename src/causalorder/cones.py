@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .order import (Direction, Event, OrderKind, _box_events, _check_box, _require_positive,
-                    _strictly_before, apply_dilation, distance)
+from .order import (Direction, Event, OrderKind, _box_events, _check_box, _require_dim,
+                    _require_positive, _strictly_before, apply_dilation, distance)
 
 DEFAULT_PROBE_SPAN = 8.0
 
@@ -89,8 +89,7 @@ def standard_cone(
     apex = Event(0.0, (0.0,) * n)
 
     def fwd(e: Event) -> bool:
-        if e.n != n:
-            raise ValueError("event dimension does not match the oracle")
+        _require_dim(e.n, n)
         return _strictly_before(kind, c, apex, e) or e == apex
 
     member = fwd if direction is Direction.FORWARD else (lambda e: fwd(_neg(e)))
@@ -115,8 +114,8 @@ def affine_cone(base: ConeOracle, matrix) -> ConeOracle:
 
 def cone_order_leq(oracle: ConeOracle, u: Event, v: Event) -> bool:
     """u <= v in the order induced by the cone: membership of v - u."""
-    if u.n != oracle.dimension or v.n != oracle.dimension:
-        raise ValueError("event dimension does not match the oracle")
+    _require_dim(u.n, oracle.dimension)
+    _require_dim(v.n, oracle.dimension)
     diff = Event(v.t - u.t, tuple(b - a for a, b in zip(u.x, v.x)))
     return bool(oracle.membership(diff))
 
@@ -181,8 +180,6 @@ def _next_pow2(x: float) -> float:
 
 
 def _significand_bits(f: float) -> int:
-    if f == 0.0:
-        return 0
     m, _ = math.frexp(abs(f))
     mi = int(m * 2**53)
     return 53 - ((mi & -mi).bit_length() - 1)
@@ -198,7 +195,9 @@ def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> C
     distinguish from the temporal family.  One exact boundary probe at
     the estimated speed settles causal (member) versus subluminal
     (non-member).  Membership that fails the doubling law v in C =>
-    2v in C on sampled points yields kind=unknown with a witness.
+    2v in C on sampled points yields kind=unknown with a witness, as does
+    an oracle with no member off the time axis, whose speed 0 no OrderSpec
+    can hold.
 
     With n = 0 all three families describe the same set; reported as
     temporal.
@@ -246,7 +245,7 @@ def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> C
     if member(axis_event(bound)):
         return ConeClass(ConeKind.TEMPORAL, direction, None, ConeEvidence(count))
     lo_s, hi_s = 0.0, bound
-    while count < budget:
+    while True:  # the bracket test ends it; member raises once the budget is spent
         mid = 0.5 * (lo_s + hi_s)
         if mid == lo_s or mid == hi_s:
             break
@@ -255,10 +254,12 @@ def classify_cone(oracle: ConeOracle, budget: int = 100_000, seed: int = 0) -> C
         else:
             hi_s = mid
     bracket = (lo_s, hi_s)
+    if lo_s == 0.0:  # not even the smallest positive speed is a member
+        return unknown("no member lies off the time axis")
     # The boundary speed is one of the bracket ends; prefer the cleaner
     # dyadic, which is the exact speed whenever one was specified.
     c_hat = lo_s if _significand_bits(lo_s) < _significand_bits(hi_s) else hi_s
-    if lo_s > 0.0 and not member(apply_dilation(2.0, axis_event(lo_s))):
+    if not member(apply_dilation(2.0, axis_event(lo_s))):
         return unknown(f"member at speed {lo_s!r} fails doubling")
     boundary = member(axis_event(c_hat))
     # A cone is closed under doubling; spot-check sampled members.

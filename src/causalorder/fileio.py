@@ -12,7 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .order import MAX_SPACE_DIM, Direction, Event, OrderKind, OrderSpec
+from .order import MAX_SPACE_DIM, Direction, Event, OrderKind, OrderSpec, _require_dim
 
 # hypersurfaces and worldlines load inside the readers that build their
 # objects, so reading or writing events loads neither.
@@ -31,10 +31,11 @@ def _fmt(v: float) -> str:
 
 def _read_header(
     path: Path, keys: Sequence[str]
-) -> tuple[int, dict[str, str], int, float, list[tuple[int, str]]]:
+) -> tuple[int, dict[str, str], int, float | OrderSpec, list[tuple[int, str]]]:
     """The header every format starts with: its line number, its fields
     (exactly keys, dim and c among them), dim in [0, MAX_SPACE_DIM], c as
-    a number, and the numbered payload lines after it."""
+    a number (as the OrderSpec of c, order and dir where keys hold them),
+    and the numbered payload lines after it."""
     rows = []
     for no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -57,7 +58,13 @@ def _read_header(
         raise ParseError(f"{path}:{no}: dim must be an integer") from None
     if not 0 <= dim <= MAX_SPACE_DIM:
         raise ParseError(f"{path}:{no}: dim must be in [0, {MAX_SPACE_DIM}]")
-    return no, fields, dim, _parse_float(path, no, fields["c"], "c"), rows[1:]
+    c = _parse_float(path, no, fields["c"], "c")
+    if "order" in fields:
+        try:
+            c = OrderSpec(OrderKind(fields["order"]), c, Direction(fields["dir"]))
+        except ValueError as exc:
+            raise ParseError(f"{path}:{no}: {exc}") from None
+    return no, fields, dim, c, rows[1:]
 
 
 def _parse_floats(path: Path, no: int, line: str, want: int) -> list[float]:
@@ -90,21 +97,14 @@ def write_events(
         f"dim={n} c={_fmt(spec.c)} order={spec.kind.value} dir={spec.direction.value}"
     ]
     for e in events:
-        if e.n != n:
-            raise ValueError("all events must share one space dimension")
+        _require_dim(e.n, n)
         lines.append(" ".join([_fmt(e.t)] + [_fmt(v) for v in e.x]))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_events(path: str | Path) -> tuple[list[Event], OrderSpec]:
     path = Path(path)
-    no, fields, dim, c, rows = _read_header(path, ["dim", "c", "order", "dir"])
-    try:
-        kind = OrderKind(fields["order"])
-        direction = Direction(fields["dir"])
-        spec = OrderSpec(kind, c, direction)
-    except ValueError as exc:
-        raise ParseError(f"{path}:{no}: {exc}") from None
+    _, _, dim, spec, rows = _read_header(path, ["dim", "c", "order", "dir"])
     events = []
     for no, line in rows:
         vals = _parse_floats(path, no, line, dim + 1)
@@ -176,7 +176,7 @@ def read_worldline(
     from .worldlines import KeptEnd, make_polyline
 
     path = Path(path)
-    _, _, dim, c, rows = _read_header(path, ["dim", "c", "order", "dir"])
+    _, _, dim, spec, rows = _read_header(path, ["dim", "c", "order", "dir"])
     vertices: list[tuple[float, tuple[float, ...]]] = []
     gaps: list[tuple[float, float, KeptEnd]] = []
     for no, line in rows:
@@ -192,7 +192,7 @@ def read_worldline(
         vals = _parse_floats(path, no, line, dim + 1)
         vertices.append((vals[0], tuple(vals[1:])))
     try:
-        wl = make_polyline(vertices, c)
+        wl = make_polyline(vertices, spec.c)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return wl, gaps

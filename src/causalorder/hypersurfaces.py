@@ -72,8 +72,8 @@ class Hypersurface:
         if not self.anchors:
             raise ValueError("need at least one anchor")
         count, n = len(self.anchors), len(self.anchors[0][0])
-        if any(len(x) != n for x, _ in self.anchors):
-            raise ValueError("all anchors must share one space dimension")
+        for x, _ in self.anchors:
+            _require_dim(len(x), n)
         xs = np.array([x for x, _ in self.anchors], dtype=float).reshape(count, n)
         hs = np.fromiter((h for _, h in self.anchors), dtype=float, count=count)
         if not (np.isfinite(xs).all() and np.isfinite(hs).all()):
@@ -212,8 +212,7 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
     margin, RuntimeError when the residual misses tol.
     """
     _require_tol(tol)
-    if hs.dimension != wl.n:
-        raise ValueError(f"dimension mismatch: surface {hs.dimension} vs line {wl.n}")
+    _require_dim(wl.n, hs.dimension)
     k2 = hs.modulus * hs.modulus
     t = np.array([tv for tv, _ in wl.vertices])
     x = np.array([xv for _, xv in wl.vertices]).reshape(len(t), wl.n)

@@ -58,8 +58,7 @@ class PolyWorldLine:
         n = len(self.vertices[0][1])
         for t, x in self.vertices:
             e = Event(float(t), tuple(float(v) for v in x))  # validates finiteness
-            if e.n != n:
-                raise ValueError("all vertices must share one space dimension")
+            _require_dim(e.n, n)
             verts.append((e.t, e.x))
         runs: list[LightSegment] = []
         for i, ((t0, x0), (t1, x1)) in enumerate(zip(verts, verts[1:])):
@@ -182,26 +181,24 @@ class Gap:
 
 @dataclass(frozen=True)
 class Ray:
-    """Half-infinite straight branch, anchor excluded.  span +1 opens
-    toward later times, -1 toward earlier ones."""
+    """Half-infinite static branch, anchor excluded: the point anchor_x
+    at every time it covers.  span +1 opens toward later times, -1
+    toward earlier ones."""
 
     anchor_t: float
     anchor_x: tuple[float, ...]
-    velocity: tuple[float, ...]
     span: int
 
     def __post_init__(self) -> None:
         if self.span not in (-1, 1):
             raise ValueError("span must be +1 or -1")
         object.__setattr__(self, "anchor_x", tuple(float(v) for v in self.anchor_x))
-        object.__setattr__(self, "velocity", tuple(float(v) for v in self.velocity))
 
     def covers(self, t: float) -> bool:
         return t > self.anchor_t if self.span > 0 else t < self.anchor_t
 
     def position(self, t: float) -> tuple[float, ...]:
-        dt = t - self.anchor_t
-        return tuple(x + v * dt for x, v in zip(self.anchor_x, self.velocity))
+        return self.anchor_x
 
     def inside(self, t: np.ndarray) -> np.ndarray:
         """Times t, where one rounded onto or past the open anchor moved to
@@ -391,7 +388,6 @@ def canonical_gap_chain(
         raise ValueError(f"light direction must have unit norm, got {nrm!r}")
     _require_positive(t_len, "t_len")
     _require_positive(c, "c")
-    zero = tuple(0.0 for _ in d)
     hop = tuple(x + c * t_len * v for x, v in zip(origin.x, d))
     span = 1 if orientation is Direction.FORWARD else -1
     hop_t = origin.t + span * t_len
@@ -412,5 +408,5 @@ def canonical_gap_chain(
         hop_t = origin.t + span * t_len
     # the segment runs from its lower endpoint: backward, from hop to origin
     seg = LightSegment(min(origin.t, hop_t), max(origin.t, hop_t), tuple(span * v for v in d))
-    rays = (Ray(origin.t, origin.x, zero, -span), Ray(hop_t, hop, zero, span))
+    rays = (Ray(origin.t, origin.x, -span), Ray(hop_t, hop, span))
     return GapWorldLine(c=c, base=None, gaps=(Gap(seg, None),), rays=rays)

@@ -498,6 +498,7 @@ HOSTILE_FILES = {
     "ev_extra": "dim=1 c=1 order=causal dir=fwd extra=1\n0 0\n",
     "ev_dimx": "dim=x c=1 order=causal dir=fwd\n0 0\n",
     "ev_cz": "dim=1 c=z order=causal dir=fwd\n0 0\n",
+    "ev_token": "dim=1 c=1 order=causal dir\n0 0\n",
     "sf_ok": "dim=2 c=1 k=0.5\n0 0 0\n2.5 3 4\n",
     "sf_nan": "dim=2 c=1 k=0.5\n0 nan 0\n",
     "sf_inf": "dim=2 c=1 k=0.5\ninf 0 0\n",
@@ -518,6 +519,8 @@ HOSTILE_FILES = {
     "wl_nine": "dim=9 c=1 order=causal dir=fwd\n" + _NINE + "\n1" + _NINE[1:] + "\n",
     "wl_empty": "",
     "wl_2d": "dim=2 c=1 order=causal dir=fwd\n-5 2 0\n5 2 0\n",
+    "wl_banana": "dim=1 c=1 order=banana dir=fwd\n-5 2\n5 2\n",
+    "wl_up": "dim=1 c=1 order=causal dir=up\n-5 2\n5 2\n",
 }
 
 # (argv with {name} standing for the path of HOSTILE_FILES[name], exit code)
@@ -533,7 +536,7 @@ _SURFACE_CODES = {  # grade ev_ok, counterexample, crossing wl_ok
 }
 _LINE_CODES = {  # crossing against sf_1d
     "wl_ok": 0, "wl_huge_static": 0, "wl_negzero": 0, "wl_huge": 2, "wl_nan": 2, "wl_inf": 2,
-    "wl_nine": 2, "wl_empty": 2, "wl_2d": 2,
+    "wl_nine": 2, "wl_empty": 2, "wl_2d": 2, "wl_banana": 2, "wl_up": 2,
 }
 HOSTILE_CASES = [
     (["sprinkle", "--count", "5", "--dim", "9", "--box=0:1", "--out", "{out}"], 2),
@@ -550,6 +553,7 @@ HOSTILE_CASES = [
     (["hasse", "{ev_extra}"], 2),
     (["hasse", "{ev_dimx}"], 2),
     (["hasse", "{ev_cz}"], 2),
+    (["hasse", "{ev_token}"], 2),
     *[case for name, (hasse_, cut, rec, rel, grade) in _EVENT_CODES.items() for case in [
         (["hasse", f"{{{name}}}"], hasse_),
         (["cutset-check", f"{{{name}}}", "--indices", "0"], cut),
@@ -637,6 +641,15 @@ HOSTILE_LINES = {
     ("hasse", "{ev_extra}"): "error: {ev_extra}:1: header must have exactly dim c order dir",
     ("hasse", "{ev_dimx}"): "error: {ev_dimx}:1: dim must be an integer",
     ("hasse", "{ev_cz}"): "error: {ev_cz}:1: c must be a number",
+    ("hasse", "{ev_token}"): "error: {ev_token}:1: malformed header token 'dir'",
+    ("crossing", "--surface", "{sf_1d}", "--worldline", "{wl_banana}"):
+        "error: {wl_banana}:1: 'banana' is not a valid OrderKind",
+    ("crossing", "--surface", "{sf_1d}", "--worldline", "{wl_up}"):
+        "error: {wl_up}:1: 'up' is not a valid Direction",
+    ("crossing", "--surface", "{sf_1d}", "--worldline", "{wl_2d}"):
+        "error: dimension mismatch: 2 vs 1",
+    ("crossing", "--surface", "{sf_ok}", "--worldline", "{wl_ok}"):
+        "error: dimension mismatch: 1 vs 2",
     ("relate", "{ev_ok}", "0", "1", "--tol", "nan"): "error: tol must be finite and >= 0, got nan",
     ("relate", "{ev_ok}", "0", "1", "--tol", "-1"): "error: tol must be finite and >= 0, got -1.0",
     ("cutset-check", "{ev_ok}", "--indices", "0,0"): "error: duplicate indices",

@@ -46,9 +46,9 @@ def test_cone_order_matches_leq():
 
 def test_cone_order_dimension_check():
     oracle = standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 1.0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 1 vs 2$"):
         cone_order_leq(oracle, event(0.0, 0.0), event(1.0, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 1$"):
         standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 1.0, 1).membership(event(1, 0.5, 5))
 
 
@@ -154,6 +154,10 @@ def _half_ball(e: Event) -> bool:
     return e == Event(0.0, (0.0,) * e.n) or (e.t > 0 and sum(v * v for v in e.x) + e.t * e.t <= 9.0)
 
 
+def _time_axis(e: Event) -> bool:
+    return e.t >= 0 and all(v == 0 for v in e.x)
+
+
 BOX_1D = ((-8.0, 8.0), (-8.0, 8.0))
 FWD, BWD = Direction.FORWARD, Direction.BACKWARD
 
@@ -174,12 +178,25 @@ FWD, BWD = Direction.FORWARD, Direction.BACKWARD
      "member Event(t=3.6719449757439744, x=(1.7061724122748778,)) fails doubling"),
     (lambda e: _causal_fwd(e) and e.t <= 4.0, 3, FWD, 83, (1.0, 1.0000000000000002),
      "member Event(t=3.868106881109286, x=(-3.229390549481204,)) fails doubling"),
+    # the time axis's closed half-line: invariant, but its speed 0 is no cone's
+    (_time_axis, 0, FWD, 1082, (0.0, 5e-324), "no member lies off the time axis"),
 ], ids=["origin", "both", "neither", "short-fwd", "short-bwd", "axis-doubling",
-        "sampled-doubling-0", "sampled-doubling-3"])
+        "sampled-doubling-0", "sampled-doubling-3", "time-axis"])
 def test_classify_unknown_exits(membership, seed, direction, probes, bracket, witness):
     r = classify_cone(ConeOracle(membership, 1, BOX_1D), seed=seed)
     assert r == ConeClass(ConeKind.UNKNOWN, direction, None,
                           ConeEvidence(probes, bracket=bracket, witness=witness))
+
+
+def test_time_axis_oracle_passes_invariance():
+    oracle = ConeOracle(_time_axis, 2, ((-8.0, 8.0),) * 3)
+    assert check_invariance(oracle) == InvarianceReport(True, 599)
+
+
+def test_classify_rejects_a_probe_box_whose_corner_distance_underflows():
+    member = standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 1.0, 1).membership
+    with pytest.raises(ValueError, match=r"^need a positive bound$"):
+        classify_cone(ConeOracle(member, 1, ((0.0, 5e-324), (-8.0, 8.0))))
 
 
 def test_classify_budget_guard():

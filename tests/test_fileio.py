@@ -35,6 +35,12 @@ def test_event_roundtrip_preserves_floats(tmp_path):
     assert back_spec == spec
 
 
+def test_write_events_rejects_mixed_dimensions(tmp_path):
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 1$"):
+        write_events(tmp_path / "ev.txt", [event(0.0, 0.0), event(1.0, 0.0, 0.0)],
+                     OrderSpec(OrderKind.CAUSAL))
+
+
 def test_event_file_comments_and_blank_lines(tmp_path):
     path = tmp_path / "ev.txt"
     path.write_text(
@@ -125,6 +131,9 @@ def test_gap_rows_must_match_light_segments(tmp_path):
     )
     with pytest.raises(ParseError, match="light segment"):
         gap_worldline_from_file(path)
+    path.write_text("dim=1 c=1 order=causal dir=fwd\n0 0\n1 0.5\ngap 0 1 lower\n")
+    with pytest.raises(ParseError, match=r"gw\.txt: file lists 1 gaps, line has 0 light segments$"):
+        gap_worldline_from_file(path)
 
 
 def test_gap_row_syntax_errors(tmp_path):
@@ -143,6 +152,9 @@ def test_ray_backed_chains_do_not_serialize(tmp_path):
     gwl = canonical_gap_chain(event(0.0, 0.0), (1.0,), 1.0, 1.0)
     with pytest.raises(ValueError):
         write_gap_worldline(tmp_path / "nope.txt", gwl)
+    light = make_polyline([(0.0, (0.0,)), (1.0, (0.0,)), (2.0, (1.0,)), (3.0, (1.0,))], 1.0)
+    with pytest.raises(ValueError, match=r"^gap rows need a kept endpoint$"):
+        write_gap_worldline(tmp_path / "nope.txt", make_gap_worldline(light, [None]))
 
 
 def test_dot_export_golden():

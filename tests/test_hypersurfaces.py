@@ -151,6 +151,13 @@ def test_surfaces_compare_and_hash_by_anchors():
     assert make_hypersurface([((), 1.0), ((), 1.0)], 0.5, 1.0)._axes.shape == (2, 0)
 
 
+def test_anchors_must_exist_and_share_one_dimension():
+    with pytest.raises(ValueError, match=r"^need at least one anchor$"):
+        make_hypersurface([], 0.5, 1.0)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 1$"):
+        make_hypersurface([((0.0,), 0.0), ((1.0, 2.0), 0.0)], 0.5, 1.0)
+
+
 def test_inconsistent_anchors_rejected_with_indices():
     with pytest.raises(ValueError, match="anchors 0 and 1"):
         make_hypersurface([((0.0,), 0.0), ((1.0,), 10.0)], 0.5, 1.0)

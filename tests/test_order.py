@@ -242,6 +242,8 @@ def test_interval_is_chain_requires_related_endpoints():
 
 def test_interval_sampled_frozen():
     a = event(0.0, 0.0)
+    with pytest.raises(ValueError, match=r"^need at least 2 samples$"):
+        interval_is_chain_sampled(a, event(2.0, 0.0), 1.0, samples=1)
     assert not interval_is_chain_sampled(a, event(2.0, 0.0), 1.0, samples=1000, seed=0)
     assert interval_is_chain_sampled(a, event(1.0, 1.0), 1.0, samples=1000, seed=0)
     assert interval_is_chain_sampled(a, a, 1.0, samples=10, seed=0)
@@ -317,6 +319,10 @@ def test_isometry_frozen():
     assert e == event(3.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         apply_space_isometry([[1.0, 0.0], [1.0, 1.0]], (0.0, 0.0), event(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^Q must have shape \(2, 2\), got \(1, 1\)$"):
+        apply_space_isometry([[1.0]], (0.0, 0.0), event(0.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match=r"^b must have shape \(2,\), got \(3,\)$"):
+        apply_space_isometry(q, (0.0, 0.0, 0.0), event(0.0, 0.0, 0.0))
 
 
 def test_dilation_frozen():

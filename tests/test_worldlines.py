@@ -20,7 +20,10 @@ from causalorder.order import (
     leq,
 )
 from causalorder.worldlines import (
+    GapWorldLine,
     KeptEnd,
+    LightSegment,
+    Ray,
     canonical_gap_chain,
     is_subluminal_chain_probe,
     make_gap_worldline,
@@ -66,6 +69,13 @@ def test_polyline_rejects_non_increasing_times():
         make_polyline([(0.0, (0.0,)), (0.0, (0.0,))], 1.0)
     with pytest.raises(ValueError):
         make_polyline([(1.0, (0.0,)), (0.0, (0.0,))], 1.0)
+
+
+def test_polyline_needs_two_vertices_of_one_dimension():
+    with pytest.raises(ValueError, match=r"^a world line needs at least 2 vertices$"):
+        make_polyline([(0.0, (0.0,))], 1.0)
+    with pytest.raises(ValueError, match=r"^dimension mismatch: 2 vs 1$"):
+        make_polyline([(0.0, (0.0,)), (1.0, (0.0, 0.0))], 1.0)
 
 
 def test_eval_interpolates():
@@ -210,6 +220,15 @@ def test_gap_rejects_shared_endpoints():
     )
     with pytest.raises(ValueError, match="share an endpoint"):
         make_gap_worldline(wl, [KeptEnd.LOWER, KeptEnd.LOWER])
+
+
+def test_gap_pieces_reject_empty_segments_spans_and_sets():
+    with pytest.raises(ValueError, match=r"^light segment needs t_start < t_end$"):
+        LightSegment(1.0, 1.0, (1.0,))
+    with pytest.raises(ValueError, match=r"^span must be \+1 or -1$"):
+        Ray(0.0, (0.0,), 0)
+    with pytest.raises(ValueError, match=r"^need a base world line or at least one ray$"):
+        GapWorldLine(c=1.0, base=None, gaps=())
 
 
 def test_time_image_reports_gap_spans():
