@@ -178,12 +178,11 @@ def cmd_grade(args) -> tuple[int, list[str]]:
 
 
 def cmd_crossing(args) -> tuple[int, list[str]]:
-    from .hypersurfaces import crossing_time
+    from .hypersurfaces import _crossing
 
     hs = fileio.read_surface(args.surface)
     wl, _ = fileio.read_worldline(args.worldline)
-    t_star = crossing_time(hs, wl, tol=args.tol)
-    residual = t_star - hs.height(wl.eval(t_star))
+    t_star, residual = _crossing(hs, wl, args.tol)
     return 0, [f"t_star {_fmt(t_star)}", f"residual {_fmt(residual)}"]
 
 
@@ -224,9 +223,10 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
             raise ValueError(f"basepoint needs {n} coordinates")
     else:
         x0 = hs.anchors[0][0]
-    if args.base_t is not None and not abs(args.base_t - hs.height(x0)) <= 1e-9:  # nan too
+    h0 = hs.height(x0)
+    if args.base_t is not None and not abs(args.base_t - h0) <= 1e-9:  # nan too
         raise ValueError("surface does not pass through the requested base event")
-    origin = hs.graph_event(x0)
+    origin = Event(h0, x0)
     d = [1.0] + [0.0] * (n - 1)
     if args.light_dir:
         d = _parse_floats(args.light_dir, "--light-dir")

@@ -10,19 +10,14 @@ increasing along every world line with speed at most c, which makes
 level crossings unique; on a straight segment each anchor's term
 crosses at the root of one quadratic, so crossing_time is closed-form.
 
-Heights and the Lipschitz check go through order._distances, the
-batched form of order.distance with the same accumulation order.
-Hypersurface.heights evaluates the envelope over all anchors for an
-array of points in row tiles, with the bits of the per-anchor scalar
-expression min(h_i + k * distance(x, x_i)); height is its one-point
-case, the same bits from order._point_distances over the contiguous
-anchor columns, with no 2-D array or tile loop.  Grading.values,
-is_antichain_sample, grading_monotone_on and crossing_time lift or
-grade all their points with one heights call.  The Lipschitz check, one
-scan over row tiles of the upper triangle of anchor pairs, names the
-first violating pair a pair loop would.  is_antichain_sample asks
-order._comparable_block, the comparability form of the rectangular
-batched cone kernel, whether any two lifted points are related.
+Heights go through order._distances, the batched form of
+order.distance with its bits: Hypersurface.heights for an array of
+points, in row tiles, and height, its one-point case, through the
+one-row order._point_distances, with no np.errstate below a radius
+where nothing can overflow.  Grading.values, is_antichain_sample,
+grading_monotone_on and crossing_time make one heights call each.  The
+Lipschitz check scans row tiles of the upper triangle of anchor pairs
+and names the first violating pair a pair loop would.
 """
 
 from __future__ import annotations
@@ -90,11 +85,15 @@ class Hypersurface:
         axes = np.asfortranarray(xs)
         for a in (hs, axes):
             a.flags.writeable = False
+        bounded = (n <= 2**20 and k <= 2.0**510 and np.abs(hs).max() <= 2.0**1021
+                   and np.abs(xs).max(initial=0.0) <= 2.0**500)
         object.__setattr__(self, "anchors", tuple(zip(map(tuple, xs.tolist()), hs.tolist())))
         object.__setattr__(self, "modulus", k)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "_hs", hs)
         object.__setattr__(self, "_axes", axes)
+        object.__setattr__(self, "_cols", tuple(axes.T))
+        object.__setattr__(self, "_radius", 2.0**500 if bounded else 0.0)
         object.__setattr__(self, "_rows", max(1, TILE_CELLS // count))
 
     @property
@@ -126,15 +125,19 @@ class Hypersurface:
         return out
 
     def height(self, x: Sequence[float]) -> float:
-        """h(x), the one-point case of heights, with its bits: the same
-        anchor distances, scaled by k and shifted by h_i in the same order."""
-        axes = self._axes  # type: ignore[attr-defined]
-        _require_dim(len(x), axes.shape[1])
-        with np.errstate(over="ignore"):  # overflow to inf, silently, as in heights
-            env = _point_distances(x, axes)
-            env *= self.modulus
-            env += self._hs  # type: ignore[attr-defined]
-        return float(env.min())
+        """h(x), the one-point case of heights, with its bits.  Given
+        |x_i| <= 2^500, |h_i| <= 2^1021, k <= 2^510 and n <= 2^20, a point
+        with all |x_a| < R = 2^500 cannot overflow: offset <= 2^501, square
+        <= 2^1002, sum <= 2^1022, k * dist <= 2^1021, term <= 2^1022.  Any
+        other point, n = 0 and R = 0 (bounds unmet) go to heights."""
+        cols, radius = self._cols, self._radius  # type: ignore[attr-defined]
+        _require_dim(len(x), len(cols))
+        if not (cols and all(-radius < v < radius for v in x)):
+            return float(self.heights([x])[0])
+        env = _point_distances(x, cols)
+        env *= self.modulus
+        env += self._hs  # type: ignore[attr-defined]
+        return float(np.minimum.reduce(env))
 
     def graph_event(self, x: Sequence[float]) -> Event:
         return Event(self.height(x), x)
@@ -211,6 +214,11 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
     the crossing lies outside the window or a segment breaks the k*c < 1
     margin, RuntimeError when the residual misses tol.
     """
+    return _crossing(hs, wl, tol)[0]
+
+
+def _crossing(hs: Hypersurface, wl: PolyWorldLine, tol: float) -> tuple[float, float]:
+    """crossing_time's t_star and its residual t_star - h(f(t_star))."""
     _require_tol(tol)
     _require_dim(wl.n, hs.dimension)
     k2 = hs.modulus * hs.modulus
@@ -225,9 +233,9 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
         phi = t - hs.heights(x)
         (t0, t1), (f0, f1) = wl.window, (phi[0], phi[-1])
         if abs(f0) <= tol:
-            return t0
+            return t0, float(f0)
         if abs(f1) <= tol:
-            return t1
+            return t1, float(f1)
         if f0 > 0 or f1 < 0:
             raise ValueError("no crossing inside the window")
         s = int(np.argmax((phi[:-1] < 0) & (phi[1:] >= 0)))
@@ -244,7 +252,7 @@ def crossing_time(hs: Hypersurface, wl: PolyWorldLine, tol: float = CROSSING_TOL
     residual = t_star - hs.height(wl.eval(t_star))
     if not abs(residual) <= tol:
         raise RuntimeError(f"crossing residual {residual!r} misses tolerance {tol!r}")
-    return t_star
+    return t_star, residual
 
 
 def grading_monotone_on(

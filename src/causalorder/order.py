@@ -19,15 +19,11 @@ same operations in the same order.  The scalar comparison is
 _cone_sign: one distance and one c*dt place a pair inside, on or
 outside the cone, for _strictly_before and classify_pair alike.
 Distances come from distance and its batched form _distances, whose
-one-row case _point_distances serves Hypersurface.height.  finite.build fills its relation matrices
-with _strict_block in row tiles of at most TILE_CELLS cells, in
-time-ordered BLOCK-row bands once a set outgrows one tile;
-_comparable_block (strict either way, or equal) answers pairwise_comparable,
-interval_is_chain_sampled and hypersurfaces.is_antichain_sample, so
-those agree cell for cell with the pair loops over comparable and
-classify_pair they replace.  _analytic_block (strict causal, or equal)
-is reconstruct_causal_analytic over a block of pairs; the CLI's analytic
-reconstruct check takes it in row bands of BLOCK rows.
+one-row case _point_distances serves Hypersurface.height.
+finite.build fills its relation matrices with _strict_block;
+_comparable_block (strict either way, or equal) and _analytic_block
+(strict causal, or equal) answer the all-pairs routes and agree cell
+for cell with the pair loops over comparable and classify_pair.
 """
 
 from __future__ import annotations
@@ -197,18 +193,14 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(dist, out=dist)
 
 
-def _point_distances(p: Sequence[float], b: np.ndarray) -> np.ndarray:
-    """The (k,) vector of ||b_j - p|| for one point p of n floats: the
-    one-row case of _distances, with its accumulation order and so its
-    bits, and no 2-D broadcast.  It reads b one axis column at a time,
-    contiguous when b is Fortran-ordered.  Callers hold
-    np.errstate(over="ignore")."""
-    if not len(p):
-        return np.zeros(len(b))
-    dist = b[:, 0] - p[0]
+def _point_distances(p: Sequence[float], cols: Sequence[np.ndarray]) -> np.ndarray:
+    """The (k,) vector of ||b_j - p|| for one point p of n >= 1 floats
+    and the n contiguous (k,) columns of a (k, n) array b: the one-row
+    case of _distances, with its bits and no np.errstate."""
+    dist = cols[0] - p[0]
     dist *= dist
     for axis in range(1, len(p)):
-        d = b[:, axis] - p[axis]
+        d = cols[axis] - p[axis]
         d *= d
         dist += d
     return np.sqrt(dist, out=dist)

@@ -228,6 +228,49 @@ def test_heights_match_height_bit_for_bit():
             hs.height(bad)
 
 
+def test_height_skips_errstate_only_below_its_radius(monkeypatch):
+    big, inf, nan = 2.0**500, math.inf, math.nan
+    inside, outside = math.nextafter(big, 0.0), math.nextafter(big, inf)
+    cases = [  # (anchors, k, c, radius): each bound met exactly, then missed by an ulp
+        ([((big, -big), 0.0), ((-big, big), 0.0)], 0.5, 1.0, big),
+        ([((outside, 0.0), 0.0), ((0.0, 1.0), 0.25)], 0.5, 1.0, 0.0),
+        ([((inside, 1.0), 2.0**1021), ((-inside, 0.0), 2.0**1021)], 2.0**510, 2.0**-511, big),
+        ([((0.0, 0.0), 0.0)], math.nextafter(2.0**510, inf), 2.0**-511, 0.0),
+        ([((0.0, 0.0), -2.0**1021), ((1.0, 1.0), -2.0**1021)], 0.5, 1.0, big),
+        ([((0.0, 0.0), math.nextafter(2.0**1021, inf))], 0.5, 1.0, 0.0),
+        ([((), -0.0), ((), -0.0)], 0.5, 1.0, big),  # n = 0: min(0.0 * k + h_i) is 0.0
+    ]
+    points = [(inside, -inside), (-inside, 0.0), (big, 0.0), (0.0, -big), (outside, 0.0),
+              (0.3, 0.2), (nan, 0.0), (0.3, nan), (0.0, inf), (-inf, nan), (1e300, -1e300)]
+    surfaces = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unsilenced overflow fails
+        for anchors, k, c, radius in cases:
+            hs = make_hypersurface(anchors, k, c)
+            assert hs._radius == radius
+            pts = points if hs.dimension else [()]
+            want = hs.heights(pts).tolist()
+            got = [hs.height(x) for x in pts]
+            assert [h.hex() for h in got] == [h.hex() for h in want], (anchors, k)
+            surfaces.append((hs, pts, got))
+    assert all(math.isfinite(h) for h in surfaces[2][2][:4])  # h_i + k * 2^501 near 2^1021
+
+    def no_errstate(**kwargs):
+        raise AssertionError("errstate entered")
+
+    monkeypatch.setattr(np, "errstate", no_errstate)
+    plain = 0
+    for hs, pts, got in surfaces:
+        for x, h in zip(pts, got):
+            if hs.dimension and all(abs(v) < hs._radius for v in x):
+                assert hs.height(x).hex() == h.hex()
+                plain += 1
+            else:
+                with pytest.raises(AssertionError, match="^errstate entered$"):
+                    hs.height(x)
+    assert plain == 9
+
+
 def test_heights_name_the_shape_of_badly_shaped_points():
     hs = make_hypersurface([((0.0, 0.0), 0.0), ((1.0, 0.0), 0.25)], 0.5, 1.0)
     # one point passed flat, a bare number, a stack of arrays

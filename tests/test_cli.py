@@ -357,6 +357,20 @@ def test_counterexample_certifies_gap(tmp_path):
     assert "time_gap_certified true" in lines
 
 
+def test_counterexample_base_t_must_be_the_surface_height(surface_file):
+    hs = read_surface(surface_file)
+    h0 = hs.height(hs.anchors[0][0])
+    argv = ["counterexample", "--surface", str(surface_file), "--samples", "200"]
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    code, exact, err = run([*argv, "--base-t", repr(h0)])
+    assert (code, err) == (0, "")
+    assert body(exact)[1:] == body(out)[1:]  # all but the `# command` line
+    code, out, err = run([*argv, "--base-t", repr(h0 + 1.0)])
+    assert (code, out) == (2, "")
+    assert err == "error: surface does not pass through the requested base event\n"
+
+
 def test_counterexample_exit_follows_the_surface_certificate(monkeypatch, surface_file):
     # heights one below the surface put the lower ray's crossing at
     # origin.t - 1, inside its open time range; no sample lands there

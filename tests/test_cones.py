@@ -16,7 +16,8 @@ from causalorder.cones import (
     cone_order_leq,
     standard_cone,
 )
-from causalorder.order import Direction, Event, OrderKind, OrderSpec, distance, event, leq
+from causalorder.order import (Direction, Event, OrderKind, OrderSpec, _box_events,
+                               apply_dilation, distance, event, leq)
 
 
 def test_standard_cone_frozen_memberships():
@@ -81,6 +82,79 @@ def test_invariance_reports_the_first_dilation_failure():
         "dilation by 1.5238701954821423 broke membership at "
         "Event(t=0.6979998634467659, x=(1.7061724122748778, 3.6719449757439744))",
     )
+
+
+def _per_sample_invariance(oracle, n_samples, seed):
+    """check_invariance as it ran with one QR per sample, drawing each
+    sample's matrix, factor and shift as its checks reach them: the
+    reference for the stacked QR over the same draws."""
+    rng = np.random.default_rng(seed)
+    n = oracle.dimension
+    events = _box_events(rng, oracle.probe_box, n_samples)
+    checks = 0
+    for i, e in enumerate(events):
+        member = oracle.membership(e)
+        if n > 0:
+            q, r = np.linalg.qr(rng.standard_normal((n, n)))
+            rot = Event(e.t, ((q * np.sign(np.diag(r))) @ np.asarray(e.x)).tolist())
+            checks += 1
+            if oracle.membership(rot) != member:
+                return False, checks, f"rotation broke membership at {e} (rotated to {rot})"
+        r = float(rng.uniform(0.1, 10.0))
+        checks += 1
+        if oracle.membership(apply_dilation(r, e)) != member:
+            return False, checks, f"dilation by {r!r} broke membership at {e}"
+        if i + 1 < len(events):
+            u, v = e, events[i + 1]
+            shift = tuple(rng.uniform(a, b) for a, b in oracle.probe_box[:n])
+            su = Event(u.t, tuple(a + d for a, d in zip(u.x, shift)))
+            sv = Event(v.t, tuple(a + d for a, d in zip(v.x, shift)))
+            checks += 1
+            if cone_order_leq(oracle, u, v) != cone_order_leq(oracle, su, sv):
+                return False, checks, f"translation by {shift} broke the order at ({u}, {v})"
+    return True, checks, None
+
+
+def _flip(base, call):
+    """base with the answer of its call-th membership query flipped."""
+    calls = [0]
+
+    def member(e):
+        calls[0] += 1
+        return base.membership(e) != (calls[0] == call)
+
+    return ConeOracle(member, base.dimension, base.probe_box)
+
+
+def _invariance_oracles(n):
+    """Fresh oracles in n space dimensions: the three families both ways,
+    two affine maps of the causal cone (a time shear and a stretch of the
+    first axis, which fail a rotation check once n > 0), and the causal
+    cone with its 1st, 2nd, 3rd or 19th answer flipped, which fails the
+    first rotation, dilation or translation check that asks it."""
+    causal = standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 1.0, n)
+    shear, stretch = np.eye(n + 1), np.eye(n + 1)
+    shear[n, n] = 0.5
+    shear[n, 0] += 1.0
+    stretch[0, 0] = 3.0
+    yield from (standard_cone(kind, direction, 0.75, n)
+                for kind in OrderKind for direction in Direction)
+    yield from (affine_cone(causal, m) for m in (shear, stretch))
+    yield from (_flip(causal, call) for call in (1, 2, 3, 19))
+
+
+def test_stacked_qr_keeps_the_per_sample_reports():
+    reports = set()
+    for n in range(4):
+        for n_samples in (1, 2, 200):
+            for seed in (0, 1, 7):
+                got = [check_invariance(o, n_samples, seed) for o in _invariance_oracles(n)]
+                want = [_per_sample_invariance(o, n_samples, seed)
+                        for o in _invariance_oracles(n)]
+                assert [(r.passed, r.checks, r.counterexample) for r in got] == want
+                reports.update((r[0], (r[2] or "passed").split(" ")[0]) for r in want)
+    assert reports == {(True, "passed"), (False, "rotation"), (False, "dilation"),
+                       (False, "translation")}
 
 
 def test_affine_identity_is_transparent():

@@ -10,6 +10,7 @@ from causalorder.hypersurfaces import (
     CROSSING_TOL,
     Grading,
     Hypersurface,
+    _crossing,
     crossing_time,
     grading_monotone_on,
     is_antichain_sample,
@@ -370,6 +371,12 @@ def test_crossing_within_tol_of_a_window_end_returns_that_end():
     assert crossing_time(cone1, late) == 1.0 + 5e-10
     early = make_polyline([(-5.0, (2.0,)), (1.0 - 5e-10, (2.0,))], 1.0)
     assert crossing_time(cone1, early) == 1.0 - 5e-10
+    # the residual of an end, or of an inner root, is the grading there
+    for wl in (late, early, make_polyline([(-5.0, (2.0,)), (5.0, (2.0,))], 1.0)):
+        t_star, residual = _crossing(cone1, wl, CROSSING_TOL)
+        assert t_star == crossing_time(cone1, wl) and type(residual) is float
+        assert residual.hex() == (t_star - cone1.height(wl.eval(t_star))).hex()
+    assert _crossing(cone1, late, CROSSING_TOL)[1] != 0.0
     for t0, t1 in ((1.0 + 2e-9, 5.0), (-5.0, 1.0 - 2e-9)):
         with pytest.raises(ValueError, match="no crossing"):
             crossing_time(cone1, make_polyline([(t0, (2.0,)), (t1, (2.0,))], 1.0))
