@@ -4,7 +4,8 @@ DOT export.
 Every format is line-oriented UTF-8: `#` starts a comment, blank lines
 are skipped, the first payload line is a `key=value` header, and data
 rows are whitespace-separated numbers written with 17 significant
-digits so values round-trip exactly.
+digits so values round-trip exactly.  A world line is a causal, forward
+line: its header must say order=causal dir=fwd, as write_worldline does.
 """
 
 from __future__ import annotations
@@ -176,7 +177,9 @@ def read_worldline(
     from .worldlines import KeptEnd, make_polyline
 
     path = Path(path)
-    _, _, dim, spec, rows = _read_header(path, ["dim", "c", "order", "dir"])
+    no, _, dim, spec, rows = _read_header(path, ["dim", "c", "order", "dir"])
+    if (spec.kind, spec.direction) != (OrderKind.CAUSAL, Direction.FORWARD):
+        raise ParseError(f"{path}:{no}: a world line needs order=causal dir=fwd")
     vertices: list[tuple[float, tuple[float, ...]]] = []
     gaps: list[tuple[float, float, KeptEnd]] = []
     for no, line in rows:

@@ -3,11 +3,8 @@ matrices, Hasse diagrams, maximal chains, antichain enumeration, cutset
 checks, and reconstruction of the causal order from the subluminal one.
 
 Maximal chains are cover paths from a minimal to a maximal element,
-and the covers are kept as the ascending cells i*n + j of the Hasse
-edges.  count_maximal_chains counts them exactly, with no cap, in one
-pass over the covers; maximal_chains serves them as a lazy sequence, in
-lexicographic order, that unranks any index from the same path counts,
-so its cost follows the number of covers, not of chains.
+counted, walked and unranked from the covers alone, so their cost
+follows the number of covers, not of chains.
 
 Relation matrices hold the strict relation (diagonal False), indexed in
 input order.  build fills them with order._strict_block, the batched
@@ -17,14 +14,9 @@ a violation aborts, since it would mean the predicate is broken.
 
 In all three orders u < v implies t_u < t_v, so a set sorted by time
 (stably) has a strictly upper triangular relation.  A set that fits one
-kernel tile (order.TILE_CELLS cells) is built in input order.  A larger
-one is built in one pass over it in time order, last order.BLOCK-row
-band first: the kernel fills the band from its first column on, in row
-tiles sized for cache, and the band's two-step relation (behind the
-transitivity check and the covers) sums block (I, J) over K = I..J
-only, so no n x n two-step or covers matrix is held.  Reconstruction's
-witness counts sum block (I, J) over K >= max(I, J) and mirror it to
-(J, I).
+kernel tile (order.TILE_CELLS cells) is built in input order, a larger
+one by _banded in time order, one order.BLOCK-row band at a time, so no
+n x n two-step or covers matrix is held.
 
 The products run as float32 BLAS matmuls on 0/1 matrices.  They are
 exact: every entry of a product, whole or over a span of blocks, is an
@@ -312,39 +304,51 @@ def maximal_chains(fcs: FiniteCausalSet) -> Sequence[list[int]]:
 
 
 def maximal_antichains(fcs: FiniteCausalSet) -> list[list[int]]:
-    """All maximal antichains: maximal cliques of the incomparability
-    graph, via pivoted Bron-Kerbosch.  Limited to 24 events, so by the
-    Moon-Moser bound there are at most 3**8 of them; output is sorted
-    lexicographically."""
+    """All maximal antichains, sorted lexicographically: the maximal
+    cliques of the incomparability graph, by Bron-Kerbosch with Tomita's
+    pivot (most neighbours in P, lowest index on ties) on int bitmasks
+    for P, X and each event's neighbours.  Limited to 24 events, so by
+    the Moon-Moser bound there are at most 3**8 of them."""
     n_ev = len(fcs)
     if n_ev > MAX_ANTICHAIN_EVENTS:
         raise ValueError(
             f"full antichain enumeration supports at most {MAX_ANTICHAIN_EVENTS} events"
         )
     rel = fcs.relation
-    nbr = [
-        {j for j in range(n_ev) if j != i and not rel[i, j] and not rel[j, i]}
-        for i in range(n_ev)
-    ]
+    inc = ~(rel | rel.T | np.eye(n_ev, dtype=bool))
+    nbr = (inc @ (1 << np.arange(n_ev))).tolist()  # bit j of nbr[i]: i, j incomparable
     found: list[list[int]] = []
 
-    def bk(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            found.append(sorted(r))
+    def bk(r: list[int], p: int, x: int) -> None:
+        if not p:
+            if not x:
+                found.append(sorted(r))
             return
-        pivot = min(sorted(p | x), key=lambda v: (-len(p & nbr[v]), v))
-        for v in sorted(p - nbr[pivot]):
-            bk(r | {v}, p & nbr[v], x & nbr[v])
-            p = p - {v}
-            x = x | {v}
+        best = -1
+        px = p | x
+        while px:  # the pivot, lowest bit first
+            low = px & -px
+            v = low.bit_length() - 1
+            k = (p & nbr[v]).bit_count()
+            if k > best:
+                best, pivot = k, v
+            px ^= low
+        cand = p & ~nbr[pivot]
+        while cand:
+            low = cand & -cand
+            v = low.bit_length() - 1
+            bk(r + [v], p & nbr[v], x & nbr[v])
+            p ^= low
+            x |= low
+            cand ^= low
 
-    bk(set(), set(range(n_ev)), set())
+    bk([], (1 << n_ev) - 1, 0)
     found.sort()
     return found
 
 
 def _check_antichain(fcs: FiniteCausalSet, indices: Sequence[int]) -> list[int]:
-    idx = list(indices)
+    idx = [operator.index(i) for i in indices]  # bools as 0 and 1, no floats
     n_ev = len(fcs)
     for i in idx:
         if not 0 <= i < n_ev:

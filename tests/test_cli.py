@@ -535,6 +535,7 @@ HOSTILE_FILES = {
     "wl_2d": "dim=2 c=1 order=causal dir=fwd\n-5 2 0\n5 2 0\n",
     "wl_banana": "dim=1 c=1 order=banana dir=fwd\n-5 2\n5 2\n",
     "wl_up": "dim=1 c=1 order=causal dir=up\n-5 2\n5 2\n",
+    "wl_temporal": "dim=1 c=1 order=temporal dir=bwd\n-5 2\n5 2\n",
 }
 
 # (argv with {name} standing for the path of HOSTILE_FILES[name], exit code)
@@ -551,6 +552,7 @@ _SURFACE_CODES = {  # grade ev_ok, counterexample, crossing wl_ok
 _LINE_CODES = {  # crossing against sf_1d
     "wl_ok": 0, "wl_huge_static": 0, "wl_negzero": 0, "wl_huge": 2, "wl_nan": 2, "wl_inf": 2,
     "wl_nine": 2, "wl_empty": 2, "wl_2d": 2, "wl_banana": 2, "wl_up": 2,
+    "wl_temporal": 2,
 }
 HOSTILE_CASES = [
     (["sprinkle", "--count", "5", "--dim", "9", "--box=0:1", "--out", "{out}"], 2),
@@ -660,6 +662,8 @@ HOSTILE_LINES = {
         "error: {wl_banana}:1: 'banana' is not a valid OrderKind",
     ("crossing", "--surface", "{sf_1d}", "--worldline", "{wl_up}"):
         "error: {wl_up}:1: 'up' is not a valid Direction",
+    ("crossing", "--surface", "{sf_1d}", "--worldline", "{wl_temporal}"):
+        "error: {wl_temporal}:1: a world line needs order=causal dir=fwd",
     ("crossing", "--surface", "{sf_1d}", "--worldline", "{wl_2d}"):
         "error: dimension mismatch: 2 vs 1",
     ("crossing", "--surface", "{sf_ok}", "--worldline", "{wl_ok}"):

@@ -146,6 +146,20 @@ def test_gap_row_syntax_errors(tmp_path):
         read_worldline(path)
 
 
+def test_worldline_header_must_be_causal_forward(tmp_path):
+    # the header's order and dir are what write_worldline writes, never
+    # another order the reader would silently ignore
+    path = tmp_path / "wl.txt"
+    for order, direction in [("causal", "bwd"), ("subluminal", "fwd"), ("temporal", "bwd")]:
+        path.write_text(f"# a comment\ndim=1 c=1 order={order} dir={direction}\n0 0\n1 0.5\n")
+        want = rf"^{re.escape(str(path))}:2: a world line needs order=causal dir=fwd$"
+        for reader in (read_worldline, gap_worldline_from_file):
+            with pytest.raises(ParseError, match=want):
+                reader(path)
+    path.write_text("# a comment\ndim=1 c=1 order=causal dir=fwd\n0 0\n1 0.5\n")
+    assert read_worldline(path)[0].vertices == ((0.0, (0.0,)), (1.0, (0.5,)))
+
+
 def test_ray_backed_chains_do_not_serialize(tmp_path):
     from causalorder.worldlines import canonical_gap_chain
 

@@ -13,6 +13,7 @@ import pytest
 from causalorder import finite
 from causalorder.cones import cone_order_leq, standard_cone
 from causalorder.finite import (
+    MAX_ANTICHAIN_EVENTS,
     MAX_EVENTS,
     SprinkleConfig,
     build,
@@ -410,6 +411,89 @@ def test_maximal_antichains_are_maximal():
             assert any(rel[o, i] or rel[i, o] for i in ac)
 
 
+def _maximal_antichains_reference(fcs):
+    """The set-based pivoted Bron-Kerbosch that the bitmask form
+    replaced, kept as the reference it must equal list for list."""
+    n_ev = len(fcs)
+    rel = fcs.relation
+    nbr = [
+        {j for j in range(n_ev) if j != i and not rel[i, j] and not rel[j, i]}
+        for i in range(n_ev)
+    ]
+    found = []
+
+    def bk(r, p, x):
+        if not p and not x:
+            found.append(sorted(r))
+            return
+        pivot = min(sorted(p | x), key=lambda v: (-len(p & nbr[v]), v))
+        for v in sorted(p - nbr[pivot]):
+            bk(r | {v}, p & nbr[v], x & nbr[v])
+            p = p - {v}
+            x = x | {v}
+
+    bk(set(), set(range(n_ev)), set())
+    found.sort()
+    return found
+
+
+def _antichain_sets(max_events, count, seed):
+    """Random 1+1 and 2+1 sets, of every size from max_events down to 0
+    and then of random sizes, with varying space-like spread; in every
+    other pair of sets one to three events copy earlier ones."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        dim = 1 + trial % 2
+        n = max_events - trial if trial <= max_events else int(rng.integers(max_events + 1))
+        width = float(rng.choice([0.3, 1.0, 3.0]))
+        box = ((-width, width),) * dim + ((0.0, 2.0),)
+        events = sprinkle(SprinkleConfig(n, dim, box, seed * 1000 + trial))
+        if trial % 4 >= 2 and n > 1:
+            copies = int(rng.integers(1, min(4, n)))
+            events[n - copies:] = [events[int(k)] for k in rng.choice(n - copies, copies)]
+        yield events
+
+
+def _all_specs():
+    return [OrderSpec(kind, 1.0, direction) for kind in OrderKind for direction in Direction]
+
+
+def test_maximal_antichains_match_set_based_reference():
+    sets = list(_antichain_sets(MAX_ANTICHAIN_EVENTS, 40, 12))
+    sets += _small_sets()
+    sets.append([event(float(t), 10.0 * c) for c in range(8) for t in range(3)])
+    assert max(map(len, sets)) == MAX_ANTICHAIN_EVENTS and min(map(len, sets)) == 0
+    duplicated = 0
+    for events in sets:
+        duplicated += len(set(events)) < len(events)
+        for spec in _all_specs():
+            fcs = build(events, spec)
+            assert maximal_antichains(fcs) == _maximal_antichains_reference(fcs)
+    assert duplicated >= 10
+
+
+def _maximal_antichains_by_brute_force(fcs):
+    """Every subset of the events, as a bitmask, kept when it is an
+    antichain that no outside event extends."""
+    n = len(fcs)
+    comp = (fcs.relation | fcs.relation.T).tolist()
+    members = [[i for i in range(n) if s >> i & 1] for s in range(1 << n)]
+    anti = {s for s in range(1 << n)
+            if not any(comp[i][j] for i in members[s] for j in members[s])}
+    return sorted(members[s] for s in anti
+                  if all(s | 1 << j not in anti for j in range(n) if not s >> j & 1))
+
+
+def test_maximal_antichains_are_complete():
+    sets = [ev for ev in _small_sets() if len(ev) <= 12]
+    sets += list(_antichain_sets(12, 20, 13))
+    assert max(map(len, sets)) == 12
+    for events in sets:
+        for spec in _all_specs():
+            fcs = build(events, spec)
+            assert maximal_antichains(fcs) == _maximal_antichains_by_brute_force(fcs)
+
+
 def test_first_chains_of_a_large_count():
     events = sprinkle2(100, 4)
     fcs = build(events, CAUSAL)
@@ -462,6 +546,22 @@ def test_cutset_rejects_comparable_input():
         assert str(exc.value) == f"not an antichain: events {i} and {j} are comparable"
         rejected += 1
     assert 0 < rejected < 200
+
+
+def test_antichain_indices_are_integers():
+    # 0 < 1 and 2 space-like to both: a bool is the index 0 or 1, in the
+    # antichain check and in the walk alike, never a mask
+    fcs = _cutset_trio()
+    for ac in ([True, False], [1, 0], [np.int64(1), np.int8(0)]):
+        with pytest.raises(ValueError, match=r"^not an antichain: events 1 and 0 are comparable$"):
+            find_avoiding_chain(fcs, ac)
+    assert find_avoiding_chain(fcs, [True]) == find_avoiding_chain(fcs, [1]) == [2]
+    assert find_avoiding_chain(fcs, [False]) == [2]
+    assert is_cutset(fcs, [True, 2]) and not is_cutset(fcs, [False])
+    for ac in ([1.0], [np.float64(0.0)], ["1"], [2, 0.5]):
+        for query in (find_avoiding_chain, is_cutset):
+            with pytest.raises(TypeError):
+                query(fcs, ac)
 
 
 def test_time_level_of_a_lattice_is_a_causal_cutset_only():
