@@ -228,13 +228,16 @@ def gap_worldline_from_file(path: str | Path) -> GapWorldLine:
 def dot_digraph(num_nodes: int, edges: Sequence[tuple[int, int]]) -> str:
     """DOT digraph `hasse` with 0-based index nodes and lexicographic edges."""
     edges = sorted(edges)
-    arcs = [f"  {i} -> {j};" for i, j in edges if 0 <= j < num_nodes]
     # sorted, the sources run from edges[0][0] to edges[-1][0]
-    if edges and not (len(arcs) == len(edges) and 0 <= edges[0][0] and edges[-1][0] < num_nodes):
+    cols = [j for _, j in edges]
+    if edges and not (0 <= edges[0][0] and edges[-1][0] < num_nodes
+                      and 0 <= min(cols) and max(cols) < num_nodes):
         i, j = next((i, j) for i, j in edges if not (0 <= i < num_nodes and 0 <= j < num_nodes))
         raise ValueError(f"edge ({i}, {j}) outside node range [0, {num_nodes})")
-    lines = ["digraph hasse {"]
-    lines += [f"  {i};" for i in range(num_nodes)]
-    lines += arcs
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    name = list(map(str, range(num_nodes)))  # each index stringified once
+    return "".join([
+        "digraph hasse {\n",
+        *[f"  {s};\n" for s in name],
+        *[f"  {name[i]} -> {name[j]};\n" for i, j in edges],
+        "}\n",
+    ])

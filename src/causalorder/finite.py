@@ -16,13 +16,14 @@ In all three orders u < v implies t_u < t_v, so a set sorted by time
 (stably) has a strictly upper triangular relation.  A set that fits one
 kernel tile (order.TILE_CELLS cells) is built in input order, a larger
 one by _banded in time order, one order.BLOCK-row band at a time, so no
-n x n two-step or covers matrix is held.
+n x n two-step, covers or float32 matrix is held.
 
 The products run as float32 BLAS matmuls on 0/1 matrices.  They are
 exact: every entry of a product, whole or over a span of blocks, is an
-integer count of at most n <= MAX_EVENTS < 2**24, and every partial sum
-is a smaller such count, so each is representable in float32 and no
-summation order, blocking or fused multiply-add can round it.
+integer count of at most n <= MAX_EVENTS = 4096 < 2**24, and every
+partial sum is a smaller such count, so each is representable in
+float32 and no summation order, blocking or fused multiply-add can
+round it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from .order import BLOCK, TILE_CELLS, Direction, Event, OrderKind, OrderSpec
 from .order import _box_events, _check_box, _coordinates, _strict_block
 
-MAX_EVENTS = 2000
+MAX_EVENTS = 4096
 MAX_ANTICHAIN_EVENTS = 24
 
 
@@ -130,13 +131,16 @@ def _banded(
     them in time order, last band first.  The kernel writes band I (rows
     a:b) from column a on, so antisymmetry can only fail in its diagonal
     block, and block (I, J) of its two-step relation sums over K = I..J
-    (the later bands are filled).  Once a check fails, the pass only
-    fills the relation, and the cells come back None."""
+    (the later bands are filled).  The band and each block's right
+    operand are cast into two reused float32 buffers.  Once a check
+    fails, the pass only fills the relation, and the cells come back
+    None."""
     n = len(t)
     order = np.argsort(t, kind="stable")
     t, xs = t[order], xs[order]
     rel = np.zeros((n, n), dtype=bool)
-    rf = np.zeros((n, n), dtype=np.float32)
+    band = np.empty((BLOCK, n), dtype=np.float32)
+    right = np.empty((n, BLOCK), dtype=np.float32)
     cells = []
     ok = True
     for a in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
@@ -149,10 +153,13 @@ def _banded(
         ok = ok and not (diag & diag.T).any()
         if not ok:
             continue
-        rf[a:b, a:] = rel[a:b, a:]
+        left = band[:b - a, :n - a]
+        left[...] = rel[a:b, a:]
         for j in range(a, n, BLOCK):
             k = min(j + BLOCK, n)
-            two_step = (rf[a:b, a:k] @ rf[a:k, j:k]) > 0
+            rf = right[:k - a, :k - j]
+            rf[...] = rel[a:k, j:k]
+            two_step = (left[:, :k - a] @ rf) > 0
             ok = ok and not (two_step > rel[a:b, j:k]).any()  # two_step & ~rel
             u, v = np.divmod(np.flatnonzero(rel[a:b, j:k] > two_step), k - j)  # rel & ~two_step
             cells.append(order[a + u] * n + order[j + v])
@@ -160,9 +167,12 @@ def _banded(
 
 
 def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """m[p][:, p], C-contiguous, so later row reads are not strided.  Two
-    gathers cost a fifth of one np.ix_ gather."""
-    return m[p].take(p, axis=1)
+    """m[p][:, p], C-contiguous, so later row reads are not strided,
+    gathered BLOCK rows at a time with no full-size intermediate."""
+    out = np.empty(m.shape, dtype=m.dtype)
+    for r in range(0, len(p), BLOCK):
+        out[r:r + BLOCK] = m[p[r:r + BLOCK]].take(p, axis=1)
+    return out
 
 
 def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
@@ -416,24 +426,29 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
         if fcs.spec.direction is Direction.BACKWARD:
             order = order[::-1]
         rel, mult = _permute(rel, order), mult[order]
-    rf = rel.astype(np.float32)
-    above = rf.sum(axis=1)
+    above = np.count_nonzero(rel, axis=1).astype(np.float32)
     rec = np.empty((n, n), dtype=bool)
     # i is related to j when the above[j] witnesses above j are the
     # (R R^T)[i, j] above both plus the rel[j, i] * mult[i] equal to i
     # (none equal to j is above j), all exact counts.  For band J = j:k,
     # `both` is (R R^T)[:k, J] over the witnesses from j on, the only
-    # ones above J: blocks (I, J), I <= J, then mirrored to (J, I).
+    # ones above J: blocks (I, J), I <= J, then mirrored to (J, I).  It
+    # reads only the strip rel[:k, j:], cast into one float32 buffer.
+    strip = np.empty(max((min(j + width, n) * (n - j) for j in range(0, n, width)), default=0),
+                     dtype=np.float32)
     for j in range(0, n, width):
         k = min(j + width, n)
-        both = rf[:k, j:] @ rf[j:k, j:].T
-        both[j:k] += rf[j:k, j:k].T * mult[j:k, None]
+        rf = strip[:k * (n - j)].reshape(k, n - j)
+        rf[...] = rel[:k, j:]
+        both = rf @ rf[j:k].T
+        both[j:k] += rf[j:k, :k - j].T * mult[j:k, None]
         np.logical_or(rel[:k, j:k], both == above[j:k], out=rec[:k, j:k])
-        mirror = both[:j] + rf[:j, j:k] * mult[j:k]
+        mirror = both[:j] + rf[:j, :k - j] * mult[j:k]
         rec[j:k, :j] = (mirror == above[:j, None]).T
     np.fill_diagonal(rec, False)
     if width < n:
-        rec = _permute(rec, np.argsort(order))  # back to input order
+        del rel, rf, strip  # freed before rec is permuted back
+        rec = _permute(rec, np.argsort(order))
     rec.flags.writeable = False
     return rec
 

@@ -236,11 +236,12 @@ def _coordinates(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray]:
     """Times (m,) and spatial coordinates (m, n) of events that share
     one space dimension."""
     dim = events[0].n if events else 0
-    # one call with the first dimension that differs: a call per event slows build
-    _require_dim(dim, next((e.n for e in events if e.n != dim), dim))
-    t = np.array([e.t for e in events], dtype=float)
-    xs = np.array([e.x for e in events], dtype=float).reshape(len(events), dim)
-    return t, xs
+    try:
+        xs = np.array([e.x for e in events], dtype=float).reshape(len(events), dim)
+    except ValueError:  # ragged: name the first dimension that differs
+        _require_dim(dim, next(e.n for e in events if e.n != dim))
+        raise
+    return np.array([e.t for e in events], dtype=float), xs
 
 
 @np.errstate(over="ignore")  # overflow to inf, silently, as in the scalar route

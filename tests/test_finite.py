@@ -4,6 +4,7 @@ matrix-level reconstruction."""
 
 import math
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -154,13 +155,48 @@ def test_relation_invariant_under_isometry_and_dilation():
 
 
 def test_build_rejects_oversized_input():
-    with pytest.raises(ValueError):
-        build([event(float(t), 0.0) for t in range(2001)], CAUSAL)
+    with pytest.raises(ValueError, match=f"at most {MAX_EVENTS} events supported, got 4097"):
+        build([event(float(t), 0.0) for t in range(4097)], CAUSAL)
+
+
+def test_build_names_the_first_dimension_that_differs():
+    # one (n, dim) coordinate array, 0 events and 0-D included; a ragged
+    # set names the first event's dimension and the first that differs
+    for events, dim in (([], 0), ([event(0.0), event(1.0)], 0), ([event(0.0, 1.0, 2.0)], 2)):
+        t, xs = _coordinates(events)
+        assert t.shape == (len(events),) and xs.shape == (len(events), dim)
+    for events, message in (([event(0, 0), event(0, 5), event(1, 0, 0)], "1 vs 2"),
+                            ([event(0), event(1, 2), event(2)], "0 vs 1"),
+                            ([event(0, 1, 2), event(1)], "2 vs 0")):
+        with pytest.raises(ValueError, match=rf"^dimension mismatch: {message}$"):
+            build(events, CAUSAL)
 
 
 def test_float32_products_are_exact_up_to_max_events():
     # every product entry is an integer count <= MAX_EVENTS
-    assert MAX_EVENTS < 2**24
+    assert MAX_EVENTS == 4096 < 2**24
+
+
+def test_banded_build_and_reconstruction_hold_no_float32_square():
+    # A float32 copy of an n x n relation alone takes 4n^2 bytes.  build
+    # holds the relation, its time-ordered copy and per-band buffers;
+    # reconstruct_order the time-ordered relation, one float32 strip of
+    # at most n^2 bytes and its result, each permuted in row bands.
+    n = 2000
+    events = sprinkle2(n, 3)
+    tracemalloc.start()
+    try:
+        build(events, CAUSAL)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        sub = build(events, SUBLUMINAL)
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        reconstruct_order(sub)
+        rec_alloc = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 4 * n * n
+    assert rec_alloc <= 6 * n * n
 
 
 def _doctored(rel):
@@ -633,9 +669,10 @@ def _chain_count_reference(fcs):
 
 
 def test_cutset_check_at_max_events():
-    # about 1e19 maximal chains: far too many to list, counted exactly
+    # about 1e19 maximal chains: far too many to list, counted exactly;
+    # 2000 events, the limit before MAX_EVENTS was 4096
     box = ((-1.0, 1.0), (-1.0, 1.0))
-    fcs = build(sprinkle(SprinkleConfig(MAX_EVENTS, 1, box, 11)), CAUSAL)
+    fcs = build(sprinkle(SprinkleConfig(2000, 1, box, 11)), CAUSAL)
     assert count_maximal_chains(fcs) == _chain_count_reference(fcs) == 9991468692842737627
     minimal = np.flatnonzero(~fcs.relation.any(axis=0)).tolist()
     assert is_cutset(fcs, minimal)
@@ -645,6 +682,15 @@ def test_cutset_check_at_max_events():
         assert chain[0] == minimal[k]
         assert all((a, b) in covers for a, b in zip(chain, chain[1:]))
         assert not fcs.relation[chain[-1]].any()
+
+
+def test_chain_count_and_cutset_at_max_events():
+    # the largest set build accepts: about 4.5e26 maximal chains, and
+    # the minimal elements meet every one
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    fcs = build(sprinkle(SprinkleConfig(MAX_EVENTS, 1, box, 11)), CAUSAL)
+    assert count_maximal_chains(fcs) == _chain_count_reference(fcs) == 446090948046780787498084048
+    assert is_cutset(fcs, fcs.minimal.tolist())
 
 
 # ---------------------------------------------------------- reconstruction
