@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a check command found a failing property or
-could not finish (an order-axiom violation), 2 usage or parse errors.
+could not finish (an order-axiom violation), 2 usage or parse errors,
+or an allocation that failed for want of memory.
 Each command returns its exit code and report lines; `main` alone
 writes them. Reports echo the command and seed; every line except the
 trailing `# elapsed` one is byte-deterministic for fixed inputs and
@@ -392,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         code, lines = args.func(args)
+    except MemoryError as exc:  # numpy's failed allocations too
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ValueError, OSError)) else 1

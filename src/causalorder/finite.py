@@ -10,7 +10,9 @@ Relation matrices hold the strict relation (diagonal False), indexed in
 input order.  build fills them with order._strict_block, the batched
 form of the strict cone predicate, so matrix and scalar routes agree
 bit for bit; the order axioms are re-verified on every construction and
-a violation aborts, since it would mean the predicate is broken.
+a violation aborts, since it would mean the predicate is broken.  The
+pass that finds the covers also finds the violating cells, so a failing
+build holds no more memory than one that passes.
 
 In all three orders u < v implies t_u < t_v, so a set sorted by time
 (stably) has a strictly upper triangular relation.  A set that fits one
@@ -89,7 +91,8 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     Irreflexivity holds by construction; antisymmetry and transitivity
     are checked explicitly, and a failure aborts, because it could only
     come from a broken predicate.  The error names the first violating
-    pair in row-major input order, found on the whole input-order matrix.
+    pair in row-major input order, antisymmetry before transitivity,
+    from the cells the construction pass already finds.
     """
     evs = tuple(events)
     n = len(evs)
@@ -97,62 +100,55 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
         raise ValueError(f"at most {MAX_EVENTS} events supported, got {n}")
     t, xs = _coordinates(evs)
     if n * n <= TILE_CELLS:  # one kernel tile: no sort, no permute
-        rel, cells = _strict_block(spec.kind, spec.c, t, xs, t, xs), None
+        rel = _strict_block(spec.kind, spec.c, t, xs, t, xs)
+        cells = _checked_covers(rel)
     else:
         rel, cells = _banded(spec.kind, spec.c, t, xs)
     if spec.direction is Direction.BACKWARD:  # the dual order: cell (i, j) -> (j, i)
-        rel, cells = rel.T, None if cells is None else cells % n * n + cells // n
-    covers = _checked_covers(rel) if cells is None else np.sort(cells)
+        rel, cells = rel.T, [np.sort(m % n * n + m // n) for m in cells]
+    covers, *violations = cells
+    for axiom, bad in zip(("antisymmetry", "transitivity"), violations):
+        if len(bad):
+            i, j = divmod(int(bad[0]), n)
+            raise RuntimeError(f"{axiom} violated at pair ({i}, {j})")
     minimal = (~rel.any(axis=0)).nonzero()[0]
     for m in (rel, covers, minimal):
         m.flags.writeable = False
     return FiniteCausalSet(evs, spec, rel, covers, minimal)
 
 
-def _checked_covers(rel: np.ndarray) -> np.ndarray:
-    """The covers rel & ~((rel @ rel) > 0) of a relation in input order,
-    as ascending cells i*n + j, once antisymmetry and transitivity hold
-    on it; otherwise RuntimeError names the first violating pair in
-    row-major order."""
+def _checked_covers(rel: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cells i*n + j, ascending, of a relation in input order: its
+    covers rel & ~((rel @ rel) > 0), the pairs that break antisymmetry
+    and the pairs that break transitivity."""
     rf = rel.astype(np.float32)
     two_step = (rf @ rf) > 0
-    for axiom, bad in (("antisymmetry", rel & rel.T), ("transitivity", two_step > rel)):
-        if bad.any():  # ndarray.any: np.any's overhead outweighs a tiny set's check
-            i, j = map(int, np.argwhere(bad)[0])
-            raise RuntimeError(f"{axiom} violated at pair ({i}, {j})")
-    return (rel > two_step).ravel().nonzero()[0]  # rel & ~two_step, row-major
+    return tuple(m.ravel().nonzero()[0] for m in (rel > two_step, rel & rel.T, two_step > rel))
 
 
 def _banded(
     kind: OrderKind, c: float, t: np.ndarray, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The forward relation of events (t, xs) in input order, and its
-    cover cells i*n + j in input order but unsorted, from one pass over
-    them in time order, last band first.  The kernel writes band I (rows
-    a:b) from column a on, so antisymmetry can only fail in its diagonal
-    block, and block (I, J) of its two-step relation sums over K = I..J
-    (the later bands are filled).  The band and each block's right
-    operand are cast into two reused float32 buffers.  Once a check
-    fails, the pass only fills the relation, and the cells come back
-    None."""
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The forward relation of events (t, xs) in input order, and the
+    cells of _checked_covers, from one pass over them in time order,
+    last band first.  The kernel writes band I (rows a:b) from column a
+    on, so antisymmetry can only fail in its diagonal block, and block
+    (I, J) of its two-step relation sums over K = I..J (the later bands
+    are filled).  The band and each block's right operand are cast into
+    two reused float32 buffers."""
     n = len(t)
     order = np.argsort(t, kind="stable")
     t, xs = t[order], xs[order]
     rel = np.zeros((n, n), dtype=bool)
     band = np.empty((BLOCK, n), dtype=np.float32)
     right = np.empty((n, BLOCK), dtype=np.float32)
-    cells = []
-    ok = True
+    covers, asym, broken = [], [], []
     for a in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
         b = min(a + BLOCK, n)
         rows = max(1, TILE_CELLS // (n - a))
         for r in range(a, b, rows):
             s = min(r + rows, b)
             rel[r:s, a:] = _strict_block(kind, c, t[r:s], xs[r:s], t[a:], xs[a:])
-        diag = rel[a:b, a:b]
-        ok = ok and not (diag & diag.T).any()
-        if not ok:
-            continue
         left = band[:b - a, :n - a]
         left[...] = rel[a:b, a:]
         for j in range(a, n, BLOCK):
@@ -160,10 +156,14 @@ def _banded(
             rf = right[:k - a, :k - j]
             rf[...] = rel[a:k, j:k]
             two_step = (left[:, :k - a] @ rf) > 0
-            ok = ok and not (two_step > rel[a:b, j:k]).any()  # two_step & ~rel
-            u, v = np.divmod(np.flatnonzero(rel[a:b, j:k] > two_step), k - j)  # rel & ~two_step
-            cells.append(order[a + u] * n + order[j + v])
-    return _permute(rel, np.argsort(order)), np.concatenate(cells) if ok else None
+            block = rel[a:b, j:k]
+            ids = order[a:b, None] * n + order[j:k]  # the block's input-order cells
+            if j == a:
+                asym.append(ids[block & block.T])
+            covers.append(ids[block > two_step])  # rel & ~two_step
+            broken.append(ids[two_step > block])  # two_step & ~rel
+    cells = (np.sort(np.concatenate(m)) for m in (covers, asym, broken))
+    return _permute(rel, np.argsort(order)), tuple(cells)
 
 
 def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:

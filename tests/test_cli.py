@@ -145,6 +145,22 @@ def test_axiom_violation_is_one_line_exit_1(monkeypatch, event_file):
     assert err == "error: transitivity violated at pair (0, 2)\n"
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 1.49 GiB for an array"])
+def test_out_of_memory_is_one_line_exit_2(monkeypatch, tmp_path, message):
+    # numpy's allocation failure is a MemoryError with a message; a bare
+    # one has none, and gets a fixed text
+    def sprinkle(cfg):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(finite, "sprinkle", sprinkle)
+    out_file = tmp_path / "big.txt"
+    code, out, err = run(["sprinkle", "--count", "100000000", "--dim", "1", "--box=0:1",
+                          "--out", str(out_file)])
+    assert code == 2 and out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
+    assert not out_file.exists()
+
+
 def test_cutset_check_has_no_chain_cap(tmp_path):
     # 250 events in 1+1 have more than a million maximal chains, so the
     # check must not enumerate them

@@ -177,13 +177,18 @@ def test_float32_products_are_exact_up_to_max_events():
     assert MAX_EVENTS == 4096 < 2**24
 
 
-def test_banded_build_and_reconstruction_hold_no_float32_square():
+def test_banded_build_and_reconstruction_hold_no_float32_square(monkeypatch):
     # A float32 copy of an n x n relation alone takes 4n^2 bytes.  build
     # holds the relation, its time-ordered copy and per-band buffers;
     # reconstruct_order the time-ordered relation, one float32 strip of
-    # at most n^2 bytes and its result, each permuted in row bands.
+    # at most n^2 bytes and its result, each permuted in row bands.  A
+    # build that fails its axiom check reports from the same pass, so
+    # it holds no more than one that passes.
     n = 2000
     events = sprinkle2(n, 3)
+    _, v, w = _violating_triple(  # w after v in time, where the kernel is asked
+        events, ((u, v, w) for u in range(BLOCK) for v in range(u + 1, n) for w in range(v + 1, n))
+    )
     tracemalloc.start()
     try:
         build(events, CAUSAL)
@@ -193,10 +198,48 @@ def test_banded_build_and_reconstruction_hold_no_float32_square():
         base = tracemalloc.get_traced_memory()[0]
         reconstruct_order(sub)
         rec_alloc = tracemalloc.get_traced_memory()[1] - base
+        del sub
+        monkeypatch.setattr(finite, "_strict_block", _with_pairs(events, [(v, w)]))
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with pytest.raises(RuntimeError, match=r"^transitivity violated at pair "):
+            build(events, CAUSAL)
+        failing_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert build_peak <= 4 * n * n
+    assert failing_peak <= 4 * n * n
     assert rec_alloc <= 6 * n * n
+
+
+def _diamond_sprinkle(n, dim, seed):
+    """n events uniform in the causal diamond |x| <= 1 - |t| of 1+dim
+    space-time, by rejection from its bounding box."""
+    rng = np.random.default_rng(seed)
+    events = []
+    while len(events) < n:
+        p = rng.uniform(-1.0, 1.0, (n, dim + 1))  # time last
+        inside = p[np.linalg.norm(p[:, :-1], axis=1) <= 1.0 - np.abs(p[:, -1])]
+        events += [Event(float(q[-1]), tuple(q[:-1].tolist())) for q in inside]
+    return events[:n]
+
+
+@pytest.mark.parametrize("d, fraction, seed", [(2, 0.5, 21), (3, 0.2286, 22), (4, 0.1, 23)])
+def test_ordering_fraction_matches_the_continuum(d, fraction, seed):
+    # A uniform sprinkle into a causal diamond of d-dimensional Minkowski
+    # space relates a fraction 2f(d) = G(d+1)G(d/2) / (2G(3d/2)) of its
+    # pairs.  The sample fraction is a U-statistic of order 2; Hoeffding's
+    # variance gives its standard error from the spread of each event's
+    # own fraction of related partners, and the bound is four of them.
+    exact = math.gamma(d + 1) * math.gamma(d / 2) / (2 * math.gamma(3 * d / 2))
+    assert exact == pytest.approx(fraction, abs=5e-5)
+    n = 2000
+    rel = build(_diamond_sprinkle(n, d - 1, seed), CAUSAL).relation
+    related = rel | rel.T
+    frac = rel.sum() / (n * (n - 1) / 2)
+    per_event = related.sum(axis=1) / (n - 1)
+    var = (4 * (n - 2) * per_event.var() + 2 * frac * (1 - frac)) / (n * (n - 1))
+    assert abs(frac - exact) <= 4 * math.sqrt(var)
 
 
 def _doctored(rel):
@@ -963,7 +1006,8 @@ def _violating_triple(events, positions):
     raise AssertionError("no candidate triple")
 
 
-def test_build_reports_backward_edge_across_blocks(monkeypatch):
+@pytest.mark.parametrize("direction", list(Direction))
+def test_build_reports_backward_edge_across_blocks(monkeypatch, direction):
     # u -> v forward in time across two bands, then v -> w backward in
     # time inside v's band, so (u, w) breaks transitivity: the product
     # of u's band must read the cell that v's band wrote.
@@ -979,8 +1023,9 @@ def test_build_reports_backward_edge_across_blocks(monkeypatch):
         assert events[w].t < events[v].t
         pairs.append((v, w))
     monkeypatch.setattr(finite, "_strict_block", _with_pairs(events, pairs))
-    with pytest.raises(RuntimeError, match=re.escape(_first_violation(events, pairs))):
-        build(events, CAUSAL)
+    message = _first_violation(events, pairs, direction)
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        build(events, OrderSpec(OrderKind.CAUSAL, 1.0, direction))
 
 
 @pytest.mark.parametrize("direction", list(Direction))
