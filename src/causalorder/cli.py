@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a check command found a failing property or
-could not finish (an order-axiom violation), 2 usage or parse errors,
-or an allocation that failed for want of memory.
+could not finish (an order-axiom violation), 2 usage or parse errors
+(a size flag over its cap among them), or an allocation that failed
+for want of memory.  Every error is one `error:` line on stderr.
 Each command returns its exit code and report lines; `main` alone
 writes them. Reports echo the command and seed; every line except the
 trailing `# elapsed` one is byte-deterministic for fixed inputs and
@@ -41,6 +42,19 @@ from .order import (
 # commands that call them, so a process loads only its command's modules.
 if TYPE_CHECKING:
     from .cones import ConeOracle
+
+# Caps on the size flags, checked before a command allocates anything.
+# At each cap the largest run peaks near or under 1 GB of RSS:
+# `sprinkle --dim 8` at about 1.1 GB, `counterexample` at 0.2 GB and
+# `cone-classify --dim 8` at 0.3 GB.
+MAX_COUNT = 1_000_000
+MAX_SAMPLES = 10_000_000
+MAX_INVARIANCE_SAMPLES = 100_000
+
+
+def _require_at_most(value: int, cap: int, flag: str) -> None:
+    if value > cap:
+        raise ValueError(f"{flag} must be <= {cap}, got {value}")
 
 
 def _parse_box(text: str, axes: int) -> tuple[tuple[float, float], ...]:
@@ -120,6 +134,7 @@ def _parse_oracle(text: str, dim: int) -> ConeOracle:
 def cmd_sprinkle(args) -> tuple[int, list[str]]:
     from .finite import SprinkleConfig, sprinkle
 
+    _require_at_most(args.count, MAX_COUNT, "--count")
     box = _parse_box(args.box, args.dim + 1)
     cfg = SprinkleConfig(args.count, args.dim, box, args.seed)
     events = sprinkle(cfg)
@@ -216,6 +231,7 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
 
     if args.samples < 0:
         raise ValueError("samples must be >= 0")
+    _require_at_most(args.samples, MAX_SAMPLES, "--samples")
     hs = fileio.read_surface(args.surface)
     n = hs.dimension
     if args.basepoint:
@@ -276,6 +292,7 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
 def cmd_cone_classify(args) -> tuple[int, list[str]]:
     from .cones import ConeKind, check_invariance, classify_cone
 
+    _require_at_most(args.invariance_samples, MAX_INVARIANCE_SAMPLES, "--invariance-samples")
     oracle = _parse_oracle(args.oracle, args.dim)
     lines = []
     code = 0
@@ -298,8 +315,15 @@ def cmd_cone_classify(args) -> tuple[int, list[str]]:
 
 # ------------------------------------------------------------------ parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors on one line, as every other exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="causalorder",
         description="Space-time order toolkit: sprinkles, relations, "
         "Hasse diagrams, gradings, crossings, and cone classification.",
@@ -313,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dir", choices=[d.value for d in Direction])
 
     p = sub.add_parser("sprinkle", help="write a uniform random event file")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=int, required=True, help=f"at most {MAX_COUNT}")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--box", required=True, help="lo:hi[,lo:hi...], space axes then time")
     p.add_argument("--seed", type=int, default=0)
@@ -366,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--light-dir", help="comma-separated unit direction")
     p.add_argument("--t-len", type=float, default=1.0)
     p.add_argument("--dir", choices=[d.value for d in Direction], default="fwd")
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=int, default=10_000, help=f"at most {MAX_SAMPLES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=0.0)
     p.set_defaults(func=cmd_counterexample)
@@ -378,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--invariance-samples", type=int, default=0)
+    p.add_argument("--invariance-samples", type=int, default=0,
+                   help=f"at most {MAX_INVARIANCE_SAMPLES}")
     p.set_defaults(func=cmd_cone_classify)
 
     return parser

@@ -14,18 +14,19 @@ a violation aborts, since it would mean the predicate is broken.  The
 pass that finds the covers also finds the violating cells, so a failing
 build holds no more memory than one that passes.
 
-In all three orders u < v implies t_u < t_v, so a set sorted by time
-(stably) has a strictly upper triangular relation.  A set that fits one
-kernel tile (order.TILE_CELLS cells) is built in input order, a larger
-one by _banded in time order, one order.BLOCK-row band at a time, so no
-n x n two-step, covers or float32 matrix is held.
+In all three orders u < v implies t_u < t_v (order._strict_block
+states it for the kernel), so a set sorted by time (stably) has a
+strictly upper triangular relation.  A set that fits one kernel tile
+(order.TILE_CELLS cells) is built in input order, a larger one by
+_banded in time order, one order.BLOCK-row band at a time, so no n x n
+two-step, covers or float32 matrix is held.
 
-The products run as float32 BLAS matmuls on 0/1 matrices.  They are
-exact: every entry of a product, whole or over a span of blocks, is an
-integer count of at most n <= MAX_EVENTS = 4096 < 2**24, and every
-partial sum is a smaller such count, so each is representable in
-float32 and no summation order, blocking or fused multiply-add can
-round it.
+The products run as float32 BLAS matmuls on 0/1 matrices, each operand
+cast where its product is taken.  They are exact: every entry of a
+product, whole or over a span of blocks, is an integer count of at most
+n <= MAX_EVENTS = 4096 < 2**24, and every partial sum is a smaller such
+count, so each is representable in float32 and no summation order,
+blocking or fused multiply-add can round it.
 """
 
 from __future__ import annotations
@@ -92,7 +93,9 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     are checked explicitly, and a failure aborts, because it could only
     come from a broken predicate.  The error names the first violating
     pair in row-major input order, antisymmetry before transitivity,
-    from the cells the construction pass already finds.
+    from the cells the construction pass already finds.  The banded
+    route (see _banded) checks every pair the kernel can relate, by the
+    property stated in order._strict_block.
     """
     evs = tuple(events)
     n = len(evs)
@@ -134,14 +137,14 @@ def _banded(
     last band first.  The kernel writes band I (rows a:b) from column a
     on, so antisymmetry can only fail in its diagonal block, and block
     (I, J) of its two-step relation sums over K = I..J (the later bands
-    are filled).  The band and each block's right operand are cast into
-    two reused float32 buffers."""
+    are filled).  Nothing left of a band is asked for, which loses no
+    pair by the property stated in order._strict_block.  The band is
+    cast to float32 once, and each block's right operand where it is
+    multiplied."""
     n = len(t)
     order = np.argsort(t, kind="stable")
     t, xs = t[order], xs[order]
     rel = np.zeros((n, n), dtype=bool)
-    band = np.empty((BLOCK, n), dtype=np.float32)
-    right = np.empty((n, BLOCK), dtype=np.float32)
     covers, asym, broken = [], [], []
     for a in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
         b = min(a + BLOCK, n)
@@ -149,13 +152,10 @@ def _banded(
         for r in range(a, b, rows):
             s = min(r + rows, b)
             rel[r:s, a:] = _strict_block(kind, c, t[r:s], xs[r:s], t[a:], xs[a:])
-        left = band[:b - a, :n - a]
-        left[...] = rel[a:b, a:]
+        left = rel[a:b, a:].astype(np.float32)
         for j in range(a, n, BLOCK):
             k = min(j + BLOCK, n)
-            rf = right[:k - a, :k - j]
-            rf[...] = rel[a:k, j:k]
-            two_step = (left[:, :k - a] @ rf) > 0
+            two_step = (left[:, :k - a] @ rel[a:k, j:k].astype(np.float32)) > 0
             block = rel[a:b, j:k]
             ids = order[a:b, None] * n + order[j:k]  # the block's input-order cells
             if j == a:

@@ -253,7 +253,12 @@ def _strict_block(
     (m,) and coordinates xa (m, n), and b as tb (k,) and xb (k, n).
     Same operations in the same order as the scalar test, so every cell
     is its verdict.  Works in place: at most three (m, k) float64 arrays
-    are live (dt and the two inside _distances)."""
+    are live (dt and the two inside _distances).
+
+    In every kind dt > 0 is the first factor of a cell, so no cell with
+    tb[j] <= ta[i] is True.  finite.build's band pass relies on this:
+    in time order it never asks about a row against an earlier band,
+    whose events are no later than the row's."""
     dt = np.subtract(tb[None, :], ta[:, None])
     fwd = dt > 0.0
     if kind is not OrderKind.TEMPORAL:

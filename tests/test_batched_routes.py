@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalorder.hypersurfaces import is_antichain_sample, make_hypersurface
 from causalorder.order import (
@@ -21,6 +23,7 @@ from causalorder.order import (
     _analytic_block,
     _box_events,
     _coordinates,
+    _strict_block,
     classify_pair,
     comparable,
     event,
@@ -185,6 +188,36 @@ def test_analytic_block_matches_scalar_loop():
     assert _analytic_block(1.0, t, xs, t, xs).tolist() == [[True, False], [False, True]]
     t, xs = _coordinates(list(HUGE))  # c*dt and the distance overflow to inf
     assert _analytic_block(10.0, t, xs, t, xs).tolist() == [[True, True], [False, True]]
+
+
+# equal times, both zeros, and magnitudes whose squares overflow or underflow
+_COORD = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-200, -1e-200]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@st.composite
+def _kernel_blocks(draw):
+    n = draw(st.integers(0, 3))
+    ta, tb = (draw(st.lists(_COORD, min_size=1, max_size=5)) for _ in range(2))
+    if draw(st.booleans()):  # b's times are a's, so every cell of a row meets its own time
+        tb = list(ta)
+    xa, xb = (np.array([[draw(_COORD) for _ in range(n)] for _ in ts]).reshape(len(ts), n)
+              for ts in (ta, tb))
+    c = draw(st.sampled_from([1e-300, 0.5, 1.0, 10.0, 1e300]))
+    return c, np.array(ta), xa, np.array(tb), xb
+
+
+@given(_kernel_blocks(), st.sampled_from(list(OrderKind)))
+@settings(max_examples=300, deadline=None)
+def test_kernel_never_relates_an_event_to_one_no_later(block, kind):
+    # the property finite.build's band pass rests on: it never asks about
+    # a row against an earlier band
+    c, ta, xa, tb, xb = block
+    with np.errstate(over="ignore"):
+        rel = _strict_block(kind, c, ta, xa, tb, xb)
+    assert not rel[tb[None, :] <= ta[:, None]].any()
 
 
 def _norm_surface(rng, n, count, scale=1.0):

@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from causalorder import cli, finite
+from causalorder import cli, cones, finite
 from causalorder.cli import main
 from causalorder.fileio import (_fmt, read_events, read_surface, write_events, write_surface,
                                 write_worldline)
@@ -154,7 +156,7 @@ def test_out_of_memory_is_one_line_exit_2(monkeypatch, tmp_path, message):
 
     monkeypatch.setattr(finite, "sprinkle", sprinkle)
     out_file = tmp_path / "big.txt"
-    code, out, err = run(["sprinkle", "--count", "100000000", "--dim", "1", "--box=0:1",
+    code, out, err = run(["sprinkle", "--count", str(cli.MAX_COUNT), "--dim", "1", "--box=0:1",
                           "--out", str(out_file)])
     assert code == 2 and out == ""
     assert err == f"error: {message or 'out of memory'}\n"
@@ -570,7 +572,17 @@ _LINE_CODES = {  # crossing against sf_1d
     "wl_nine": 2, "wl_empty": 2, "wl_2d": 2, "wl_banana": 2, "wl_up": 2,
     "wl_temporal": 2,
 }
+# each size flag one over its cap
+OVER_CAP = {
+    "sprinkle": ["sprinkle", "--count", str(cli.MAX_COUNT + 1), "--dim", "1", "--box=0:1",
+                 "--out", "{out}"],
+    "counterexample": ["counterexample", "--surface", "{sf_ok}",
+                       "--samples", str(cli.MAX_SAMPLES + 1)],
+    "cone-classify": ["cone-classify", "--oracle", "temporal:fwd", "--dim", "1",
+                      "--invariance-samples", str(cli.MAX_INVARIANCE_SAMPLES + 1)],
+}
 HOSTILE_CASES = [
+    *[(argv, 2) for argv in OVER_CAP.values()],
     (["sprinkle", "--count", "5", "--dim", "9", "--box=0:1", "--out", "{out}"], 2),
     (["sprinkle", "--count", "5", "--dim", "1", "--box=nan:1", "--out", "{out}"], 2),
     (["sprinkle", "--count", "5", "--dim", "1", "--box=-inf:inf", "--out", "{out}"], 2),
@@ -666,6 +678,10 @@ HOSTILE_CASES = [
 # lines that some hostile cases must print, on stdout or stderr; {name}
 # stands for a path, as in the argv
 HOSTILE_LINES = {
+    tuple(OVER_CAP["sprinkle"]): "error: --count must be <= 1000000, got 1000001",
+    tuple(OVER_CAP["counterexample"]): "error: --samples must be <= 10000000, got 10000001",
+    tuple(OVER_CAP["cone-classify"]):
+        "error: --invariance-samples must be <= 100000, got 100001",
     ("sprinkle", "--count", "5", "--dim", "1", "--box", "0-1", "--out", "{out}"):
         "error: box must be lo:hi[,lo:hi...], got '0-1'",
     ("sprinkle", "--count", "5", "--dim", "1", "--box=0:1,0:1,0:1", "--out", "{out}"):
@@ -726,7 +742,8 @@ HOSTILE_LINES = {
 @pytest.fixture(scope="module")
 def hostile_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("hostile")
-    paths = {"out": str(root / "out.txt")}
+    paths = {"out": str(root / "out.txt"), "dir": str(root),
+             "missing": str(root / "missing.txt"), "nodir": str(root / "nodir" / "out.txt")}
     for name, text in HOSTILE_FILES.items():
         (root / f"{name}.txt").write_text(text)
         paths[name] = str(root / f"{name}.txt")
@@ -736,7 +753,7 @@ def hostile_paths(tmp_path_factory):
 def test_hostile_table_covers_every_subcommand():
     commands = {"sprinkle", "relate", "hasse", "cutset-check", "grade", "crossing",
                 "reconstruct", "counterexample", "cone-classify"}
-    assert {argv[0] for argv, _ in HOSTILE_CASES} == commands
+    assert {argv[0] for argv, _ in HOSTILE_CASES} == commands == set(FUZZ_ARGS)
     assert set(HOSTILE_LINES) <= {tuple(argv) for argv, _ in HOSTILE_CASES}
     code, out, _ = run(["--help"])  # usage: causalorder [-h] {sprinkle,relate,...} ...
     assert code == 0 and set(out.split("{", 1)[1].split("}", 1)[0].split(",")) == commands
@@ -762,6 +779,103 @@ def test_hostile_input_exits_cleanly(hostile_paths, argv, code):
         assert [l.startswith("# elapsed ") for l in lines] == [False] * (len(lines) - 1) + [True]
         assert lines[-1].endswith("s")
 
+
+@pytest.mark.parametrize("cmd", sorted(OVER_CAP))
+def test_over_cap_stops_before_anything_runs(monkeypatch, hostile_paths, cmd):
+    # the cap is the command's first check: nothing is parsed, read,
+    # drawn or allocated for a size over it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the cap")
+
+    for module, name in ((cli, "_parse_box"), (cli, "_parse_oracle"), (finite, "sprinkle"),
+                         (cones, "check_invariance"), (cli.fileio, "read_surface")):
+        monkeypatch.setattr(module, name, unreachable)
+    code, out, err = run([a.format(**hostile_paths) for a in OVER_CAP[cmd]])
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+
+# The fuzz test's arguments: for each subcommand its positionals (None)
+# and flags in order, each with valid values and hostile ones.  None
+# leaves the argument out.  Every value is small, so no draw runs long
+# or allocates much; the hostile ones include each cap plus one.
+_NUMBERS = ["nan", "inf", "-inf", "1e309", "-0", ""]
+_EV = ["{ev_ok}", "{ev_1d}", "{ev_negzero}", "{ev_huge}"]
+_SF = ["{sf_ok}", "{sf_1d}", "{sf_negzero}"]
+_BAD_FILES = ["{missing}", "{dir}", "", None]
+_BAD_EV = ["{ev_nan}", "{ev_empty}", "{ev_token}", "{ev_nine}", *_BAD_FILES]
+_BAD_SF = ["{sf_nan}", "{sf_header}", "{sf_0d}", "{sf_empty}", *_BAD_FILES]
+_OUT = ("--out", ["{out}"], ["{dir}", "{nodir}", "", None])
+_SEED = ("--seed", [None, "0", "7"], ["-1", *_NUMBERS])
+_TOL = ("--tol", [None, "0", "1e-9"], ["-1", *_NUMBERS])
+_C = ("--c", [None, "1", "0.5"], ["0", "-1", *_NUMBERS])
+_DIR = ("--dir", [None, "fwd", "bwd"], ["up", ""])
+_ORDER = [("--order", [None, "causal", "subluminal", "temporal"], ["banana", ""]), _C, _DIR]
+_INDEX = (["0", "1"], ["-1", "99", *_NUMBERS, None])
+FUZZ_ARGS = {
+    "sprinkle": [("--count", ["0", "3", "40"], ["-1", str(cli.MAX_COUNT + 1), *_NUMBERS, None]),
+                 ("--dim", ["1", "2"], ["0", "9", *_NUMBERS, None]),
+                 ("--box", ["0:1", "-1:1"], ["nan:1", "0:inf", "-inf:0", "0:1e309", "-0:0",
+                                             "0-1", "0:1,0:1,0:1,0:1", "", None]),
+                 _SEED, *_ORDER, _OUT],
+    "relate": [(None, _EV, _BAD_EV), (None, *_INDEX), (None, *_INDEX), _TOL, _C, _DIR],
+    "hasse": [(None, _EV, _BAD_EV), *_ORDER, ("--dot", [None, "{out}"], _OUT[2])],
+    "cutset-check": [(None, _EV, _BAD_EV),
+                     ("--indices", ["0", "0,1", "1"], ["", "a", "-1", "0,0", "nan", None]),
+                     *_ORDER],
+    "grade": [(None, _EV, _BAD_EV), ("--surface", _SF, _BAD_SF)],
+    "crossing": [("--surface", ["{sf_1d}"], _BAD_SF),
+                 ("--worldline", ["{wl_ok}", "{wl_negzero}"],
+                  ["{wl_banana}", "{wl_nan}", "{wl_2d}", *_BAD_FILES]), _TOL],
+    "reconstruct": [(None, _EV, _BAD_EV), ("--mode", [None, "analytic", "sampled"], ["banana"]),
+                    _C],
+    "counterexample": [("--surface", _SF, _BAD_SF),
+                       ("--basepoint", [None, "-0,-0"], ["0", "nan,0", "1e309,0", "a,0", ""]),
+                       ("--base-t", [None, "0"], _NUMBERS),
+                       ("--light-dir", [None, "1,0", "0,1"], ["0,0", "nan,0", "1", ""]),
+                       ("--t-len", [None, "1", "1e-3"], _NUMBERS), _DIR,
+                       ("--samples", [None, "0", "10"],
+                        ["-1", str(cli.MAX_SAMPLES + 1), *_NUMBERS]),
+                       _SEED, _TOL],
+    "cone-classify": [("--oracle", ["causal:1:fwd", "subluminal:0.5:bwd", "temporal:fwd",
+                                    "affine:1,0;0,1:causal:1:fwd"],
+                       ["causal:nan:fwd", "causal:inf:bwd", "causal:-0:fwd",
+                        "affine:nan,0;0,1:temporal:fwd", "", None]),
+                      ("--dim", ["1", "2"], ["0", "9", *_NUMBERS, None]),
+                      ("--budget", [None, "1000"], ["0", "20", *_NUMBERS]), _SEED,
+                      ("--invariance-samples", [None, "0", "5"],
+                       ["-1", str(cli.MAX_INVARIANCE_SAMPLES + 1), *_NUMBERS])],
+}
+
+
+@st.composite
+def _fuzz_argvs(draw):
+    """A subcommand with valid values in all but at most two of its
+    arguments, a flag's as --flag=value so that values such as -inf and
+    the empty string reach the command."""
+    cmd = draw(st.sampled_from(sorted(FUZZ_ARGS)))
+    slots = FUZZ_ARGS[cmd]
+    bad = draw(st.sets(st.integers(0, len(slots) - 1), max_size=2))
+    argv = [cmd]
+    for i, (flag, valid, hostile) in enumerate(slots):
+        value = draw(st.sampled_from(hostile if i in bad else valid))
+        if value is not None:
+            argv.append(value if flag is None else f"{flag}={value}")
+    return argv
+
+
+@given(argv=_fuzz_argvs())
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@example(argv=OVER_CAP["sprinkle"])
+@example(argv=OVER_CAP["counterexample"])
+@example(argv=OVER_CAP["cone-classify"])
+def test_fuzzed_arguments_exit_cleanly(hostile_paths, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run([a.format(**hostile_paths) for a in argv])
+    assert code in (0, 1, 2) and not caught, argv
+    assert "Traceback" not in out + err, argv
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), argv
 
 # Each command imports only the modules it runs: numpy, fileio and order
 # are loaded with the CLI itself, the rest inside the commands.
