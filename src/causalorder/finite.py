@@ -21,12 +21,18 @@ strictly upper triangular relation.  A set that fits one kernel tile
 _banded in time order, one order.BLOCK-row band at a time, so no n x n
 two-step, covers or float32 matrix is held.
 
-The products run as float32 BLAS matmuls on 0/1 matrices, each operand
-cast where its product is taken.  They are exact: every entry of a
-product, whole or over a span of blocks, is an integer count of at most
-n <= MAX_EVENTS = 4096 < 2**24, and every partial sum is a smaller such
-count, so each is representable in float32 and no summation order,
-blocking or fused multiply-add can round it.
+build's two-step products run as float32 BLAS matmuls on 0/1 matrices,
+each operand cast where its product is taken.  They are exact: every
+entry of a product, whole or over a span of blocks, is an integer count
+of at most n <= MAX_EVENTS = 4096 < 2**24, and every partial sum is a
+smaller such count, so each is representable in float32 and no
+summation order, blocking or fused multiply-add can round it.
+
+reconstruct_order takes no product: it reads the stored covers.  All
+that lies above j lies on or above one of j's covers, and equal events
+have equal relation rows, so every witness above j, those equal to i
+aside, is above i exactly when each cover of j is above i or equal to
+it in value: one bitwise AND of packed columns per cover.
 """
 
 from __future__ import annotations
@@ -389,26 +395,28 @@ def is_cutset(fcs: FiniteCausalSet, antichain: Sequence[int]) -> bool:
     return find_avoiding_chain(fcs, antichain) is None
 
 
-def _multiplicity(t: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """For each event, how many events equal it (itself included), as
-    float32: equal rows by exact coordinate comparison, as Event
-    equality decides it (-0.0 == 0.0), are adjacent once sorted."""
+def _value_ids(t: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """An id per event, shared by the events equal to it in value: equal
+    rows by exact coordinate comparison, as Event equality decides it
+    (-0.0 == 0.0), are adjacent once sorted."""
     keys = np.column_stack([t, xs])
     order = np.lexsort(keys.T)
     ranked = keys[order]
     first = np.ones(len(t), dtype=bool)  # first of its value in sorted order
     first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    sizes = np.diff(np.append(np.flatnonzero(first), len(t)))
-    mult = np.empty(len(t), dtype=np.float32)
-    mult[order] = np.repeat(sizes, sizes)
-    return mult
+    ids = np.empty(len(t), dtype=np.intp)
+    ids[order] = np.cumsum(first)
+    return ids
 
 
 def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     """Causal relation recovered from a subluminal set, using the set's
     own events as witnesses: i related to j when i is subluminally below
     j, or when every witness subluminally above j is subluminally above
-    i (witnesses equal in value to either endpoint are skipped).
+    i (witnesses equal in value to either endpoint are skipped).  As
+    the module docstring shows, that is rel[i, j] or bit i of the AND
+    of the columns of rel | equal at j's covers, packed in 64-bit
+    words; the AND of no cover has every bit set.
 
     The result is a superset of the true strict causal relation on the
     same events; sparse regions may add false positives, never false
@@ -417,38 +425,22 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     if fcs.spec.kind is not OrderKind.SUBLUMINAL:
         raise ValueError("reconstruction expects a subluminal relation")
     rel = fcs.relation
-    t, xs = _coordinates(fcs.events)
-    mult = _multiplicity(t, xs)
-    n = len(t)
-    width = BLOCK if n * n > TILE_CELLS else n + 1  # one band needs no order
-    if width < n:  # time order (reversed for the dual order): upper triangular
-        order = np.argsort(t, kind="stable")
-        if fcs.spec.direction is Direction.BACKWARD:
-            order = order[::-1]
-        rel, mult = _permute(rel, order), mult[order]
-    above = np.count_nonzero(rel, axis=1).astype(np.float32)
-    rec = np.empty((n, n), dtype=bool)
-    # i is related to j when the above[j] witnesses above j are the
-    # (R R^T)[i, j] above both plus the rel[j, i] * mult[i] equal to i
-    # (none equal to j is above j), all exact counts.  For band J = j:k,
-    # `both` is (R R^T)[:k, J] over the witnesses from j on, the only
-    # ones above J: blocks (I, J), I <= J, then mirrored to (J, I).  It
-    # reads only the strip rel[:k, j:], cast into one float32 buffer.
-    strip = np.empty(max((min(j + width, n) * (n - j) for j in range(0, n, width)), default=0),
-                     dtype=np.float32)
-    for j in range(0, n, width):
-        k = min(j + width, n)
-        rf = strip[:k * (n - j)].reshape(k, n - j)
-        rf[...] = rel[:k, j:]
-        both = rf @ rf[j:k].T
-        both[j:k] += rf[j:k, :k - j].T * mult[j:k, None]
-        np.logical_or(rel[:k, j:k], both == above[j:k], out=rec[:k, j:k])
-        mirror = both[:j] + rf[:j, :k - j] * mult[j:k]
-        rec[j:k, :j] = (mirror == above[:j, None]).T
+    n = len(rel)
+    ids = _value_ids(*_coordinates(fcs.events))
+    above = np.zeros((n, -(-n // 64) * 64), dtype=bool)  # row c: column c of rel | equal
+    np.equal(ids[:, None], ids, out=above[:, :n])
+    above[:, :n] |= rel.T
+    cols = np.packbits(above, axis=1).view(np.uint64)  # row c in 64-bit words
+    del above
+    meet = np.full(cols.shape, ~np.uint64(0))  # row j: the AND of its covers' rows
+    step = max(n, 4096)  # cover rows per gather, n / 8 bytes each
+    for lo in range(0, len(fcs.covers), step):
+        js, cs = np.divmod(fcs.covers[lo:lo + step], n)
+        heads = np.flatnonzero(np.diff(js, prepend=-1))  # each j's first cover here
+        meet[js[heads]] &= np.bitwise_and.reduceat(cols[cs], heads, axis=0)
+    bits = np.unpackbits(meet.view(np.uint8), axis=1, count=n).view(bool)  # row j: over i
+    rec = np.logical_or(bits.T, rel, order="C")
     np.fill_diagonal(rec, False)
-    if width < n:
-        del rel, rf, strip  # freed before rec is permuted back
-        rec = _permute(rec, np.argsort(order))
     rec.flags.writeable = False
     return rec
 

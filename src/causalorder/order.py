@@ -101,7 +101,8 @@ def event(t: float, *xs: float) -> Event:
 class OrderSpec:
     """Which order family to use, at which signal speed and orientation.
 
-    c is ignored by the temporal order (kept for uniform plumbing).
+    c is ignored by the temporal order, yet checked as for the others
+    (positive and finite), so every spec a file can hold reads back.
     The backward direction is the dual order: leq(u, v) becomes the
     forward relation evaluated on (v, u).
     """
@@ -111,8 +112,7 @@ class OrderSpec:
     direction: Direction = Direction.FORWARD
 
     def __post_init__(self) -> None:
-        if self.kind is not OrderKind.TEMPORAL:
-            _require_positive(self.c, "c")
+        _require_positive(self.c, "c")
 
 
 def _require_positive(value: float, what: str) -> None:
@@ -271,8 +271,8 @@ def _strict_block(
     return fwd
 
 
-# Rows per band of the time-ordered relation routes (finite.build and
-# reconstruct_order) and of the CLI's analytic reconstruct check.
+# Rows per band of finite.build's time-ordered relation route and of
+# the CLI's analytic reconstruct check.
 BLOCK = 128
 
 

@@ -446,6 +446,23 @@ def test_max_events_outputs_are_bit_identical(tmp_path):
     assert {k: hashlib.sha256(v).hexdigest() for k, v in digests.items()} == CI_DIGESTS
 
 
+@pytest.mark.parametrize("oracle, dim", [
+    ("causal:1:fwd", 2), ("subluminal:1e-300:bwd", 8), ("temporal:fwd", 0),
+    ("affine:1e300,0;0,1:subluminal:1:fwd", 1), ("affine:1,0;0,0:causal:1:fwd", 1),
+])
+def test_cone_classify_huge_budget_changes_nothing(oracle, dim):
+    # the speed bisection ends on doubles, so the probe count has a bound
+    # of its own, far below the default budget
+    argv = ["cone-classify", "--oracle", oracle, "--dim", str(dim)]
+    reports = []
+    for extra in ([], ["--budget", "1000000000000000000"]):
+        code, out, err = run(argv + extra)
+        reports.append((code, body(out)[1:], err))
+    assert reports[0] == reports[1]
+    probes = int(next(l for l in reports[0][1] if l.startswith("probes ")).split()[1])
+    assert probes <= 1158
+
+
 def test_cone_classify_standard_and_unknown():
     code, out, _ = run(["cone-classify", "--oracle", "subluminal:0.5:bwd", "--dim", "1"])
     assert code == 0
@@ -590,6 +607,8 @@ HOSTILE_CASES = [
     (["sprinkle", "--count", "5", "--dim", "1", "--box=-0.0:0.0", "--out", "{out}"], 2),
     (["sprinkle", "--count", "5", "--dim", "1", "--box=0:1e308", "--out", "{out}"], 0),
     (["sprinkle", "--count", "5", "--dim", "1", "--box=0:1", "--c", "0", "--out", "{out}"], 2),
+    (["sprinkle", "--count", "5", "--dim", "1", "--box=0:1", "--order", "temporal", "--c", "nan",
+      "--out", "{out}"], 2),
     (["sprinkle", "--count", "-1", "--dim", "1", "--box=0:1", "--out", "{out}"], 2),
     (["sprinkle", "--count", "5", "--dim", "2", "--box=0:1,0:1", "--out", "{out}"], 2),
     (["sprinkle", "--count", "5", "--dim", "1", "--box", "0-1", "--out", "{out}"], 2),
@@ -686,6 +705,8 @@ HOSTILE_LINES = {
         "error: box must be lo:hi[,lo:hi...], got '0-1'",
     ("sprinkle", "--count", "5", "--dim", "1", "--box=0:1,0:1,0:1", "--out", "{out}"):
         "error: box needs 1 or 2 axis ranges, got 3",
+    ("sprinkle", "--count", "5", "--dim", "1", "--box=0:1", "--order", "temporal", "--c", "nan",
+     "--out", "{out}"): "error: c must be positive and finite",
     ("hasse", "{ev_extra}"): "error: {ev_extra}:1: header must have exactly dim c order dir",
     ("hasse", "{ev_dimx}"): "error: {ev_dimx}:1: dim must be an integer",
     ("hasse", "{ev_cz}"): "error: {ev_cz}:1: c must be a number",
@@ -792,6 +813,20 @@ def test_over_cap_stops_before_anything_runs(monkeypatch, hostile_paths, cmd):
         monkeypatch.setattr(module, name, unreachable)
     code, out, err = run([a.format(**hostile_paths) for a in OVER_CAP[cmd]])
     assert (code, out, len(err.splitlines())) == (2, "", 1)
+
+
+def test_sprinkle_checks_c_before_drawing(monkeypatch, tmp_path):
+    # one rule for c in every order: a temporal file with c=nan would be
+    # written, then rejected by every command that reads it
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew events before checking --c")
+
+    monkeypatch.setattr(finite, "sprinkle", unreachable)
+    out = tmp_path / "ev.txt"
+    code, text, err = run(["sprinkle", "--count", "5", "--dim", "1", "--box=0:1",
+                           "--order", "temporal", "--c", "nan", "--out", str(out)])
+    assert (code, text, err) == (2, "", "error: c must be positive and finite\n")
+    assert not out.exists()
 
 
 # The fuzz test's arguments: for each subcommand its positionals (None)

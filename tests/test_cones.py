@@ -30,6 +30,9 @@ def test_standard_cone_frozen_memberships():
     assert temp.membership(event(1.0, 1e6, 0.0))
     for oracle in (causal, sub, temp):
         assert oracle.membership(event(0.0, 0.0, 0.0))   # reflexivity apex
+    for kind in OrderKind:  # one rule for c, temporal included
+        with pytest.raises(ValueError, match="^c must be positive and finite$"):
+            standard_cone(kind, Direction.FORWARD, float("nan"), 2)
 
 
 def test_cone_order_matches_leq():

@@ -180,10 +180,11 @@ def test_float32_products_are_exact_up_to_max_events():
 def test_banded_build_and_reconstruction_hold_no_float32_square(monkeypatch):
     # A float32 copy of an n x n relation alone takes 4n^2 bytes.  build
     # holds the relation, its time-ordered copy and per-band buffers;
-    # reconstruct_order the time-ordered relation, one float32 strip of
-    # at most n^2 bytes and its result, each permuted in row bands.  A
-    # build that fails its axiom check reports from the same pass, so
-    # it holds no more than one that passes.
+    # reconstruct_order one padded bool copy of the relation's columns
+    # (freed once packed), its 64-bit packings of n^2 / 8 bytes each, the
+    # unpacked meets and its result.  A build that fails its axiom check
+    # reports from the same pass, so it holds no more than one that
+    # passes.
     n = 2000
     events = sprinkle2(n, 3)
     _, v, w = _violating_triple(  # w after v in time, where the kernel is asked
@@ -209,7 +210,7 @@ def test_banded_build_and_reconstruction_hold_no_float32_square(monkeypatch):
         tracemalloc.stop()
     assert build_peak <= 4 * n * n
     assert failing_peak <= 4 * n * n
-    assert rec_alloc <= 6 * n * n
+    assert rec_alloc <= 3 * n * n
 
 
 def _diamond_sprinkle(n, dim, seed):
@@ -788,12 +789,9 @@ def test_multiplicity_counts_equal_events_as_event_equality():
         grid = rng.integers(-1, 2, (60, dim + 1)).astype(float)
         grid[rng.random(grid.shape) < 0.3] *= -0.0  # signed zeros and zeros
         events = [Event(r[0], tuple(r[1:])) for r in grid]
-        per_value = Counter(events)
-        t, xs = _coordinates(events)
-        mult = finite._multiplicity(t, xs)
-        assert mult.dtype == np.float32
-        assert mult.tolist() == [per_value[e] for e in events]
-    assert finite._multiplicity(np.empty(0), np.empty((0, 2))).shape == (0,)
+        ids = finite._value_ids(*_coordinates(events)).tolist()
+        assert [[a == b for b in ids] for a in ids] == [[u == v for v in events] for u in events]
+    assert finite._value_ids(np.empty(0), np.empty((0, 2))).shape == (0,)
 
 
 def test_reconstruct_treats_signed_zeros_as_one_event():
@@ -1046,6 +1044,17 @@ def test_build_reports_violation_inside_one_row_tile(monkeypatch, doctored, dire
     assert message.startswith("transitivity" if doctored == "intransitive" else "antisymmetry")
     with pytest.raises(RuntimeError, match=re.escape(message)):
         build(events, OrderSpec(OrderKind.CAUSAL, 1.0, direction))
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+def test_dense_cover_reconstruct_matches_witness_definition(direction):
+    # two spacelike layers, every lower event below every upper one: each
+    # lower event has all 150 upper ones as covers
+    rng = np.random.default_rng(11)
+    events = [event(t, float(x)) for t in (0.0, 1.0) for x in rng.uniform(0.0, 0.5, 150)]
+    fcs = build(events, OrderSpec(OrderKind.SUBLUMINAL, 1.0, direction))
+    assert len(fcs.covers) == 150 * 150
+    assert np.array_equal(reconstruct_order(fcs), _witness_reconstruction(events, fcs.relation))
 
 
 @pytest.mark.parametrize("direction", list(Direction))

@@ -107,7 +107,10 @@ def test_spec_requires_positive_speed():
         OrderSpec(OrderKind.CAUSAL, 0.0)
     with pytest.raises(ValueError):
         OrderSpec(OrderKind.SUBLUMINAL, -1.0)
-    OrderSpec(OrderKind.TEMPORAL)  # c ignored
+    OrderSpec(OrderKind.TEMPORAL)  # c ignored, but checked as for every kind
+    for c in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="^c must be positive and finite$"):
+            OrderSpec(OrderKind.TEMPORAL, c)
 
 
 # ----------------------------------------------------------- classify_pair
