@@ -73,7 +73,7 @@ class ConeClass:
 
 
 def _neg(e: Event) -> Event:
-    return Event(-e.t, tuple(-v for v in e.x))
+    return Event(-e.t, [-v for v in e.x])
 
 
 def standard_cone(
@@ -103,8 +103,8 @@ def affine_cone(base: ConeOracle, matrix) -> ConeOracle:
 
     def member(e: Event) -> bool:
         with np.errstate(over="ignore", invalid="ignore"):  # Event rejects what is not finite
-            vec = m @ np.array(list(e.x) + [e.t])
-        return base.membership(Event(float(vec[-1]), tuple(float(v) for v in vec[:-1])))
+            *x, t = (m @ np.array(list(e.x) + [e.t])).tolist()
+        return base.membership(Event(t, x))
 
     return ConeOracle(member, n, base.probe_box)
 
@@ -113,7 +113,7 @@ def cone_order_leq(oracle: ConeOracle, u: Event, v: Event) -> bool:
     """u <= v in the order induced by the cone: membership of v - u."""
     _require_dim(u.n, oracle.dimension)
     _require_dim(v.n, oracle.dimension)
-    diff = Event(v.t - u.t, tuple(b - a for a, b in zip(u.x, v.x)))
+    diff = Event(v.t - u.t, [b - a for a, b in zip(u.x, v.x)])
     return bool(oracle.membership(diff))
 
 
@@ -162,8 +162,8 @@ def check_invariance(
             return fail(f"dilation by {factor!r} broke membership at {e}")
         if i + 1 < len(events):
             u, v = e, events[i + 1]
-            su = Event(u.t, tuple(a + d for a, d in zip(u.x, shift)))
-            sv = Event(v.t, tuple(a + d for a, d in zip(v.x, shift)))
+            su = Event(u.t, [a + d for a, d in zip(u.x, shift)])
+            sv = Event(v.t, [a + d for a, d in zip(v.x, shift)])
             checks += 1
             if cone_order_leq(oracle, u, v) != cone_order_leq(oracle, su, sv):
                 return fail(f"translation by {shift} broke the order at ({u}, {v})")

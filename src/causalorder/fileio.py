@@ -110,7 +110,7 @@ def read_events(path: str | Path) -> tuple[list[Event], OrderSpec]:
     for no, line in rows:
         vals = _parse_floats(path, no, line, dim + 1)
         try:
-            events.append(Event(vals[0], tuple(vals[1:])))
+            events.append(Event(vals[0], vals[1:]))
         except ValueError as exc:
             raise ParseError(f"{path}:{no}: {exc}") from None
     return events, spec

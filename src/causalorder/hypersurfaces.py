@@ -14,10 +14,12 @@ Heights go through order._distances, the batched form of
 order.distance with its bits: Hypersurface.heights for an array of
 points, in row tiles, and height, its one-point case, through the
 one-row order._point_distances, with no np.errstate below a radius
-where nothing can overflow.  Grading.values, is_antichain_sample,
-grading_monotone_on and crossing_time make one heights call each.  The
-Lipschitz check scans row tiles of the upper triangle of anchor pairs
-and names the first violating pair a pair loop would.
+where nothing can overflow.  Beyond it, heights recomputes each
+distance whose sum of squares overflowed from its offsets scaled by the
+largest.  Grading.values, is_antichain_sample, grading_monotone_on and
+crossing_time make one heights call each.  The Lipschitz check scans
+row tiles of the upper triangle of anchor pairs and names the first
+violating pair a pair loop would.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class Hypersurface:
         of the (m, n) array points, in row tiles of at most TILE_CELLS
         point-anchor cells.  No points give no heights, whatever their
         width; points that form no (m, n) array raise ValueError."""
-        axes, rows = self._axes, self._rows  # type: ignore[attr-defined]
+        axes, rows, radius = self._axes, self._rows, self._radius  # type: ignore[attr-defined]
         try:
             xs = np.asarray(points, dtype=float)
         except ValueError:  # ragged rows, or entries that are not numbers
@@ -116,9 +118,12 @@ class Hypersurface:
         if len(xs):
             _require_dim(xs.shape[1], axes.shape[1])
         out = np.empty(len(xs))
-        with np.errstate(over="ignore"):  # overflow to inf, silently, as in the scalar route
+        with np.errstate(over="ignore"):  # a term beyond the float range is inf
             for i0 in range(0, len(xs), rows):
-                env = _distances(xs[i0:i0 + rows], axes)
+                tile = xs[i0:i0 + rows]
+                env = _distances(tile, axes)
+                if not np.abs(tile).max(initial=0.0) < radius:  # below R no square overflows
+                    _rescale(env, tile, axes)
                 env *= self.modulus
                 env += self._hs  # type: ignore[attr-defined]
                 np.minimum.reduce(env, axis=1, out=out[i0:i0 + rows])
@@ -141,6 +146,19 @@ class Hypersurface:
 
     def graph_event(self, x: Sequence[float]) -> Event:
         return Event(self.height(x), x)
+
+
+def _rescale(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Recompute in place the inf cells of dist = _distances(a, b), whose
+    sum of squares overflowed, as s * ||d / s|| with s = max |d_a| the
+    largest offset, so no square exceeds 1.  A cell whose offset itself
+    is inf stays inf; every finite cell keeps its bits."""
+    i, j = np.nonzero(np.isinf(dist))
+    d = b[j] - a[i]
+    s = np.abs(d).max(axis=1)
+    ok = np.isfinite(s)
+    u = d[ok] / s[ok, None]
+    dist[i[ok], j[ok]] = s[ok] * np.sqrt(_row_dots(u, u))
 
 
 def make_hypersurface(

@@ -70,26 +70,35 @@ _MIRROR = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
-    """A space-time point: time coordinate plus spatial tuple."""
+    """A space-time point: time coordinate plus spatial tuple.
+
+    The constructor converts and checks once: t through float(), x, any
+    iterable of numbers, into a tuple of floats; then at most
+    MAX_SPACE_DIM space coordinates, then all of them finite.  Callers
+    pass their coordinates as they have them, with no copy or cast."""
 
     t: float
     x: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        t = float(self.t)
-        x = tuple(map(float, self.x))
+    def __init__(self, t: float, x: Iterable[float] = ()) -> None:
+        t = float(t)
+        x = tuple(map(float, x))
         if len(x) > MAX_SPACE_DIM:
             raise ValueError(f"space dimension {len(x)} exceeds {MAX_SPACE_DIM}")
         if not math.isfinite(t) or not all(map(math.isfinite, x)):
             raise ValueError("event coordinates must be finite")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
+        _SET_T(self, t)
+        _SET_X(self, x)
 
     @property
     def n(self) -> int:
         return len(self.x)
+
+
+# slot descriptors of the class dataclass returns: one write, past frozen __setattr__
+_SET_T, _SET_X = Event.t.__set__, Event.x.__set__
 
 
 def event(t: float, *xs: float) -> Event:
@@ -503,11 +512,10 @@ def apply_space_isometry(q, b, e: Event) -> Event:
         err = np.max(np.abs(q.T @ q - np.eye(n)))
         if err > ORTHOGONALITY_TOL:
             raise ValueError(f"Q is not orthogonal (deviation {err:.3e})")
-    x = q @ np.asarray(e.x, dtype=float) + b
-    return Event(e.t, tuple(float(v) for v in x))
+    return Event(e.t, (q @ np.asarray(e.x, dtype=float) + b).tolist())
 
 
 def apply_dilation(r: float, e: Event) -> Event:
     """Scale the whole event by r > 0: (t, x) -> (r t, r x)."""
     _require_positive(r, "dilation factor")
-    return Event(r * e.t, tuple(r * v for v in e.x))
+    return Event(r * e.t, [r * v for v in e.x])

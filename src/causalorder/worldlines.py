@@ -57,7 +57,7 @@ class PolyWorldLine:
         verts = []
         n = len(self.vertices[0][1])
         for t, x in self.vertices:
-            e = Event(float(t), tuple(float(v) for v in x))  # validates finiteness
+            e = Event(t, x)  # converts and validates finiteness
             _require_dim(e.n, n)
             verts.append((e.t, e.x))
         runs: list[LightSegment] = []
@@ -65,6 +65,8 @@ class PolyWorldLine:
             dt = t1 - t0
             if dt <= 0:
                 raise ValueError(f"vertex times must strictly increase (index {i + 1})")
+            if dt == math.inf and x0 != x1:  # eval and its velocity would read it as static
+                raise ValueError(f"segment {i} moves over a time span beyond the float range")
             dist, reach = distance(x0, x1), self.c * dt
             if dist > reach * (1.0 + SPEED_REL_TOL):
                 raise ValueError(

@@ -667,7 +667,9 @@ HOSTILE_CASES = [
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "-0.0"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "nan"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "1e308"], 2),
-    (["counterexample", "--surface", "{sf_huge}", "--samples", "20", "--t-len", "1e300"], 2),
+    # the ray heights near 1e300 are finite; chain_ok is false because the
+    # cone test squares the light-like anchor offset to inf (ROADMAP item 2)
+    (["counterexample", "--surface", "{sf_huge}", "--samples", "20", "--t-len", "1e300"], 1),
     (["counterexample", "--surface", "{sf_1e14}", "--t-len", "1e-3"], 2),
     (["cone-classify", "--oracle", "causal:1:fwd", "--dim", "9"], 2),
     (["cone-classify", "--oracle", "causal:0:fwd", "--dim", "1"], 2),

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,35 @@ def test_heights_frozen_examples():
         assert ramp.height((x,)) == pytest.approx(0.5 * x, abs=1e-12)
 
 
+def _far_distance(a, b):
+    """distance(a, b), or where its sum of squares overflows, the scaled
+    form heights takes there: s * sqrt(sum((d / s)^2)), s = max |d|."""
+    dist = distance(a, b)
+    d = [q - p for p, q in zip(a, b)]
+    s = max(map(abs, d), default=0.0)
+    if dist < math.inf or s == math.inf:
+        return dist
+    return s * math.sqrt(sum((v / s) * (v / s) for v in d))
+
+
+def _exact_height(hs, x):
+    """h(x) in exact arithmetic on the given doubles, rounded once: each
+    squared offset a Fraction, its root good to 2^-128 through isqrt."""
+    best = None
+    for xa, h in hs.anchors:
+        s = sum((Fraction(q) - Fraction(p)) ** 2 for p, q in zip(x, xa))
+        num, den = s.numerator, s.denominator
+        shift = max(0, 128 - (num * den).bit_length() // 2)
+        root = Fraction(math.isqrt(num * den << 2 * shift), den << shift)
+        term = Fraction(h) + Fraction(hs.modulus) * root
+        best = term if best is None else min(best, term)
+    return float(best)
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(b)
+
+
 def _scaled(hs, scale):
     return make_hypersurface([(tuple(v * scale for v in x), h * scale) for x, h in hs.anchors],
                              hs.modulus, hs.c)
@@ -59,8 +89,8 @@ def _scaled(hs, scale):
 
 def test_height_matches_scalar_reference_bit_for_bit():
     # the batched envelope against the per-anchor Python expression it
-    # replaced, far from the anchors (distances overflow or underflow)
-    # and at the anchors themselves
+    # replaced, far from the anchors (distances underflow, or overflow
+    # and are scaled) and at the anchors themselves
     rng = np.random.default_rng(41)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # an unsilenced overflow fails
@@ -73,7 +103,7 @@ def test_height_matches_scalar_reference_bit_for_bit():
                     for scale in (1.0, 1e150, 1e-150, 1e300):
                         xs += [tuple(v) for v in (rng.uniform(-8, 8, (20, n)) * scale).tolist()]
                     for x in xs:
-                        want = min(h + k * distance(x, xa) for xa, h in hs.anchors)
+                        want = min(h + k * _far_distance(x, xa) for xa, h in hs.anchors)
                         got = hs.height(x)
                         assert type(got) is float
                         assert got == want or (math.isnan(got) and math.isnan(want)), (n, x)
@@ -83,6 +113,33 @@ def test_height_matches_scalar_reference_bit_for_bit():
         for x in (0.0, 1.0, 1e-300, 1e8, 5e9, 1e10, -1e300, 1e300):
             want = min(h + steep.modulus * distance((x,), xa) for xa, h in steep.anchors)
             assert steep.height((x,)) == want
+
+
+def test_heights_match_a_fraction_oracle_up_to_1e300():
+    # squared offsets overflow from about 1.3e154; the scaled norm keeps
+    # every height within a few ulps of the exact envelope
+    one = make_hypersurface([((0.0,), 0.0)], 0.5, 1.0)
+    assert _ulps(one.height((1e160,)), 5e159) <= 1
+    assert one.heights([[1e160]])[0] == one.height((1e160,))
+    rng = np.random.default_rng(53)
+    worst = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an unsilenced overflow fails
+        for n in (1, 2, 3):
+            for scale in (1.0, 1e150, 1e154, 1e300):
+                # nonnegative heights h_i = 0.45 ||x_i|| with k = 0.5: no term
+                # cancels; near 1e154 some offsets of a point overflow when
+                # squared and others do not, and either may give the minimum
+                xs = rng.uniform(-5, 5, (8, n)) * scale
+                hs = make_hypersurface([(x, 0.45 * math.hypot(*x)) for x in xs.tolist()], 0.5, 1.0)
+                pts = np.concatenate([rng.uniform(-1, 1, (10, n)) * s
+                                      for s in (1.0, 1e100, 1e154, 1e160, 1e200, 1e300)])
+                got = hs.heights(pts).tolist()
+                for x, h in zip(pts.tolist(), got):
+                    assert math.isfinite(h)
+                    worst = max(worst, _ulps(h, _exact_height(hs, x)))
+                    assert hs.height(x) == h
+    assert worst <= 2, worst
 
 
 def _first_violation(anchors, k):

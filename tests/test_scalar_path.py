@@ -127,7 +127,8 @@ def _float_error(value):
 
 
 # (positional arguments of Event, exception type, message): the checks
-# and messages of the generator-expression constructor
+# and messages of the generator-expression constructor, for tuples,
+# numpy arrays and numpy scalars alike
 EVENT_ERRORS = [
     (("nan",), ValueError, "event coordinates must be finite"),
     ((0.0, (math.nan,)), ValueError, "event coordinates must be finite"),
@@ -141,6 +142,10 @@ EVENT_ERRORS = [
     ((0.0, 5), TypeError, "'int' object is not iterable"),
     ((0.0, (None,)), TypeError, _float_error(None)),
     (([1.0],), TypeError, _float_error([1.0])),
+    ((np.float64("nan"),), ValueError, "event coordinates must be finite"),
+    ((0.0, np.array([1.0, np.inf])), ValueError, "event coordinates must be finite"),
+    ((0.0, np.zeros(9)), ValueError, "space dimension 9 exceeds 8"),
+    ((0.0, np.full(9, np.nan)), ValueError, "space dimension 9 exceeds 8"),
 ]
 
 
@@ -159,9 +164,24 @@ def test_event_errors_keep_type_and_message(args, exc, message):
 def test_event_is_slotted_and_round_trips():
     e = Event(1, [2, -0.0, 3.5])
     assert (e.t, e.x) == (1.0, (2.0, -0.0, 3.5)) and type(e.x[0]) is float
-    assert not hasattr(e, "__dict__")
+    assert not hasattr(e, "__dict__") and Event.__match_args__ == ("t", "x")
+    assert Event(t=1, x=[2]) == Event(1.0, (2.0,)) and Event(t=-1).x == ()
+    # any iterable of numbers: each stored as a float, in a tuple
+    for x in ((v for v in (2, -0.0, 3.5)), np.array([2, -0.0, 3.5]),
+              [np.float64(2), np.float64(-0.0), np.float64(3.5)]):
+        other = Event(np.float64(1), x)
+        assert other == e and type(other.t) is float and type(other.x) is tuple
+        assert all(type(v) is float for v in other.x) and math.copysign(1.0, other.x[1]) == -1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         e.t = 2.0  # type: ignore[misc]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.x = (1.0,)  # type: ignore[misc]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del e.t
+    # replace goes through the constructor, so it converts and checks
+    assert dataclasses.replace(e, t=np.float64(4)) == Event(4.0, e.x)
+    with pytest.raises(ValueError, match=r"^event coordinates must be finite$"):
+        dataclasses.replace(e, t=math.nan)
     copies = [copy.copy(e), copy.deepcopy(e)]
     copies += [pickle.loads(pickle.dumps(e, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
     for other in copies:

@@ -71,6 +71,15 @@ def test_polyline_rejects_non_increasing_times():
         make_polyline([(1.0, (0.0,)), (0.0, (0.0,))], 1.0)
 
 
+def test_polyline_rejects_motion_over_an_overflowing_time_span():
+    # t1 - t0 = inf: (t - t0) / (t1 - t0) is 0 inside the window, so the
+    # line would sit at x0 until t1; a static segment is exact
+    with pytest.raises(ValueError, match=r"^segment 1 moves over a time span beyond the float"):
+        make_polyline([(-1.5e308, (0.0,)), (-1e308, (0.0,)), (1e308, (1e308,))], 1.0)
+    wl = make_polyline([(-1e308, (2.0,)), (1e308, (2.0,))], 1.0)
+    assert wl.eval(0.0) == (2.0,)
+
+
 def test_polyline_needs_two_vertices_of_one_dimension():
     with pytest.raises(ValueError, match=r"^a world line needs at least 2 vertices$"):
         make_polyline([(0.0, (0.0,))], 1.0)
