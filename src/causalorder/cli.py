@@ -35,6 +35,7 @@ from .order import (
     _equal_block,
     _require_tol,
     classify_pair,
+    distance,
     leq,
 )
 
@@ -250,6 +251,11 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
     chain = canonical_gap_chain(origin, d, args.t_len, hs.c, direction)
     if not np.isfinite(11.0 * args.t_len):  # the largest sample parameter
         raise ValueError("t-len too large: samples reach 11 * t-len, which must be finite")
+    # the cone test squares the anchors' offset, which overflows to inf past
+    # about 1.3e154: related anchors would read as unrelated
+    below, above = sorted(chain.rays, key=lambda ray: ray.span)
+    if distance(below.anchor_x, above.anchor_x) == np.inf:
+        raise ValueError("chain anchors too far apart for the cone test")
     # a static ray at x_r meets the surface only at t = h(x_r)
     ray_heights = hs.heights([ray.anchor_x for ray in chain.rays])
     if not np.isfinite(ray_heights).all():
@@ -271,7 +277,6 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
                 raise ValueError("sample time overflows")
             hits += int(np.count_nonzero(np.abs(ts - h) <= args.tol))  # each sample sits at x_r
     # two rays open at their anchors form a chain iff the anchors are causally ordered
-    below, above = sorted(chain.rays, key=lambda ray: ray.span)
     chain_ok = leq(OrderSpec(OrderKind.CAUSAL, chain.c), Event(below.anchor_t, below.anchor_x),
                    Event(above.anchor_t, above.anchor_x))
     spans = chain.time_image()

@@ -152,13 +152,20 @@ def _rescale(dist: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
     """Recompute in place the inf cells of dist = _distances(a, b), whose
     sum of squares overflowed, as s * ||d / s|| with s = max |d_a| the
     largest offset, so no square exceeds 1.  A cell whose offset itself
-    is inf stays inf; every finite cell keeps its bits."""
+    is inf stays inf; every finite cell keeps its bits.  One axis at a
+    time, as _distances sums: each temporary holds one value per cell."""
     i, j = np.nonzero(np.isinf(dist))
-    d = b[j] - a[i]
-    s = np.abs(d).max(axis=1)
+    s = np.zeros(len(i))
+    for axis in range(a.shape[1]):
+        np.maximum(s, np.abs(b[j, axis] - a[i, axis]), out=s)
     ok = np.isfinite(s)
-    u = d[ok] / s[ok, None]
-    dist[i[ok], j[ok]] = s[ok] * np.sqrt(_row_dots(u, u))
+    i, j, s = i[ok], j[ok], s[ok]
+    acc = np.zeros(len(i))
+    for axis in range(a.shape[1]):
+        u = (b[j, axis] - a[i, axis]) / s
+        u *= u
+        acc += u
+    dist[i, j] = s * np.sqrt(acc, out=acc)
 
 
 def make_hypersurface(

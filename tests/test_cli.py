@@ -415,6 +415,21 @@ def test_counterexample_overflowing_t_len_is_usage_error(surface_file, t_len):
     assert err == "error: t-len too large: samples reach 11 * t-len, which must be finite\n"
 
 
+@pytest.mark.parametrize("t_len, code", [("1e154", 0), ("2e154", 2), ("1e200", 2)])
+def test_counterexample_refuses_anchors_beyond_the_cone_test(surface_file, t_len, code):
+    # the anchors sit about t_len apart on the light cone; from about
+    # 1.3e154 the cone test squares their offset to inf and would read
+    # them unrelated, so the command refuses instead of printing chain_ok
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run(["counterexample", "--surface", str(surface_file),
+                             "--samples", "100", "--t-len", t_len])
+    if code:
+        assert (got, out, err) == (2, "", "error: chain anchors too far apart for the cone test\n")
+    else:
+        assert (got, err) == (0, "") and "chain_ok true" in body(out)
+
+
 # sha256 digests of the CI's 2000-event sprinkle (2+1, box [0, 1]^3,
 # seed 1) as the time-ordered block products computed them before the
 # banded build: the relation and covers of the causal build, the Hasse
@@ -667,9 +682,7 @@ HOSTILE_CASES = [
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "-0.0"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "nan"], 2),
     (["counterexample", "--surface", "{sf_ok}", "--t-len", "1e308"], 2),
-    # the ray heights near 1e300 are finite; chain_ok is false because the
-    # cone test squares the light-like anchor offset to inf (ROADMAP item 2)
-    (["counterexample", "--surface", "{sf_huge}", "--samples", "20", "--t-len", "1e300"], 1),
+    (["counterexample", "--surface", "{sf_huge}", "--samples", "20", "--t-len", "1e300"], 2),
     (["counterexample", "--surface", "{sf_1e14}", "--t-len", "1e-3"], 2),
     (["cone-classify", "--oracle", "causal:1:fwd", "--dim", "9"], 2),
     (["cone-classify", "--oracle", "causal:0:fwd", "--dim", "1"], 2),
@@ -723,6 +736,10 @@ HOSTILE_LINES = {
         "error: dimension mismatch: 2 vs 1",
     ("crossing", "--surface", "{sf_ok}", "--worldline", "{wl_ok}"):
         "error: dimension mismatch: 1 vs 2",
+    # the ray heights near 1e300 are finite, but the cone test squares the
+    # anchors' offset to inf and could not relate them
+    ("counterexample", "--surface", "{sf_huge}", "--samples", "20", "--t-len", "1e300"):
+        "error: chain anchors too far apart for the cone test",
     ("relate", "{ev_ok}", "0", "1", "--tol", "nan"): "error: tol must be finite and >= 0, got nan",
     ("relate", "{ev_ok}", "0", "1", "--tol", "-1"): "error: tol must be finite and >= 0, got -1.0",
     ("cutset-check", "{ev_ok}", "--indices", "0,0"): "error: duplicate indices",
