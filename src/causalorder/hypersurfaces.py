@@ -18,7 +18,8 @@ where nothing can overflow.  Beyond it, heights recomputes each
 distance whose sum of squares overflowed from its offsets scaled by the
 largest.  Grading.values, is_antichain_sample, grading_monotone_on and
 crossing_time make one heights call each.  The Lipschitz check scans
-row tiles of the upper triangle of anchor pairs and names the first
+row tiles of the upper triangle of anchor pairs, with the same scaled
+distances where a sum of squares overflows, and names the first
 violating pair a pair loop would.
 """
 
@@ -75,20 +76,24 @@ class Hypersurface:
         hs = np.fromiter((h for _, h in self.anchors), dtype=float, count=count)
         if not (np.isfinite(xs).all() and np.isfinite(hs).all()):
             raise ValueError("anchor coordinates must be finite")
+        # offsets of at most 2^501, squared and summed over at most 2^20 axes, stay finite
+        small = n <= 2**20 and np.abs(xs).max(initial=0.0) <= 2.0**500
+
+        def exceeds(i0: int, i1: int) -> np.ndarray:
+            dist = _distances(xs[i0:i1], xs[i0:])
+            if not small:  # where a sum of squares overflowed
+                _rescale(dist, xs[i0:i1], xs[i0:])
+            return np.abs(hs[i0:i1, None] - hs[None, i0:]) > k * dist
+
         with np.errstate(over="ignore"):
-            bad = _first_upper_hit(
-                count,
-                lambda i0, i1: np.abs(hs[i0:i1, None] - hs[None, i0:])
-                > k * _distances(xs[i0:i1], xs[i0:]),
-            )
+            bad = _first_upper_hit(count, exceeds)
         if bad is not None:
             raise ValueError(f"anchors {bad[0]} and {bad[1]} violate the Lipschitz bound")
         # the one anchor array: height and heights read one contiguous column per axis
         axes = np.asfortranarray(xs)
         for a in (hs, axes):
             a.flags.writeable = False
-        bounded = (n <= 2**20 and k <= 2.0**510 and np.abs(hs).max() <= 2.0**1021
-                   and np.abs(xs).max(initial=0.0) <= 2.0**500)
+        bounded = small and k <= 2.0**510 and np.abs(hs).max() <= 2.0**1021
         object.__setattr__(self, "anchors", tuple(zip(map(tuple, xs.tolist()), hs.tolist())))
         object.__setattr__(self, "modulus", k)
         object.__setattr__(self, "c", c)

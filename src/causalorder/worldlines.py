@@ -217,13 +217,9 @@ class TimeSpan:
     hi_closed: bool
 
     def contains(self, t: float) -> bool:
-        if t < self.lo or t > self.hi:
-            return False
-        if t == self.lo and not self.lo_closed:
-            return False
-        if t == self.hi and not self.hi_closed:
-            return False
-        return True
+        """Whether t lies in the span; never for NaN."""
+        return (self.lo <= t <= self.hi and (t != self.lo or self.lo_closed)
+                and (t != self.hi or self.hi_closed))
 
 
 @dataclass(frozen=True)
@@ -377,7 +373,9 @@ def canonical_gap_chain(
     subluminal antichain through that event.  Its time image omits the
     whole interval [origin.t, origin.t + t_len]; where rounding puts the
     hop's far end an ulp outside origin's light cone, that end comes a
-    few ulps later, so the two rays still form a chain.
+    few ulps later, so the two rays still form a chain.  Where no push
+    relates them (an offset past about 1.3e154 squares to inf, or the
+    rounding of origin's coordinates swallows t_len), it raises.
 
     The backward orientation mirrors the construction in time.
     """
@@ -400,14 +398,17 @@ def canonical_gap_chain(
         )
     # Until the kernel relates the anchors (rounding can put hop an ulp
     # off origin's cone), push hop's time out by 1, 2, 4, ... ulps of
-    # t_len; 2**39 ulps close no rounding gap, so then keep the start.
+    # t_len; 2**39 ulps close no rounding gap.
     causal = OrderSpec(OrderKind.CAUSAL, c)
     for k in range(40):
         if comparable(causal, origin, Event(hop_t, hop)):
             break
         hop_t = origin.t + span * (t_len + math.ulp(t_len) * 2.0**k)
     else:
-        hop_t = origin.t + span * t_len
+        if distance(origin.x, hop) == math.inf:
+            raise ValueError("chain anchors too far apart for the cone test")
+        raise ValueError(f"t_len {t_len!r} is lost in the rounding of origin {origin!r}: "
+                         "the cone test cannot relate the chain anchors")
     # the segment runs from its lower endpoint: backward, from hop to origin
     seg = LightSegment(min(origin.t, hop_t), max(origin.t, hop_t), tuple(span * v for v in d))
     rays = (Ray(origin.t, origin.x, -span), Ray(hop_t, hop, span))

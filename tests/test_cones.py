@@ -276,12 +276,6 @@ def test_classify_rejects_a_probe_box_whose_corner_distance_underflows():
         classify_cone(ConeOracle(member, 1, ((0.0, 5e-324), (-8.0, 8.0))))
 
 
-def test_classify_budget_guard():
-    oracle = standard_cone(OrderKind.CAUSAL, Direction.FORWARD, 1.0, 2)
-    with pytest.raises(ValueError):
-        classify_cone(oracle, budget=4)
-
-
 def test_cone_class_requires_c_exactly_for_bounded_kinds():
     with pytest.raises(ValueError):
         ConeClass(ConeKind.CAUSAL, Direction.FORWARD, None, ConeEvidence(0))

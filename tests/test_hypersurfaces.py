@@ -195,6 +195,39 @@ def test_lipschitz_check_finds_first_violation_past_the_first_tile():
             make_hypersurface(anchors, 0.5, 1.0)
 
 
+def test_lipschitz_check_matches_a_fraction_oracle_up_to_1e308():
+    # coordinates of one sign up to 1e308, so every offset and height step
+    # is finite while squared offsets past about 1.3e154 overflow; the
+    # check takes those distances scaled, as heights does
+    rng = np.random.default_rng(61)
+    checked = overflowing = 0
+    for trial in range(400):
+        n = 1 + trial % 3
+        scale = 10.0 ** rng.uniform(0, 308)
+        xs = (rng.uniform(0, 1, (2, n)) * scale).tolist()
+        d = [Fraction(q) - Fraction(p) for p, q in zip(*xs)]
+        # heights 0 and rho * 0.5 ||d||, rho on either side of 1
+        rho = float(rng.choice([-1, 1]) * rng.uniform(0.5, 1.5))
+        h = rho * 0.5 * _far_distance(xs[0], xs[1])
+        step, bound = Fraction(h) ** 2, Fraction(1, 4) * sum(v * v for v in d)
+        if abs(step - bound) <= bound / 2**40:  # too near the bound for float rounding
+            continue
+        checked += 1
+        overflowing += distance(xs[0], xs[1]) == math.inf
+        anchors = [(xs[0], 0.0), (xs[1], h)]
+        if step > bound:
+            with pytest.raises(ValueError, match=r"^anchors 0 and 1 violate the Lipschitz bound$"):
+                make_hypersurface(anchors, 0.5, 1.0)
+        else:
+            make_hypersurface(anchors, 0.5, 1.0)
+    assert checked > 350 and overflowing > 50, (checked, overflowing)
+    # sums of squares that overflow also in a tile of three anchors
+    with pytest.raises(ValueError, match=r"^anchors 0 and 2 violate the Lipschitz bound$"):
+        make_hypersurface([((1e308, 0.0), 0.0), ((0.0, 0.0), 0.0), ((0.0, 1e308), 1e308)],
+                          0.5, 1.0)
+    make_hypersurface([((1e308, 0.0), 0.0), ((0.0, 0.0), 0.0), ((0.0, 1e308), 5e307)], 0.5, 1.0)
+
+
 def test_surfaces_compare_and_hash_by_anchors():
     a = random_surface(5, anchors=8)
     b = random_surface(5, anchors=8)

@@ -250,6 +250,11 @@ def test_time_image_reports_gap_spans():
         (1.0, 3.0, False, False),
         (4.0, 5.0, True, True),
     ]
+    assert [[s.contains(t) for t in (-1.0, 0.0, 1.0, 2.0, 3.0, 5.0, math.nan)] for s in spans] == [
+        [True, True, False, False, False, False, False],
+        [False, False, False, True, False, False, False],
+        [False, False, False, False, False, True, False],
+    ]
 
 
 def test_gapped_line_is_a_subluminal_chain():
@@ -291,6 +296,25 @@ def test_canonical_chain_point_set_frozen():
         (-math.inf, 0.0, False, False),
         (1.0, math.inf, False, False),
     ]
+    # open at the infinite ends too, and no span holds NaN
+    times = (-math.inf, -1e308, 1e308, math.inf, math.nan)
+    assert [[s.contains(t) for t in times] for s in spans] == [
+        [False, True, False, False, False],
+        [False, False, True, False, False],
+    ]
+    assert gwl._branches(math.nan) == []
+
+
+def test_canonical_chain_refuses_anchors_the_cone_test_cannot_relate():
+    # the cone test squares the anchors' offset of 1e200 to inf
+    with pytest.raises(ValueError, match=r"^chain anchors too far apart for the cone test$"):
+        canonical_gap_chain(event(0.0, 0.0), (1.0,), 1e200, 1.0)
+    # at x = 1 (ulp 2.2e-16) rounding moves a hop of 1e-15 by about a tenth
+    # of itself, far beyond the 2**39 ulps of t_len a push can add
+    with pytest.raises(ValueError, match=r"^t_len 1e-15 is lost in the rounding of origin "):
+        canonical_gap_chain(event(0.0, 1.0), (1.0,), 1e-15, 1.0)
+    gwl = canonical_gap_chain(event(0.0, 0.0), (1.0,), 1e154, 1.0)
+    assert [ray.anchor_t for ray in gwl.rays] == [0.0, 1e154]
 
 
 def test_canonical_chain_requires_unit_direction():
