@@ -261,8 +261,9 @@ def cmd_counterexample(args) -> tuple[int, list[str]]:
     # the first draws lie on the ray anchored at origin, the rest on the displaced one
     rng = np.random.default_rng(args.seed)
     lower = args.samples // 2
-    params = [-rng.uniform(1e-3, 10.0 * args.t_len, lower),
-              args.t_len + rng.uniform(1e-3, 10.0 * args.t_len, args.samples - lower)]
+    gap = 1e-3 if 1e-3 <= 10.0 * args.t_len else 1e-3 * args.t_len  # least offset past an anchor
+    params = [-rng.uniform(gap, 10.0 * args.t_len, lower),
+              args.t_len + rng.uniform(gap, 10.0 * args.t_len, args.samples - lower)]
     sign = 1.0 if direction is Direction.FORWARD else -1.0
     hits = 0
     with np.errstate(over="ignore"):  # a time that overflows is rejected below

@@ -2,9 +2,11 @@
 matrices, Hasse diagrams, maximal chains, antichain enumeration, cutset
 checks, and reconstruction of the causal order from the subluminal one.
 
-Maximal chains are cover paths from a minimal to a maximal element,
-counted, walked and unranked from the covers alone, so their cost
-follows the number of covers, not of chains.
+Maximal chains are cover paths from a minimal to a maximal element.
+One pass over the covers (_chain_index) counts each vertex's paths to a
+maximal element, an antichain's events as 0 when it is to be avoided;
+counting, unranking, iteration and the avoiding chain all read it, so
+their cost follows the number of covers, not of chains.
 
 Relation matrices hold the strict relation (diagonal False), indexed in
 input order.  build fills them with order._strict_block, the batched
@@ -40,8 +42,9 @@ from __future__ import annotations
 import operator
 import sys
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Set as AbstractSet, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterator
 
@@ -90,6 +93,20 @@ class FiniteCausalSet:
 
     def __len__(self) -> int:
         return len(self.events)
+
+    @cached_property
+    def _chain_table(self) -> tuple[list[list[int]], list[int]]:
+        """Each vertex v's successors, ascending (the cover cells in
+        [v*n, v*n + n)), then the minimal elements as those of a virtual
+        vertex n; and the vertices with successors in a linear extension,
+        last first, then n: sorted stably by the number of elements
+        below, since u < v puts more below v than below u."""
+        n = len(self.events)
+        ends = np.searchsorted(self.covers, np.arange(n + 1) * n).tolist()
+        cols = (self.covers % n).tolist()
+        succ = [cols[a:b] for a, b in zip(ends, ends[1:])] + [self.minimal.tolist()]
+        below = np.argsort(self.relation.sum(axis=0), kind="stable")[::-1].tolist()
+        return succ, [v for v in below if succ[v]] + [n]
 
 
 def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
@@ -190,91 +207,63 @@ def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _cover_rows(fcs: FiniteCausalSet) -> tuple[list[int], list[int]]:
-    """(ends, cols): the successors of v, ascending, are
-    cols[ends[v]:ends[v + 1]], the cells in [v*n, v*n + n)."""
-    n = len(fcs)
-    ends = np.searchsorted(fcs.covers, np.arange(n + 1) * n).tolist()
-    return ends, (fcs.covers % n).tolist()
+def _chain_index(fcs: FiniteCausalSet, skip: AbstractSet[int] = frozenset()) -> list[int]:
+    """For each vertex, its number of cover paths to a maximal element
+    that meet no vertex of `skip` (0 for those in `skip`), and last, for
+    the virtual vertex n whose successors are the minimal elements, the
+    number of such maximal chains.  One pass over the set's linear
+    extension, last vertex first, that reads each cover once."""
+    succ, order = fcs._chain_table
+    paths = [1] * len(fcs) + [0]
+    get = paths.__getitem__
+    for v in skip:
+        paths[v] = 0
+    for v in order:
+        if v not in skip:
+            paths[v] = sum(map(get, succ[v]))
+    return paths
 
 
-def _walk(fcs: FiniteCausalSet, skip: Sequence[int] = ()) -> Iterator[list[int]]:
-    """Maximal chains disjoint from `skip`, lazily, in lexicographic
-    order: a DFS over the Hasse covers, since a maximal chain of a
-    finite order is a cover path from a minimal to a maximal element.
-    A vertex whose subtree yields no chain is dead and never entered
-    again, so reaching the first chain, or proving there is none, takes
-    each cover once.  With `skip` empty nothing dies: every chain comes.
-    A vertex's successors are its slice of _cover_rows."""
-    ends, cols = _cover_rows(fcs)
-    roots = fcs.minimal.tolist()
-    dead = set(skip)
-    found = 0  # chains yielded so far
+def _chains(succ: list[list[int]], paths: list[int]) -> Iterator[list[int]]:
+    """The cover paths from the virtual vertex n that enter only vertices
+    with a positive count in `paths`, lazily, in lexicographic order: a
+    DFS that never backs out of a dead end, since every vertex it enters
+    leads to a maximal element."""
     path: list[int] = []
-    # One frame per vertex on the path, plus the roots' frame: the
-    # successors still to try, and `found` when the vertex was entered.
-    stack = [(iter(roots), found)]
+    stack = [iter(succ[-1])]  # the successors still to try: n's, then each path vertex's
     while stack:
-        ups, before = stack[-1]
-        nxt = next(ups, None)
-        if nxt is None:
+        w = next(stack[-1], None)
+        if w is None:
             stack.pop()
-            if path:
-                v = path.pop()
-                if found == before:
-                    dead.add(v)
-        elif nxt in dead:
-            continue
-        else:
-            row = cols[ends[nxt]:ends[nxt + 1]]
-            if row:
-                path.append(nxt)
-                stack.append((iter(row), found))
+            del path[-1:]  # the vertex whose successors ran out, if not n
+        elif paths[w]:
+            if succ[w]:
+                path.append(w)
+                stack.append(iter(succ[w]))
             else:
-                found += 1
-                yield path + [nxt]
-
-
-def _chain_index(fcs: FiniteCausalSet) -> tuple[list[list[int]], list, int]:
-    """The successor lists of _cover_rows, with the minimal
-    elements as the successors of a virtual last vertex n; for each
-    vertex with successors, the running sums of their numbers of cover
-    paths to a maximal element; and the number of maximal chains, the
-    paths from n.  One pass over a linear extension, last vertex first:
-    sorting stably by the number of elements below is one, in every
-    order and direction, since u < v puts more below v than below u."""
-    n = len(fcs)
-    ends, cols = _cover_rows(fcs)
-    succ = [cols[a:b] for a, b in zip(ends, ends[1:])]
-    succ.append(fcs.minimal.tolist())
-    paths = [1] * n
-    sums: list = [None] * (n + 1)
-    for v in np.argsort(fcs.relation.sum(axis=0), kind="stable")[::-1].tolist():
-        if succ[v]:
-            sums[v] = list(accumulate([paths[w] for w in succ[v]]))
-            paths[v] = sums[v][-1]
-    sums[n] = list(accumulate([paths[r] for r in succ[n]]))
-    return succ, sums, sums[n][-1] if n else 0
+                yield path + [w]
 
 
 def count_maximal_chains(fcs: FiniteCausalSet) -> int:
     """The number of maximal chains, exactly, with no cap: each is a
     cover path from a minimal to a maximal element, counted in one pass
     that reads each cover once."""
-    return _chain_index(fcs)[2]
+    return _chain_index(fcs)[-1]
 
 
 class _MaximalChains(Sequence):
     """The maximal chains of a set as a read-only sequence of index
     lists, in lexicographic order, none built until asked for.  An index
     unranks its chain by bisecting the running path counts of the
-    successors along it; a slice returns a list; iteration is the lazy
-    walk.  len raises OverflowError above sys.maxsize, as range does;
+    successors along it, each vertex's built on its first use; a slice
+    returns a list; iteration is the DFS over the same counts.  len
+    raises OverflowError above sys.maxsize, as range does;
     count_maximal_chains gives the count then."""
 
     def __init__(self, fcs: FiniteCausalSet) -> None:
-        self._fcs = fcs
-        self._succ, self._sums, self._total = _chain_index(fcs)
+        self._succ, self._paths = fcs._chain_table[0], _chain_index(fcs)
+        self._total = self._paths[-1]
+        self._sums: list = [None] * len(self._paths)  # each vertex's, on its first use
 
     def __len__(self) -> int:
         if self._total > sys.maxsize:
@@ -295,13 +284,15 @@ class _MaximalChains(Sequence):
         return self._unrank(i)
 
     def _unrank(self, i: int) -> list[int]:
-        v, chain = len(self._fcs), []
-        while self._succ[v]:
+        succ, v, chain = self._succ, len(self._succ) - 1, []
+        while succ[v]:
             sums = self._sums[v]
+            if sums is None:
+                sums = self._sums[v] = list(accumulate(map(self._paths.__getitem__, succ[v])))
             k = bisect_right(sums, i)
             if k:
                 i -= sums[k - 1]
-            v = self._succ[v][k]
+            v = succ[v][k]
             chain.append(v)
         return chain
 
@@ -309,7 +300,7 @@ class _MaximalChains(Sequence):
         return self._total > 0
 
     def __iter__(self) -> Iterator[list[int]]:
-        return _walk(self._fcs)
+        return _chains(self._succ, self._paths)
 
 
 def maximal_chains(fcs: FiniteCausalSet) -> Sequence[list[int]]:
@@ -385,9 +376,11 @@ def find_avoiding_chain(
     fcs: FiniteCausalSet, antichain: Sequence[int]
 ) -> list[int] | None:
     """Lexicographically first maximal chain disjoint from the
-    antichain, or None.  One pruned walk over the covers, with no
-    enumeration of the other chains."""
-    return next(_walk(fcs, _check_antichain(fcs, antichain)), None)
+    antichain, or None: the path count with the antichain's events as
+    0, then the first chain of the DFS over it, with no enumeration of
+    the other chains."""
+    paths = _chain_index(fcs, set(_check_antichain(fcs, antichain)))
+    return next(_chains(fcs._chain_table[0], paths), None)
 
 
 def is_cutset(fcs: FiniteCausalSet, antichain: Sequence[int]) -> bool:

@@ -19,8 +19,9 @@ distance whose sum of squares overflowed from its offsets scaled by the
 largest.  Grading.values, is_antichain_sample, grading_monotone_on and
 crossing_time make one heights call each.  The Lipschitz check scans
 row tiles of the upper triangle of anchor pairs, with the same scaled
-distances where a sum of squares overflows, and names the first
-violating pair a pair loop would.
+distances where a sum of squares overflows, compares the pairs whose
+height step or distance is inf again at half scale (halving till both
+are finite), and names the first violating pair a pair loop would.
 """
 
 from __future__ import annotations
@@ -79,11 +80,19 @@ class Hypersurface:
         # offsets of at most 2^501, squared and summed over at most 2^20 axes, stay finite
         small = n <= 2**20 and np.abs(xs).max(initial=0.0) <= 2.0**500
 
-        def exceeds(i0: int, i1: int) -> np.ndarray:
-            dist = _distances(xs[i0:i1], xs[i0:])
+        def exceeds(i0: int, i1: int, scale: float = 1.0) -> np.ndarray:
+            a, b = xs[i0:i1] * scale, xs[i0:] * scale
+            dist = _distances(a, b)
             if not small:  # where a sum of squares overflowed
-                _rescale(dist, xs[i0:i1], xs[i0:])
-            return np.abs(hs[i0:i1, None] - hs[None, i0:]) > k * dist
+                _rescale(dist, a, b)
+            step = np.abs(hs[i0:i1, None] * scale - hs[None, i0:] * scale)
+            out = step > k * dist
+            # inf > k * inf is False: compare these cells again at half
+            # scale, where each finite double is halved exactly
+            inf = np.isinf(step) | np.isinf(dist)
+            if inf.any():
+                out[inf] = exceeds(i0, i1, scale / 2)[inf]
+            return out
 
         with np.errstate(over="ignore"):
             bad = _first_upper_hit(count, exceeds)

@@ -415,6 +415,21 @@ def test_counterexample_overflowing_t_len_is_usage_error(surface_file, t_len):
     assert err == "error: t-len too large: samples reach 11 * t-len, which must be finite\n"
 
 
+@pytest.mark.parametrize("samples", [0, 100])
+def test_counterexample_draws_at_a_t_len_below_1e_4(surface_file, samples):
+    # the draws start 1e-3 past an anchor, or 1e-3 * t_len where that
+    # would pass their far end, 10 * t_len
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["counterexample", "--surface", str(surface_file),
+                              "--samples", str(samples), "--t-len", "1e-5"])
+    assert (code, err) == (0, "")
+    lines = body(out)
+    assert f"surface_hits 0 / {samples}" in lines
+    for name in ("surface_avoided_certified", "chain_ok", "time_gap_certified"):
+        assert f"{name} true" in lines
+
+
 @pytest.mark.parametrize("t_len, code", [("1e154", 0), ("2e154", 2), ("1e200", 2)])
 def test_counterexample_refuses_anchors_beyond_the_cone_test(surface_file, t_len, code):
     # the anchors sit about t_len apart on the light cone; from about

@@ -403,16 +403,37 @@ def test_maximal_chains_frozen():
     assert list(maximal_chains(_diamond())) == [[0, 1, 3], [0, 2, 3]]
 
 
-def test_chain_count_and_view_match_the_walk():
-    # the count against the walk's chains, and every index and slice of
-    # the view against the list, on every small set and the empty one
+def _cover_paths(fcs):
+    """Every cover path from a minimal to a maximal element, lazily, by
+    recursion over hasse's edges: in lexicographic order, since the
+    edges come in that order and no maximal chain is a prefix of
+    another."""
+    succ = [[] for _ in range(len(fcs))]
+    for i, j in hasse(fcs):
+        succ[i].append(j)
+
+    def up(path):
+        if not succ[path[-1]]:
+            yield path
+        for w in succ[path[-1]]:
+            yield from up(path + [w])
+
+    for m in fcs.minimal.tolist():
+        yield from up([m])
+
+
+def test_chain_count_and_view_match_the_cover_paths():
+    # the count against the enumerated cover paths, and every index and
+    # slice of the view against the list, on every small set and the
+    # empty one
     slices = [slice(None), slice(2, None), slice(None, -3), slice(-5, -1),
               slice(1, None, 3), slice(None, None, -1), slice(-2, 0, -4), slice(7, 3)]
     for events in [*_small_sets(), []]:
         for kind in OrderKind:
             for direction in Direction:
                 fcs = build(events, OrderSpec(kind, 1.0, direction))
-                walk = list(finite._walk(fcs))
+                walk = list(_cover_paths(fcs))
+                assert walk == sorted(walk)
                 view = maximal_chains(fcs)
                 assert count_maximal_chains(fcs) == len(view) == len(walk)
                 assert list(view) == walk
@@ -422,6 +443,17 @@ def test_chain_count_and_view_match_the_walk():
                 for i in (len(walk), -len(walk) - 1):
                     with pytest.raises(IndexError):
                         view[i]
+
+
+def test_wide_fan_out_view_matches_the_cover_paths():
+    # one event below 4095 mutually space-like ones: the root's 4095
+    # successors, each one chain, unranked and walked in index order
+    events = [event(0.0, 0.0)] + [event(1e4, float(x)) for x in range(-2047, 2048)]
+    fcs = build(events, CAUSAL)
+    expected = [[0, k] for k in range(1, MAX_EVENTS)]
+    assert list(_cover_paths(fcs)) == expected
+    view = maximal_chains(fcs)
+    assert view[:] == list(view) == expected
 
 
 def test_empty_and_one_event_sets_have_no_covers():
@@ -578,7 +610,7 @@ def test_first_chains_of_a_large_count():
     events = sprinkle2(100, 4)
     fcs = build(events, CAUSAL)
     view = maximal_chains(fcs)
-    walk = finite._walk(fcs)
+    walk = _cover_paths(fcs)
     assert view[:3] == [next(walk) for _ in range(3)]
 
 
@@ -657,6 +689,19 @@ def test_time_level_of_a_lattice_is_a_causal_cutset_only():
     assert not is_cutset(sub, level)
     chain = [(events[i].t, events[i].x[0]) for i in find_avoiding_chain(sub, level)]
     assert chain == [(-3, -3), (-2, -3), (-1, -3), (1, -2), (2, -2), (3, -2)]
+    # the same distinction as a number: how many maximal chains miss
+    # each level, counted by enumeration; a level is a cutset exactly
+    # when none does
+    expected = {CAUSAL: (3387, {-3: 0, 0: 0, 2: 0}),
+                SUBLUMINAL: (471, {-3: 0, 0: 220, 2: 262})}
+    for spec, (total, misses) in expected.items():
+        fcs = build(events, spec)
+        chains = list(maximal_chains(fcs))
+        assert len(chains) == count_maximal_chains(fcs) == total
+        for t, missed in misses.items():
+            at_t = {i for i, e in enumerate(events) if e.t == t}
+            assert sum(not at_t & set(ch) for ch in chains) == missed
+            assert is_cutset(fcs, sorted(at_t)) == (missed == 0)
 
 
 def test_whole_antichain_set_is_cutset():

@@ -228,6 +228,40 @@ def test_lipschitz_check_matches_a_fraction_oracle_up_to_1e308():
     make_hypersurface([((1e308, 0.0), 0.0), ((0.0, 0.0), 0.0), ((0.0, 1e308), 5e307)], 0.5, 1.0)
 
 
+def test_lipschitz_check_matches_a_fraction_oracle_past_the_float_range():
+    # anchors of opposite signs near +-1e308: the offset of x, its norm
+    # and the height step may round to inf, where inf > k * inf would
+    # pass any pair; squares compared exactly decide each pair
+    refuse = r"^anchors 0 and 1 violate the Lipschitz bound$"
+    with pytest.raises(ValueError, match=refuse):
+        make_hypersurface([((1e308,), 1e308), ((-1e308,), -1e308)], 0.5, 1.0)
+    make_hypersurface([((1e308,), 4e307), ((-1e308,), -4e307)], 0.5, 1.0)
+    rng = np.random.default_rng(67)
+    checked = refused = overflowing = 0
+    for trial in range(300):
+        n = 1 + trial % 3
+        xs = rng.uniform(0.3, 1.7, (2, n)) * 1e308 * [[1.0], [-1.0]]
+        d = [Fraction(q) - Fraction(p) for p, q in zip(*xs.tolist())]
+        # heights +-h, h = rho * k ||d|| / 2 for k = 0.5, rho on either side of 1
+        h = float(rng.uniform(0.5, 1.5)) * 0.5 * math.hypot(*(xs[0] / 2 - xs[1] / 2))
+        if h > 1.7e308:
+            continue
+        step, bound = (2 * Fraction(h)) ** 2, Fraction(1, 4) * sum(v * v for v in d)
+        if abs(step - bound) <= bound / 2**40:  # too near the bound for float rounding
+            continue
+        checked += 1
+        overflowing += 2 * h == math.inf or distance(*xs.tolist()) == math.inf
+        anchors = [(xs[0].tolist(), h), (xs[1].tolist(), -h)]
+        if step > bound:
+            refused += 1
+            with pytest.raises(ValueError, match=refuse):
+                make_hypersurface(anchors, 0.5, 1.0)
+        else:
+            make_hypersurface(anchors, 0.5, 1.0)
+    assert checked > 200 and overflowing == checked and 50 < refused < checked - 50, (
+        checked, overflowing, refused)
+
+
 def test_surfaces_compare_and_hash_by_anchors():
     a = random_surface(5, anchors=8)
     b = random_surface(5, anchors=8)
