@@ -24,6 +24,9 @@ finite.build fills its relation matrices with _strict_block;
 _comparable_block (strict either way, or equal) and _analytic_block
 (strict causal, or equal) answer the all-pairs routes and agree cell
 for cell with the pair loops over comparable and classify_pair.
+Per-call routes read enum members from module constants: on Python
+3.10 and 3.11 OrderKind.CAUSAL goes through the metaclass __getattr__,
+and a member's hash runs the Python-level Enum.__hash__.
 """
 
 from __future__ import annotations
@@ -60,14 +63,11 @@ class PairClass(Enum):
     TIMELIKE_BACKWARD = "timelike-backward"
 
 
-_MIRROR = {
-    PairClass.EQUAL: PairClass.EQUAL,
-    PairClass.TIMELIKE_FORWARD: PairClass.TIMELIKE_BACKWARD,
-    PairClass.LIGHTLIKE_FORWARD: PairClass.LIGHTLIKE_BACKWARD,
-    PairClass.SPACELIKE: PairClass.SPACELIKE,
-    PairClass.LIGHTLIKE_BACKWARD: PairClass.LIGHTLIKE_FORWARD,
-    PairClass.TIMELIKE_BACKWARD: PairClass.TIMELIKE_FORWARD,
-}
+_CAUSAL, _TEMPORAL, _BACKWARD = OrderKind.CAUSAL, OrderKind.TEMPORAL, Direction.BACKWARD
+_EQUAL, _SPACELIKE = PairClass.EQUAL, PairClass.SPACELIKE
+_LIGHT, _TIME = PairClass.LIGHTLIKE_FORWARD, PairClass.TIMELIKE_FORWARD
+# classify_pair's cone classes, by [sign][backward]
+_CONE_CLASS = ((_LIGHT, PairClass.LIGHTLIKE_BACKWARD), (_TIME, PairClass.TIMELIKE_BACKWARD))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -235,10 +235,10 @@ def _strictly_before(kind: OrderKind, c: float, u: Event, v: Event) -> bool:
     dt = v.t - u.t
     if not dt > 0.0:
         return False
-    if kind is OrderKind.TEMPORAL:
+    if kind is _TEMPORAL:
         return True
     sign = _cone_sign(c, dt, u.x, v.x)
-    return sign >= 0 if kind is OrderKind.CAUSAL else sign > 0
+    return sign >= 0 if kind is _CAUSAL else sign > 0
 
 
 def _coordinates(events: Sequence[Event]) -> tuple[np.ndarray, np.ndarray]:
@@ -270,10 +270,10 @@ def _strict_block(
     whose events are no later than the row's."""
     dt = np.subtract(tb[None, :], ta[:, None])
     fwd = dt > 0.0
-    if kind is not OrderKind.TEMPORAL:
+    if kind is not _TEMPORAL:
         dist = _distances(xa, xb)
         cdt = np.multiply(c, dt, out=dt)
-        if kind is OrderKind.CAUSAL:
+        if kind is _CAUSAL:
             fwd &= dist <= cdt
         else:
             fwd &= dist < cdt
@@ -313,7 +313,7 @@ def _analytic_block(
 ) -> np.ndarray:
     """reconstruct_causal_analytic(a_i, b_j, c) for every i, j: the
     strict causal block, or equal by exact coordinates."""
-    return _strict_block(OrderKind.CAUSAL, c, ta, xa, tb, xb) | _equal_block(ta, xa, tb, xb)
+    return _strict_block(_CAUSAL, c, ta, xa, tb, xb) | _equal_block(ta, xa, tb, xb)
 
 
 # Cells per row tile of the kernel routes: a tile's three float64
@@ -357,27 +357,26 @@ def classify_pair(u: Event, v: Event, c: float, eps: float = 0.0) -> PairClass:
     _require_positive(c, "c")
     _require_tol(eps, "eps")
     if u == v:
-        return PairClass.EQUAL
+        return _EQUAL
     backward = v.t < u.t
     if backward:
         u, v = v, u
     dt = v.t - u.t
     if not dt > 0.0:
-        return PairClass.SPACELIKE
+        return _SPACELIKE
     sign = _cone_sign(c, dt, u.x, v.x)
     if sign and eps > 0.0:  # the explicit float band around the cone
         dist, cdt = distance(u.x, v.x), c * dt
         if abs(dist - cdt) <= eps * max(dist, cdt):
             sign = 0
     if sign < 0:
-        return PairClass.SPACELIKE
-    cls = PairClass.TIMELIKE_FORWARD if sign > 0 else PairClass.LIGHTLIKE_FORWARD
-    return _MIRROR[cls] if backward else cls
+        return _SPACELIKE
+    return _CONE_CLASS[sign][backward]
 
 
 def strictly_below(spec: OrderSpec, u: Event, v: Event) -> bool:
     """Strict relation u < v under the given order spec."""
-    if spec.direction is Direction.BACKWARD:
+    if spec.direction is _BACKWARD:
         u, v = v, u
     _require_dim(len(u.x), len(v.x))
     return _strictly_before(spec.kind, spec.c, u, v)
@@ -406,9 +405,9 @@ def interval_is_chain(a: Event, b: Event, c: float) -> bool:
     incomparable pairs.  Requires a <= b causally.
     """
     cls = classify_pair(a, b, c)
-    if cls in (PairClass.EQUAL, PairClass.LIGHTLIKE_FORWARD):
+    if cls is _EQUAL or cls is _LIGHT:
         return True
-    if cls is PairClass.TIMELIKE_FORWARD:
+    if cls is _TIME:
         return False
     raise ValueError("endpoints must satisfy a <= b in the causal order")
 
@@ -472,7 +471,7 @@ def reconstruct_causal_analytic(u: Event, v: Event, c: float) -> bool:
     """
     _require_dim(len(u.x), len(v.x))
     _require_positive(c, "c")
-    return u == v or _strictly_before(OrderKind.CAUSAL, c, u, v)
+    return u == v or _strictly_before(_CAUSAL, c, u, v)
 
 
 def reconstruct_causal_sampled(

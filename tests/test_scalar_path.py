@@ -5,6 +5,8 @@ checked against heights in test_batched_routes."""
 
 import copy
 import dataclasses
+import dis
+import inspect
 import math
 import pickle
 import re
@@ -19,11 +21,16 @@ from causalorder.order import (
     OrderKind,
     OrderSpec,
     PairClass,
+    _analytic_block,
+    _strict_block,
     _strictly_before,
     classify_pair,
     distance,
     event,
+    interval_is_chain,
     leq,
+    reconstruct_causal_analytic,
+    strictly_below,
 )
 
 _MIRROR = {
@@ -114,6 +121,22 @@ def test_classify_pair_and_leq_match_two_strict_tests(n):
                 assert classify_pair(u, v, c, eps) is _reference_class(u, v, c, eps), (u, v, c, eps)
         classes = {classify_pair(u, v, c) for u, v in pairs}
         assert len(classes) == (6 if n else 3)  # every class; with n = 0, all are time-like
+
+
+PER_CALL_ROUTES = [_strictly_before, strictly_below, leq, classify_pair, interval_is_chain,
+                   reconstruct_causal_analytic, _strict_block, _analytic_block]
+
+
+@pytest.mark.parametrize("route", PER_CALL_ROUTES, ids=lambda f: f.__name__)
+def test_per_call_routes_read_no_enum_class(route):
+    """The per-call routes compare against members bound to module
+    constants: on Python 3.10 and 3.11 every OrderKind.CAUSAL-style read
+    goes through the enum metaclass's __getattr__, which no profile
+    shows.  So none of them loads an enum class as a global (_strict_block
+    is read past its np.errstate wrapper)."""
+    fn = inspect.unwrap(route)
+    loaded = {i.argval for i in dis.get_instructions(fn) if i.opname == "LOAD_GLOBAL"}
+    assert not loaded & {"OrderKind", "Direction", "PairClass"}, loaded
 
 
 def _float_error(value):
