@@ -2,39 +2,14 @@
 matrices, Hasse diagrams, maximal chains, antichain enumeration, cutset
 checks, and reconstruction of the causal order from the subluminal one.
 
-Maximal chains are cover paths from a minimal to a maximal element.
-One pass over the covers (_chain_index) counts each vertex's paths to a
-maximal element, an antichain's events as 0 when it is to be avoided;
-counting, unranking, iteration and the avoiding chain all read it, so
-their cost follows the number of covers, not of chains.
-
 Relation matrices hold the strict relation (diagonal False), indexed in
-input order.  build fills them with order._strict_block, the batched
-form of the strict cone predicate, so matrix and scalar routes agree
-bit for bit; the order axioms are re-verified on every construction and
-a violation aborts, since it would mean the predicate is broken.  The
-pass that finds the covers also finds the violating cells, so a failing
-build holds no more memory than one that passes.
-
-In all three orders u < v implies t_u < t_v (order._strict_block
-states it for the kernel), so a set sorted by time (stably) has a
-strictly upper triangular relation.  A set that fits one kernel tile
-(order.TILE_CELLS cells) is built in input order, a larger one by
-_banded in time order, one order.BLOCK-row band at a time, so no n x n
-two-step, covers or float32 matrix is held.
-
-build's two-step products run as float32 BLAS matmuls on 0/1 matrices,
-each operand cast where its product is taken.  They are exact: every
-entry of a product, whole or over a span of blocks, is an integer count
-of at most n <= MAX_EVENTS = 4096 < 2**24, and every partial sum is a
-smaller such count, so each is representable in float32 and no
-summation order, blocking or fused multiply-add can round it.
-
-reconstruct_order takes no product: it reads the stored covers.  All
-that lies above j lies on or above one of j's covers, and equal events
-have equal relation rows, so every witness above j, those equal to i
-aside, is above i exactly when each cover of j is above i or equal to
-it in value: one bitwise AND of packed columns per cover.
+input order, from order._strict_block, so matrix and scalar routes
+agree bit for bit.  A set of one kernel tile (order.TILE_CELLS cells)
+is read off one float32 product, exact on counts of at most
+256 < 2**24; a larger one is built in time order and packed in 64-bit
+words, and _cover_walk finds its covers and checks transitivity in
+covers x n/64 words.  No n x n two-step, covers or float32 matrix is
+held.  Every chain question reads one pass over the covers.
 """
 
 from __future__ import annotations
@@ -81,9 +56,9 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
 class FiniteCausalSet:
     """Events plus the strict relation matrix of the chosen order, its
     Hasse covers (i < j with no k between, as the ascending int64 cells
-    i*n + j) and its minimal elements (the indices, ascending, of the
-    events with nothing below them): functions of events and spec, so
-    equality and hashing use those two alone."""
+    i*n + j) and its minimal elements (ascending indices of the events
+    with nothing below): functions of events and spec, so equality and
+    hashing use those two alone."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
@@ -116,9 +91,7 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
     are checked explicitly, and a failure aborts, because it could only
     come from a broken predicate.  The error names the first violating
     pair in row-major input order, antisymmetry before transitivity,
-    from the cells the construction pass already finds.  The banded
-    route (see _banded) checks every pair the kernel can relate, by the
-    property stated in order._strict_block.
+    from the cells the construction pass already finds.
     """
     evs = tuple(events)
     n = len(evs)
@@ -155,38 +128,84 @@ def _checked_covers(rel: np.ndarray) -> tuple[np.ndarray, ...]:
 def _banded(
     kind: OrderKind, c: float, t: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The forward relation of events (t, xs) in input order, and the
-    cells of _checked_covers, from one pass over them in time order,
-    last band first.  The kernel writes band I (rows a:b) from column a
-    on, so antisymmetry can only fail in its diagonal block, and block
-    (I, J) of its two-step relation sums over K = I..J (the later bands
-    are filled).  Nothing left of a band is asked for, which loses no
-    pair by the property stated in order._strict_block.  The band is
-    cast to float32 once, and each block's right operand where it is
-    multiplied."""
+    """The forward relation of events (t, xs) in input order and the
+    cells of _checked_covers, from one pass in time order, last band
+    first: band I (rows a:b) is filled from column a on, which loses no
+    pair by the property stated in order._strict_block, and packed for
+    _cover_walk, else _exact_cells."""
     n = len(t)
     order = np.argsort(t, kind="stable")
     t, xs = t[order], xs[order]
     rel = np.zeros((n, n), dtype=bool)
-    covers, asym, broken = [], [], []
+    width = -(-n // 64)
+    words = np.zeros((width * 64, width), dtype=np.uint64)  # rel's rows, then zero rows
     for a in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
         b = min(a + BLOCK, n)
         rows = max(1, TILE_CELLS // (n - a))
         for r in range(a, b, rows):
             s = min(r + rows, b)
             rel[r:s, a:] = _strict_block(kind, c, t[r:s], xs[r:s], t[a:], xs[a:])
-        left = rel[a:b, a:].astype(np.float32)
-        for j in range(a, n, BLOCK):
-            k = min(j + BLOCK, n)
-            two_step = (left[:, :k - a] @ rel[a:k, j:k].astype(np.float32)) > 0
-            block = rel[a:b, j:k]
-            ids = order[a:b, None] * n + order[j:k]  # the block's input-order cells
-            if j == a:
-                asym.append(ids[block & block.T])
-            covers.append(ids[block > two_step])  # rel & ~two_step
-            broken.append(ids[two_step > block])  # two_step & ~rel
-    cells = (np.sort(np.concatenate(m)) for m in (covers, asym, broken))
-    return _permute(rel, np.argsort(order)), tuple(cells)
+        words.view(np.uint8)[a:b, :-(-n // 8)] = np.packbits(rel[a:b], axis=1)
+    covers = _cover_walk(words, n)
+    cells = _exact_cells(rel, words[:n]) if covers is None else (covers, covers[:0], covers[:0])
+    del words
+    back = (np.sort(order[m // n] * n + order[m % n]) for m in cells)
+    return _permute(rel, np.argsort(order)), tuple(back)
+
+
+def _cover_walk(words: np.ndarray, n: int) -> np.ndarray | None:
+    """The cells i*n + j of the covers of a relation packed in words, or
+    None if a bit lies on or below the diagonal or it is not transitive.
+    In word k a candidate, at first a successor, is a cover unless a
+    lower one of the word lies below it (a 64 x 64 float32 product), and
+    a cover's successors past k leave its row's candidates: so every
+    successor of i lies on a path from a cover of i, and transitivity
+    holds exactly when each cover's successors lie among its source's
+    (by induction from the last row, j on a path from a cover c has its
+    successors among c's).  Then its covers are the covers."""
+    cand = words.copy()
+    has_succ = words.any(axis=1)  # covers with no successor skip the gather
+    lower = np.tri(64, dtype=np.uint8)
+    found = []
+    for k in range(words.shape[1]):
+        src = cand[:, k].nonzero()[0]
+        bits = np.unpackbits(cand[src, k:k + 1].view(np.uint8), axis=1).astype(np.float32)
+        diag = np.unpackbits(words[64 * k:64 * k + 64, k:k + 1].view(np.uint8), axis=1)
+        if (src >> 6 > k).any() or (diag & lower).any():
+            return None
+        f = np.flatnonzero(bits > bits @ diag.astype(np.float32))
+        cells = src[f >> 6] * n + (f & 63) + 64 * k
+        found.append(cells)
+        for s, g, heads in _runs(cells[has_succ[cells % n]], n):
+            reach = np.bitwise_or.reduceat(words[g, k:], heads, axis=0)
+            if (reach & ~words[s, k:]).any():
+                return None
+            cand[s, k + 1:] &= ~reach[:, 1:]
+    return np.concatenate(found)
+
+
+def _runs(cells: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Ascending cells i*n + j, max(n, 4096) at a time: their distinct
+    i, their j, and where each i's run starts."""
+    step = max(n, 4096)
+    for lo in range(0, len(cells), step):
+        i, j = np.divmod(cells[lo:lo + step], n)
+        heads = np.flatnonzero(np.diff(i, prepend=-1))
+        yield i[heads], j, heads
+
+
+def _exact_cells(rel: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The cells of _checked_covers for any relation and its packed
+    rows: a row's two-step row ORs its successors' rows."""
+    n = len(rel)
+    cells = ([], [], [])
+    for a in range(0, n, BLOCK):
+        band = rel[a:a + BLOCK]
+        two = np.array([np.bitwise_or.reduce(rows[r.nonzero()[0]]) for r in band])
+        via = np.unpackbits(two.view(np.uint8), axis=1, count=n).view(bool)
+        for out, m in zip(cells, (band > via, band & rel[:, a:a + BLOCK].T, via > band)):
+            out.append(np.flatnonzero(m) + a * n)
+    return tuple(map(np.concatenate, cells))
 
 
 def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -199,10 +218,8 @@ def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def hasse(fcs: FiniteCausalSet) -> list[tuple[int, int]]:
-    """Edges of the transitive reduction, in lexicographic order.  For a
-    finite strict order the reduction is unique: (i, j) is an edge iff
-    i < j with no element strictly between, the cover cell i*n + j, so
-    the ascending cells are the edges in order."""
+    """Edges of the transitive reduction, unique for a finite strict
+    order: the cover cells i*n + j, ascending."""
     rows, cols = np.divmod(fcs.covers, len(fcs))
     return list(zip(rows.tolist(), cols.tolist()))
 
@@ -245,9 +262,8 @@ def _chains(succ: list[list[int]], paths: list[int]) -> Iterator[list[int]]:
 
 
 def count_maximal_chains(fcs: FiniteCausalSet) -> int:
-    """The number of maximal chains, exactly, with no cap: each is a
-    cover path from a minimal to a maximal element, counted in one pass
-    that reads each cover once."""
+    """The number of maximal chains, exactly, with no cap: the cover
+    paths from a minimal to a maximal element, in one pass."""
     return _chain_index(fcs)[-1]
 
 
@@ -257,8 +273,7 @@ class _MaximalChains(Sequence):
     unranks its chain by bisecting the running path counts of the
     successors along it, each vertex's built on its first use; a slice
     returns a list; iteration is the DFS over the same counts.  len
-    raises OverflowError above sys.maxsize, as range does;
-    count_maximal_chains gives the count then."""
+    raises OverflowError above sys.maxsize, as range does."""
 
     def __init__(self, fcs: FiniteCausalSet) -> None:
         self._succ, self._paths = fcs._chain_table[0], _chain_index(fcs)
@@ -305,8 +320,7 @@ class _MaximalChains(Sequence):
 
 def maximal_chains(fcs: FiniteCausalSet) -> Sequence[list[int]]:
     """All maximal chains as index lists, in lexicographic order: a
-    lazy, indexable view, so the caller bounds the work by slicing or
-    with itertools.islice."""
+    lazy, indexable view; bound the work by slicing or itertools.islice."""
     return _MaximalChains(fcs)
 
 
@@ -363,8 +377,7 @@ def _check_antichain(fcs: FiniteCausalSet, indices: Sequence[int]) -> list[int]:
     if len(set(idx)) != len(idx):
         raise ValueError("duplicate indices")
     sub = fcs.relation[np.ix_(idx, idx)]
-    # Row-major order of the upper triangle is the order of the pairs
-    # (a, b), a < b, so the first hit is the first comparable pair.
+    # row-major order: the first hit is the first comparable pair a < b
     hits = np.argwhere(np.triu(sub | sub.T, 1))
     if len(hits):
         a, b = hits[0]
@@ -377,8 +390,7 @@ def find_avoiding_chain(
 ) -> list[int] | None:
     """Lexicographically first maximal chain disjoint from the
     antichain, or None: the path count with the antichain's events as
-    0, then the first chain of the DFS over it, with no enumeration of
-    the other chains."""
+    0, then the first chain of the DFS over it."""
     paths = _chain_index(fcs, set(_check_antichain(fcs, antichain)))
     return next(_chains(fcs._chain_table[0], paths), None)
 
@@ -389,9 +401,8 @@ def is_cutset(fcs: FiniteCausalSet, antichain: Sequence[int]) -> bool:
 
 
 def _value_ids(t: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """An id per event, shared by the events equal to it in value: equal
-    rows by exact coordinate comparison, as Event equality decides it
-    (-0.0 == 0.0), are adjacent once sorted."""
+    """An id per event, shared by the events equal to it in value by
+    exact coordinate comparison, as Event equality decides (-0.0 == 0.0)."""
     keys = np.column_stack([t, xs])
     order = np.lexsort(keys.T)
     ranked = keys[order]
@@ -406,10 +417,10 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     """Causal relation recovered from a subluminal set, using the set's
     own events as witnesses: i related to j when i is subluminally below
     j, or when every witness subluminally above j is subluminally above
-    i (witnesses equal in value to either endpoint are skipped).  As
-    the module docstring shows, that is rel[i, j] or bit i of the AND
-    of the columns of rel | equal at j's covers, packed in 64-bit
-    words; the AND of no cover has every bit set.
+    i (witnesses equal in value to either endpoint are skipped).  Each
+    witness lies on or above a cover of j, and equal events have equal
+    rows, so that is rel[i, j] or bit i of the AND of the packed columns
+    of rel | equal at j's covers (every bit, for no cover).
 
     The result is a superset of the true strict causal relation on the
     same events; sparse regions may add false positives, never false
@@ -426,11 +437,8 @@ def reconstruct_order(fcs: FiniteCausalSet) -> np.ndarray:
     cols = np.packbits(above, axis=1).view(np.uint64)  # row c in 64-bit words
     del above
     meet = np.full(cols.shape, ~np.uint64(0))  # row j: the AND of its covers' rows
-    step = max(n, 4096)  # cover rows per gather, n / 8 bytes each
-    for lo in range(0, len(fcs.covers), step):
-        js, cs = np.divmod(fcs.covers[lo:lo + step], n)
-        heads = np.flatnonzero(np.diff(js, prepend=-1))  # each j's first cover here
-        meet[js[heads]] &= np.bitwise_and.reduceat(cols[cs], heads, axis=0)
+    for j, c, heads in _runs(fcs.covers, n):
+        meet[j] &= np.bitwise_and.reduceat(cols[c], heads, axis=0)
     bits = np.unpackbits(meet.view(np.uint8), axis=1, count=n).view(bool)  # row j: over i
     rec = np.logical_or(bits.T, rel, order="C")
     np.fill_diagonal(rec, False)
@@ -465,9 +473,8 @@ def compare_relations(
     upto = np.cumsum(np.count_nonzero(differ, axis=1))  # differing cells in rows <= i
     n_differ = int(upto[-1]) if n else 0
     fp = int(np.count_nonzero(differ & cand))
-    # argwhere's row-major order is the lexicographic order of the
-    # samples, and the rows up to the one that holds the sample_cap-th
-    # differing cell hold them all.
+    # argwhere's row-major order is lexicographic, and the rows up to
+    # the one with the sample_cap-th differing cell hold every sample.
     head = differ[: np.searchsorted(upto, sample_cap) + 1]
     samples = [
         (int(i), int(j), "fp" if cand[i, j] else "fn")

@@ -173,17 +173,20 @@ def test_build_names_the_first_dimension_that_differs():
 
 
 def test_float32_products_are_exact_up_to_max_events():
-    # every product entry is an integer count <= MAX_EVENTS
+    # float32 products are taken only on one kernel tile (counts of at
+    # most 256 events) and by the cover walk on 64 x 64 word blocks
+    # (counts of at most 64): integers below MAX_EVENTS < 2**24
     assert MAX_EVENTS == 4096 < 2**24
 
 
 def test_banded_build_and_reconstruction_hold_no_float32_square(monkeypatch):
     # A float32 copy of an n x n relation alone takes 4n^2 bytes.  build
-    # holds the relation, its time-ordered copy and per-band buffers;
-    # reconstruct_order one padded bool copy of the relation's columns
-    # (freed once packed), its 64-bit packings of n^2 / 8 bytes each, the
-    # unpacked meets and its result.  A build that fails its axiom check
-    # reports from the same pass, so it holds no more than one that
+    # holds the relation, its time-ordered copy, its packed rows and the
+    # cover walk's candidates (n^2 / 8 bytes each); reconstruct_order one
+    # padded bool copy of the relation's columns (freed once packed), its
+    # 64-bit packings of n^2 / 8 bytes each, the unpacked meets and its
+    # result.  A build that fails its axiom check takes its cells from
+    # the packed rows a band at a time, so it holds no more than one that
     # passes.
     n = 2000
     events = sprinkle2(n, 3)
@@ -1019,19 +1022,22 @@ def _with_pairs(events, pairs):
     return kernel
 
 
-def _first_violation(events, pairs, direction=Direction.FORWARD):
+def _first_violation(events, pairs, direction=Direction.FORWARD, kind=OrderKind.CAUSAL):
     """The message build must raise for the doctored kernel, by brute
     force on the whole input-order matrix: the first antisymmetric pair,
-    else the first pair that breaks transitivity, in row-major order."""
+    else the first pair that breaks transitivity, in row-major order;
+    None for a strict order."""
     t, xs = (np.array([e.t for e in events]), np.array([e.x for e in events]))
-    rel = _with_pairs(events, pairs)(OrderKind.CAUSAL, 1.0, t, xs, t, xs)
+    rel = _with_pairs(events, pairs)(kind, 1.0, t, xs, t, xs)
     if direction is Direction.BACKWARD:
         rel = rel.T
     anti = rel & rel.T
     if anti.any():
         return "antisymmetry violated at pair ({}, {})".format(*np.argwhere(anti)[0])
     gap = _two_step(rel) & ~rel
-    return "transitivity violated at pair ({}, {})".format(*np.argwhere(gap)[0])
+    if gap.any():
+        return "transitivity violated at pair ({}, {})".format(*np.argwhere(gap)[0])
+    return None
 
 
 def _violating_triple(events, positions):
@@ -1125,14 +1131,16 @@ def _witness_reconstruction(events, rel):
     return expected
 
 
-# Set sizes at the edges of the kernel's row tiles and of the bands: a
-# set of up to ONE_TILE events fits one tile, 2 * BLOCK + 1 events leave
-# a one-row band, and from SPLIT events on the first band splits into
-# two row tiles, the second of one row.
+# Set sizes at the edges of the kernel's row tiles, of the bands and of
+# the cover walk's 64-bit words: a set of up to ONE_TILE events fits one
+# tile, 2 * BLOCK + 1 events leave a one-row band, from SPLIT events on
+# the first band splits into two row tiles, the second of one row, and
+# from 319 to 512 events the last word holds 63, 64 or 1 columns.
 ONE_TILE = math.isqrt(TILE_CELLS)
 SPLIT = TILE_CELLS // BLOCK + 1
 EDGE_SIZES = sorted({0, 1, 2, ONE_TILE - 1, ONE_TILE, ONE_TILE + 1,
-                     BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, SPLIT})
+                     BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, SPLIT,
+                     5 * 64 - 1, 5 * 64, 5 * 64 + 1, 6 * 64, 8 * 64 - 1, 8 * 64})
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
@@ -1153,3 +1161,30 @@ def test_build_matches_brute_force_at_tile_and_band_edges(n):
                 if kind is OrderKind.SUBLUMINAL:
                     assert np.array_equal(reconstruct_order(fcs),
                                           _witness_reconstruction(events, rel))
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_build_on_a_grid_names_the_kernels_first_violation_or_returns_its_covers(n):
+    # 1+1 events on a 0.1 grid, from the real kernel: where its relation
+    # breaks an order axiom (it decides near-light pairs on rounded
+    # differences), the cover walk refuses it and build names the first
+    # violating pair from the exact cells; where it is an order, build
+    # returns its covers.
+    box = ((-5.0, 5.0), (0.0, 10.0))
+    events = [Event(round(e.t, 1), (round(e.x[0], 1),))
+              for e in sprinkle(SprinkleConfig(n, 1, box, n))]
+    t = np.array([e.t for e in events])
+    xs = np.array([e.x for e in events])
+    for kind in (OrderKind.CAUSAL, OrderKind.SUBLUMINAL):
+        for direction in Direction:
+            spec = OrderSpec(kind, 1.0, direction)
+            message = _first_violation(events, [], direction, kind)
+            if message is not None:
+                with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+                    build(events, spec)
+                continue
+            rel = _strict_block(kind, 1.0, t, xs, t, xs)
+            rel = rel.T if direction is Direction.BACKWARD else rel
+            fcs = build(events, spec)
+            assert np.array_equal(fcs.relation, rel)
+            assert np.array_equal(_dense_covers(fcs), rel & ~_two_step(rel))
