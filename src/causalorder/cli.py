@@ -25,7 +25,7 @@ import numpy as np
 from . import fileio
 from .fileio import _fmt
 from .order import (
-    BLOCK,
+    TILE_CELLS,
     Direction,
     Event,
     OrderKind,
@@ -65,15 +65,11 @@ def _parse_box(text: str, axes: int) -> tuple[tuple[float, float], ...]:
             lo, hi = part.split(":")
             pairs.append((float(lo), float(hi)))
     except ValueError:
-        raise ValueError(
-            f"box must be lo:hi[,lo:hi...], got {text!r}"
-        ) from None
+        raise ValueError(f"box must be lo:hi[,lo:hi...], got {text!r}") from None
     if len(pairs) == 1:
         pairs = pairs * axes
     if len(pairs) != axes:
-        raise ValueError(
-            f"box needs 1 or {axes} axis ranges, got {len(pairs)}"
-        )
+        raise ValueError(f"box needs 1 or {axes} axis ranges, got {len(pairs)}")
     return tuple(pairs)
 
 
@@ -164,9 +160,7 @@ def cmd_hasse(args) -> tuple[int, list[str]]:
     edges = hasse(fcs)
     lines = [f"events {len(fcs)}", f"edges {len(edges)}"]
     if args.dot:
-        Path(args.dot).write_text(
-            fileio.dot_digraph(len(fcs), edges), encoding="utf-8"
-        )
+        Path(args.dot).write_text(fileio.dot_digraph(len(fcs), edges), encoding="utf-8")
         lines.append(f"written {args.dot}")
     return 0, lines
 
@@ -209,10 +203,10 @@ def cmd_reconstruct(args) -> tuple[int, list[str]]:
     if args.mode == "analytic":
         causal = build(events, OrderSpec(OrderKind.CAUSAL, c))
         t, xs = _coordinates(events)
-        diffs = 0
-        for a in range(0, len(t), BLOCK):
-            band = t[a:a + BLOCK], xs[a:a + BLOCK]
-            truth = causal.relation[a:a + BLOCK] | _equal_block(*band, t, xs)
+        diffs, rows = 0, max(1, TILE_CELLS // max(len(t), 1))
+        for a in range(0, len(t), rows):
+            band = t[a:a + rows], xs[a:a + rows]
+            truth = causal.relation[a:a + rows] | _equal_block(*band, t, xs)
             wrong = _analytic_block(c, *band, t, xs) != truth
             np.fill_diagonal(wrong[:, a:], False)  # the pairs (i, i)
             diffs += int(np.count_nonzero(wrong))

@@ -215,7 +215,7 @@ def gap_worldline_from_file(path: str | Path) -> GapWorldLine:
     kept: list[KeptEnd] = []
     for (t0, t1, end), seg in zip(sorted(gap_rows), segs):
         span = seg.t_end - seg.t_start
-        if abs(t0 - seg.t_start) > 1e-9 * span or abs(t1 - seg.t_end) > 1e-9 * span:
+        if not (abs(t0 - seg.t_start) <= 1e-9 * span and abs(t1 - seg.t_end) <= 1e-9 * span):
             raise ParseError(
                 f"{path}: gap ({t0:g}, {t1:g}) does not match a light segment"
             )

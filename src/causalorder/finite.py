@@ -6,8 +6,8 @@ Relation matrices hold the strict relation (diagonal False), indexed in
 input order, from order._strict_block, so matrix and scalar routes
 agree bit for bit.  A set of one kernel tile (order.TILE_CELLS cells)
 is read off one float32 product, exact on counts of at most
-256 < 2**24; a larger one is built in time order and packed in 64-bit
-words, and _cover_walk finds its covers and checks transitivity in
+256 < 2**24; a larger one is packed in time order into 64-bit words,
+and _cover_walk finds its covers and checks transitivity in
 covers x n/64 words.  No n x n two-step, covers or float32 matrix is
 held.  Every chain question reads one pass over the covers.
 """
@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .order import BLOCK, TILE_CELLS, Direction, Event, OrderKind, OrderSpec
+from .order import TILE_CELLS, Direction, Event, OrderKind, OrderSpec
 from .order import _box_events, _check_box, _coordinates, _strict_block
 
 MAX_EVENTS = 4096
@@ -129,28 +129,25 @@ def _banded(
     kind: OrderKind, c: float, t: np.ndarray, xs: np.ndarray
 ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     """The forward relation of events (t, xs) in input order and the
-    cells of _checked_covers, from one pass in time order, last band
-    first: band I (rows a:b) is filled from column a on, which loses no
-    pair by the property stated in order._strict_block, and packed for
-    _cover_walk, else _exact_cells."""
+    cells of _checked_covers, from one pass in time order: each word's
+    rows are asked from its first column on, which loses no pair by the
+    property stated in order._strict_block, and packed for _cover_walk,
+    else _exact_cells."""
     n = len(t)
     order = np.argsort(t, kind="stable")
     t, xs = t[order], xs[order]
-    rel = np.zeros((n, n), dtype=bool)
     width = -(-n // 64)
-    words = np.zeros((width * 64, width), dtype=np.uint64)  # rel's rows, then zero rows
-    for a in range((n - 1) // BLOCK * BLOCK, -1, -BLOCK):
-        b = min(a + BLOCK, n)
+    words = np.zeros((width * 64, width), dtype=np.uint64)  # rows, then zero rows
+    for a in range(0, n, 64):
         rows = max(1, TILE_CELLS // (n - a))
-        for r in range(a, b, rows):
-            s = min(r + rows, b)
-            rel[r:s, a:] = _strict_block(kind, c, t[r:s], xs[r:s], t[a:], xs[a:])
-        words.view(np.uint8)[a:b, :-(-n // 8)] = np.packbits(rel[a:b], axis=1)
+        for r in range(a, min(a + 64, n), rows):
+            s = min(r + rows, a + 64, n)
+            tile = np.packbits(_strict_block(kind, c, t[r:s], xs[r:s], t[a:], xs[a:]), axis=1)
+            words.view(np.uint8)[r:s, a // 8:-(-n // 8)] = tile
     covers = _cover_walk(words, n)
-    cells = _exact_cells(rel, words[:n]) if covers is None else (covers, covers[:0], covers[:0])
-    del words
+    cells = _exact_cells(words, n) if covers is None else (covers, covers[:0], covers[:0])
     back = (np.sort(order[m // n] * n + order[m % n]) for m in cells)
-    return _permute(rel, np.argsort(order)), tuple(back)
+    return _unpacked(words, np.argsort(order)), tuple(back)
 
 
 def _cover_walk(words: np.ndarray, n: int) -> np.ndarray | None:
@@ -194,26 +191,28 @@ def _runs(cells: np.ndarray, n: int) -> Iterator[tuple[np.ndarray, ...]]:
         yield i[heads], j, heads
 
 
-def _exact_cells(rel: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The cells of _checked_covers for any relation and its packed
-    rows: a row's two-step row ORs its successors' rows."""
-    n = len(rel)
+def _exact_cells(words: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The cells of _checked_covers for any relation packed in words: a
+    row's two-step row ORs its successors' rows."""
+    rel = _unpacked(words, np.arange(n))
     cells = ([], [], [])
-    for a in range(0, n, BLOCK):
-        band = rel[a:a + BLOCK]
-        two = np.array([np.bitwise_or.reduce(rows[r.nonzero()[0]]) for r in band])
+    step = max(1, TILE_CELLS // n)
+    for a in range(0, n, step):
+        band = rel[a:a + step]
+        two = np.array([np.bitwise_or.reduce(words[r.nonzero()[0]]) for r in band])
         via = np.unpackbits(two.view(np.uint8), axis=1, count=n).view(bool)
-        for out, m in zip(cells, (band > via, band & rel[:, a:a + BLOCK].T, via > band)):
+        for out, m in zip(cells, (band > via, band & rel[:, a:a + step].T, via > band)):
             out.append(np.flatnonzero(m) + a * n)
     return tuple(map(np.concatenate, cells))
 
 
-def _permute(m: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """m[p][:, p], C-contiguous, so later row reads are not strided,
-    gathered BLOCK rows at a time with no full-size intermediate."""
-    out = np.empty(m.shape, dtype=m.dtype)
-    for r in range(0, len(p), BLOCK):
-        out[r:r + BLOCK] = m[p[r:r + BLOCK]].take(p, axis=1)
+def _unpacked(words: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """rel[p][:, p] of the relation rel packed in words, a row tile at a time."""
+    n = len(p)
+    out, step = np.empty((n, n), dtype=bool), max(1, TILE_CELLS // n)
+    for r in range(0, n, step):
+        bits = np.unpackbits(words[p[r:r + step]].view(np.uint8), axis=1, count=n)
+        out[r:r + step] = bits.view(bool).take(p, axis=1)
     return out
 
 

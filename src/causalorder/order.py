@@ -20,10 +20,11 @@ _cone_sign: one distance and one c*dt place a pair inside, on or
 outside the cone, for _strictly_before and classify_pair alike.
 Distances come from distance and its batched form _distances, whose
 one-row case _point_distances serves Hypersurface.height.
-finite.build fills its relation matrices with _strict_block;
-_comparable_block (strict either way, or equal) and _analytic_block
-(strict causal, or equal) answer the all-pairs routes and agree cell
-for cell with the pair loops over comparable and classify_pair.
+finite.build fills its relation matrices, or their packed words, with
+_strict_block tiles; _comparable_block (strict either way, or equal)
+and _analytic_block (strict causal, or equal) answer the all-pairs
+routes and agree cell for cell with the pair loops over comparable and
+classify_pair.
 Per-call routes read enum members from module constants: on Python
 3.10 and 3.11 OrderKind.CAUSAL goes through the metaclass __getattr__,
 and a member's hash runs the Python-level Enum.__hash__.
@@ -265,9 +266,9 @@ def _strict_block(
     are live (dt and the two inside _distances).
 
     In every kind dt > 0 is the first factor of a cell, so no cell with
-    tb[j] <= ta[i] is True.  finite.build's band pass relies on this:
-    in time order it never asks about a row against an earlier band,
-    whose events are no later than the row's."""
+    tb[j] <= ta[i] is True.  finite.build's word pass relies on this:
+    in time order it never asks about a row against the columns before
+    its 64-row word, whose events are no later than the row's."""
     dt = np.subtract(tb[None, :], ta[:, None])
     fwd = dt > 0.0
     if kind is not _TEMPORAL:
@@ -278,11 +279,6 @@ def _strict_block(
         else:
             fwd &= dist < cdt
     return fwd
-
-
-# Rows per band of finite.build's time-ordered relation route and of
-# the CLI's analytic reconstruct check.
-BLOCK = 128
 
 
 def _equal_block(ta: np.ndarray, xa: np.ndarray, tb: np.ndarray, xb: np.ndarray) -> np.ndarray:

@@ -131,6 +131,10 @@ def test_gap_rows_must_match_light_segments(tmp_path):
     )
     with pytest.raises(ParseError, match="light segment"):
         gap_worldline_from_file(path)
+    # a NaN row matches no segment, though abs(nan - t) > tol is False
+    path.write_text("dim=1 c=1 order=causal dir=fwd\n0 0\n1 0\n2 1\n3 1\ngap nan nan lower\n")
+    with pytest.raises(ParseError, match=r"gw\.txt: gap \(nan, nan\) does not match a light segment$"):
+        gap_worldline_from_file(path)
     path.write_text("dim=1 c=1 order=causal dir=fwd\n0 0\n1 0.5\ngap 0 1 lower\n")
     with pytest.raises(ParseError, match=r"gw\.txt: file lists 1 gaps, line has 0 light segments$"):
         gap_worldline_from_file(path)

@@ -29,7 +29,6 @@ from causalorder.finite import (
     sprinkle,
 )
 from causalorder.order import (
-    BLOCK,
     TILE_CELLS,
     Direction,
     Event,
@@ -180,18 +179,19 @@ def test_float32_products_are_exact_up_to_max_events():
 
 
 def test_banded_build_and_reconstruction_hold_no_float32_square(monkeypatch):
-    # A float32 copy of an n x n relation alone takes 4n^2 bytes.  build
-    # holds the relation, its time-ordered copy, its packed rows and the
-    # cover walk's candidates (n^2 / 8 bytes each); reconstruct_order one
-    # padded bool copy of the relation's columns (freed once packed), its
-    # 64-bit packings of n^2 / 8 bytes each, the unpacked meets and its
-    # result.  A build that fails its axiom check takes its cells from
-    # the packed rows a band at a time, so it holds no more than one that
-    # passes.
+    # A float32 copy of an n x n relation alone takes 4n^2 bytes, and a
+    # bool one n^2.  build holds the relation in input order and, packed
+    # in time order, its rows and the cover walk's candidates (n^2 / 8
+    # bytes each); reconstruct_order one padded bool copy of the
+    # relation's columns (freed once packed), its 64-bit packings of
+    # n^2 / 8 bytes each, the unpacked meets and its result.  A build that
+    # fails its axiom check unpacks its time-ordered relation for the
+    # exact cells and frees it before the relation in input order is
+    # made, so it holds no more than one bool square either.
     n = 2000
     events = sprinkle2(n, 3)
     _, v, w = _violating_triple(  # w after v in time, where the kernel is asked
-        events, ((u, v, w) for u in range(BLOCK) for v in range(u + 1, n) for w in range(v + 1, n))
+        events, ((u, v, w) for u in range(WORD) for v in range(u + 1, n) for w in range(v + 1, n))
     )
     tracemalloc.start()
     try:
@@ -211,8 +211,8 @@ def test_banded_build_and_reconstruction_hold_no_float32_square(monkeypatch):
         failing_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert build_peak <= 4 * n * n
-    assert failing_peak <= 4 * n * n
+    assert build_peak <= 2 * n * n
+    assert failing_peak <= 2 * n * n
     assert rec_alloc <= 3 * n * n
 
 
@@ -893,11 +893,12 @@ def test_compare_relations_agreements_skip_the_diagonal():
 
 
 # ------------------------------------------------------ time-ordered blocks
-# Sets that outgrow one kernel tile are built in time order, band by
-# band; these sets span six bands, and their first bands split into row
-# tiles.
+# Sets that outgrow one kernel tile are built in time order, one 64-row
+# word of rows at a time, each asked from the word's first column on;
+# these sets span eleven words.
 
-MULTI = 5 * BLOCK + 5
+WORD = 64
+MULTI = 10 * WORD + 5
 
 
 def _multiblock_set(seed, dim=2, n=MULTI):
@@ -922,7 +923,7 @@ def test_multiblock_set_is_shuffled_with_ties_across_blocks():
     ts = np.array([e.t for e in events])
     order = _time_sorted(events)
     assert not np.array_equal(order, np.arange(MULTI))
-    assert any(ts[order[b - 1]] == ts[order[b]] for b in range(BLOCK, MULTI, BLOCK))
+    assert any(ts[order[b - 1]] == ts[order[b]] for b in range(WORD, MULTI, WORD))
     assert len(set(events)) < MULTI
 
 
@@ -989,14 +990,15 @@ def _by_position(ts, rel):
 @pytest.mark.parametrize("seed", range(3))
 def test_block_product_is_exact_on_any_matrix(seed, monkeypatch):
     # A strict order that is not time-ordered: i < j when i dominates j
-    # in two keys.  The first key grows with the band, so every pair
-    # lies where the kernel is asked (a band against the columns from
-    # the band on), and inside a band the order runs both ways in time.
+    # in two keys.  The first key grows with the word, so every pair
+    # lies where the kernel is asked (a word's rows against the columns
+    # from the word on), and inside a word the order runs both ways in
+    # time.
     rng = np.random.default_rng(seed)
-    band = np.arange(MULTI) // BLOCK
-    keys = band + rng.random(MULTI), rng.random(MULTI)
+    word = np.arange(MULTI) // WORD
+    keys = word + rng.random(MULTI), rng.random(MULTI)
     by_time = (keys[0][:, None] < keys[0][None, :]) & (keys[1][:, None] < keys[1][None, :])
-    assert (np.tril(by_time) & (band[:, None] == band[None, :])).any()
+    assert (np.tril(by_time) & (word[:, None] == word[None, :])).any()
     ts = rng.permutation(MULTI).astype(float)  # input order -> time
     pos = np.argsort(np.argsort(ts))  # input order -> position in time
     monkeypatch.setattr(finite, "_strict_block", _by_position(ts, by_time))
@@ -1057,17 +1059,17 @@ def _violating_triple(events, positions):
 
 @pytest.mark.parametrize("direction", list(Direction))
 def test_build_reports_backward_edge_across_blocks(monkeypatch, direction):
-    # u -> v forward in time across two bands, then v -> w backward in
-    # time inside v's band, so (u, w) breaks transitivity: the product
-    # of u's band must read the cell that v's band wrote.
+    # u -> v forward in time across two words, then v -> w backward in
+    # time inside v's word, so (u, w) breaks transitivity: the exact
+    # cells of u's row must read the cell that v's word wrote.
     events = _multiblock_set(4)
     ts = np.sort([e.t for e in events])
     pairs = []
     for ub, vb in ((0, 3), (1, 2)):
         u, v, w = _violating_triple(events, (
-            (u, v, w) for u in range(ub * BLOCK, (ub + 1) * BLOCK)
-            for v in range(vb * BLOCK, (vb + 1) * BLOCK)
-            for w in range(vb * BLOCK, v) if ts[w] < ts[v]
+            (u, v, w) for u in range(ub * WORD, (ub + 1) * WORD)
+            for v in range(vb * WORD, (vb + 1) * WORD)
+            for w in range(vb * WORD, v) if ts[w] < ts[v]
         ))
         assert events[w].t < events[v].t
         pairs.append((v, w))
@@ -1081,11 +1083,12 @@ def test_build_reports_backward_edge_across_blocks(monkeypatch, direction):
 @pytest.mark.parametrize("doctored", ["loop", "two-way", "intransitive"])
 def test_build_reports_violation_inside_one_row_tile(monkeypatch, doctored, direction):
     # every doctored cell and the triple behind it lie in the first row
-    # tile of the first band; the kernel answers the forward order.  A
-    # loop (u, u) counts as an antisymmetric pair, as in input order.
+    # tile, here the whole first word; the kernel answers the forward
+    # order.  A loop (u, u) counts as an antisymmetric pair, as in input
+    # order.
     events = _multiblock_set(4)
-    rows = TILE_CELLS // MULTI
-    assert rows < BLOCK
+    rows = WORD
+    assert TILE_CELLS // MULTI >= rows
     u, v, w = _violating_triple(
         events, ((u, v, w) for u in range(rows) for v in range(u + 1, rows) for w in range(rows))
     )
@@ -1131,16 +1134,15 @@ def _witness_reconstruction(events, rel):
     return expected
 
 
-# Set sizes at the edges of the kernel's row tiles, of the bands and of
-# the cover walk's 64-bit words: a set of up to ONE_TILE events fits one
-# tile, 2 * BLOCK + 1 events leave a one-row band, from SPLIT events on
-# the first band splits into two row tiles, the second of one row, and
-# from 319 to 512 events the last word holds 63, 64 or 1 columns.
+# Set sizes at the edges of the kernel's row tiles and of the 64-bit
+# words: a set of up to ONE_TILE events fits one tile, the last word
+# holds 63, 64 or 1 rows and columns, and from SPLIT events on the
+# first word splits into two row tiles, the second of one row.
 ONE_TILE = math.isqrt(TILE_CELLS)
-SPLIT = TILE_CELLS // BLOCK + 1
+SPLIT = TILE_CELLS // WORD + 1
 EDGE_SIZES = sorted({0, 1, 2, ONE_TILE - 1, ONE_TILE, ONE_TILE + 1,
-                     BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, SPLIT,
-                     5 * 64 - 1, 5 * 64, 5 * 64 + 1, 6 * 64, 8 * 64 - 1, 8 * 64})
+                     2 * WORD - 1, 2 * WORD, 2 * WORD + 1, 4 * WORD + 1, 8 * WORD + 1, SPLIT,
+                     5 * WORD - 1, 5 * WORD, 5 * WORD + 1, 6 * WORD, 8 * WORD - 1, 8 * WORD})
 
 
 @pytest.mark.parametrize("n", EDGE_SIZES)
