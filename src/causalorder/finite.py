@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import sys
 from bisect import bisect_right
-from collections.abc import Set as AbstractSet, Sequence
+from collections.abc import Callable, Set as AbstractSet, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -54,20 +54,26 @@ def sprinkle(cfg: SprinkleConfig) -> list[Event]:
 
 @dataclass(frozen=True)
 class FiniteCausalSet:
-    """Events plus the strict relation matrix of the chosen order, its
+    """Events plus the strict relation matrix of the chosen order and its
     Hasse covers (i < j with no k between, as the ascending int64 cells
-    i*n + j) and its minimal elements (ascending indices of the events
-    with nothing below): functions of events and spec, so equality and
-    hashing use those two alone."""
+    i*n + j): functions of events and spec, so equality and hashing use
+    those two alone.  The minimal elements and the chain table are made
+    on first use, since only the chain and cutset questions read them."""
 
     events: tuple[Event, ...]
     spec: OrderSpec
     relation: np.ndarray = field(repr=False, compare=False)
     covers: np.ndarray = field(repr=False, compare=False)
-    minimal: np.ndarray = field(repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.events)
+
+    @cached_property
+    def minimal(self) -> np.ndarray:
+        """Ascending indices of the events with nothing below, read-only."""
+        m = (~self.relation.any(axis=0)).nonzero()[0]
+        m.flags.writeable = False
+        return m
 
     @cached_property
     def _chain_table(self) -> tuple[list[list[int]], list[int]]:
@@ -99,40 +105,46 @@ def build(events: Sequence[Event], spec: OrderSpec) -> FiniteCausalSet:
         raise ValueError(f"at most {MAX_EVENTS} events supported, got {n}")
     t, xs = _coordinates(evs)
     if n * n <= TILE_CELLS:  # one kernel tile: no sort, no permute
-        rel = _strict_block(spec.kind, spec.c, t, xs, t, xs)
-        cells = _checked_covers(rel)
+        tile = _strict_block(spec.kind, spec.c, t, xs, t, xs)
+        cells, relation = _checked_covers(tile), lambda: tile
     else:
-        rel, cells = _banded(spec.kind, spec.c, t, xs)
-    if spec.direction is Direction.BACKWARD:  # the dual order: cell (i, j) -> (j, i)
-        rel, cells = rel.T, [np.sort(m % n * n + m // n) for m in cells]
+        cells, relation = _banded(spec.kind, spec.c, t, xs)
+    backward = spec.direction is Direction.BACKWARD
+    if backward:  # the dual order: cell (i, j) -> (j, i)
+        cells = [np.sort(m % n * n + m // n) for m in cells]
     covers, *violations = cells
     for axiom, bad in zip(("antisymmetry", "transitivity"), violations):
         if len(bad):
             i, j = divmod(int(bad[0]), n)
             raise RuntimeError(f"{axiom} violated at pair ({i}, {j})")
-    minimal = (~rel.any(axis=0)).nonzero()[0]
-    for m in (rel, covers, minimal):
+    rel = relation().T if backward else relation()  # made only for a set that passes
+    for m in (rel, covers):
         m.flags.writeable = False
-    return FiniteCausalSet(evs, spec, rel, covers, minimal)
+    return FiniteCausalSet(evs, spec, rel, covers)
 
 
 def _checked_covers(rel: np.ndarray) -> tuple[np.ndarray, ...]:
     """The cells i*n + j, ascending, of a relation in input order: its
     covers rel & ~((rel @ rel) > 0), the pairs that break antisymmetry
-    and the pairs that break transitivity."""
+    and the pairs that break transitivity.  (rel @ rel)[i, i] counts
+    the j with i < j < i, a loop (i, i) among them, so the pairs that
+    break antisymmetry are looked for only where that diagonal is not 0."""
     rf = rel.astype(np.float32)
     two_step = (rf @ rf) > 0
-    return tuple(m.ravel().nonzero()[0] for m in (rel > two_step, rel & rel.T, two_step > rel))
+    covers, gaps = (m.ravel().nonzero()[0] for m in (rel > two_step, two_step > rel))
+    if not np.count_nonzero(two_step.diagonal()):
+        return covers, covers[:0], gaps
+    return covers, (rel & rel.T).ravel().nonzero()[0], gaps
 
 
 def _banded(
     kind: OrderKind, c: float, t: np.ndarray, xs: np.ndarray
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The forward relation of events (t, xs) in input order and the
-    cells of _checked_covers, from one pass in time order: each word's
-    rows are asked from its first column on, which loses no pair by the
-    property stated in order._strict_block, and packed for _cover_walk,
-    else _exact_cells."""
+) -> tuple[tuple[np.ndarray, ...], Callable[[], np.ndarray]]:
+    """The cells of _checked_covers of the forward relation of events
+    (t, xs) in input order, and a function that unpacks that relation,
+    from one pass in time order: each word's rows are asked from its
+    first column on, which loses no pair by the property stated in
+    order._strict_block, and packed for _cover_walk, else _exact_cells."""
     n = len(t)
     order = np.argsort(t, kind="stable")
     t, xs = t[order], xs[order]
@@ -147,7 +159,7 @@ def _banded(
     covers = _cover_walk(words, n)
     cells = _exact_cells(words, n) if covers is None else (covers, covers[:0], covers[:0])
     back = (np.sort(order[m // n] * n + order[m % n]) for m in cells)
-    return _unpacked(words, np.argsort(order)), tuple(back)
+    return tuple(back), lambda: _unpacked(words, np.argsort(order))
 
 
 def _cover_walk(words: np.ndarray, n: int) -> np.ndarray | None:

@@ -2,7 +2,10 @@
 maximal chain counts and views, antichain enumeration, cutsets, and
 matrix-level reconstruction."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import tracemalloc
 import warnings
@@ -125,6 +128,19 @@ def test_finite_sets_compare_by_events_and_spec():
     assert hash(a) == hash(b)
     assert a != build(events, SUBLUMINAL)
     assert a != build(events[:-1], CAUSAL)
+    # the minimal elements, made on first use, change neither equality
+    # nor hash, and survive copies made before and after that use
+    minimal = np.flatnonzero(~a.relation.any(axis=0))
+    assert len(minimal) > 1
+    twins = [pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)]
+    assert np.array_equal(a.minimal, minimal) and a == b and hash(a) == hash(b)
+    twins += [pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)]
+    for twin in twins:
+        assert twin == a and hash(twin) == hash(a)
+        assert np.array_equal(twin.minimal, minimal)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.minimal = minimal[1:]
+    assert np.array_equal(a.minimal, minimal)
 
 
 def test_build_backward_is_transpose():
@@ -186,7 +202,7 @@ def test_banded_build_and_reconstruction_hold_no_float32_square(monkeypatch):
     # relation's columns (freed once packed), its 64-bit packings of
     # n^2 / 8 bytes each, the unpacked meets and its result.  A build that
     # fails its axiom check unpacks its time-ordered relation for the
-    # exact cells and frees it before the relation in input order is
+    # exact cells and raises before the relation in input order would be
     # made, so it holds no more than one bool square either.
     n = 2000
     events = sprinkle2(n, 3)
@@ -1083,21 +1099,30 @@ def test_build_reports_backward_edge_across_blocks(monkeypatch, direction):
 @pytest.mark.parametrize("doctored", ["loop", "two-way", "intransitive"])
 def test_build_reports_violation_inside_one_row_tile(monkeypatch, doctored, direction):
     # every doctored cell and the triple behind it lie in the first row
-    # tile, here the whole first word; the kernel answers the forward
-    # order.  A loop (u, u) counts as an antisymmetric pair, as in input
-    # order.
-    events = _multiblock_set(4)
-    rows = WORD
-    assert TILE_CELLS // MULTI >= rows
-    u, v, w = _violating_triple(
-        events, ((u, v, w) for u in range(rows) for v in range(u + 1, rows) for w in range(rows))
-    )
-    pairs = {"loop": [(u, u)], "two-way": [(v, u)], "intransitive": [(v, w)]}[doctored]
-    monkeypatch.setattr(finite, "_strict_block", _with_pairs(events, pairs))
-    message = _first_violation(events, pairs, direction)
-    assert message.startswith("transitivity" if doctored == "intransitive" else "antisymmetry")
-    with pytest.raises(RuntimeError, match=re.escape(message)):
-        build(events, OrderSpec(OrderKind.CAUSAL, 1.0, direction))
+    # tile, here the whole first word, of a set that fits one kernel tile
+    # and of one that spans words; the kernel answers the forward order.
+    # A loop (u, u) counts as an antisymmetric pair, as in input order;
+    # on one tile it breaks no transitivity, so the check must still look
+    # for antisymmetric pairs there.  A failing build raises before it
+    # unpacks its relation in input order: past one tile the one unpack
+    # is the time-ordered one of the exact cells.
+    rows, unpacked = WORD, finite._unpacked
+    for n in (100, MULTI):
+        events = _multiblock_set(4, 2, n)
+        assert TILE_CELLS // n >= rows
+        u, v, w = _violating_triple(events, (
+            (u, v, w) for u in range(rows) for v in range(u + 1, rows) for w in range(rows)
+        ))
+        pairs = {"loop": [(u, u)], "two-way": [(v, u)], "intransitive": [(v, w)]}[doctored]
+        message = _first_violation(events, pairs, direction)
+        assert message.startswith("transitivity" if doctored == "intransitive" else "antisymmetry")
+        perms = []
+        with monkeypatch.context() as m:
+            m.setattr(finite, "_strict_block", _with_pairs(events, pairs))
+            m.setattr(finite, "_unpacked", lambda words, p: perms.append(p) or unpacked(words, p))
+            with pytest.raises(RuntimeError, match=re.escape(message)):
+                build(events, OrderSpec(OrderKind.CAUSAL, 1.0, direction))
+        assert [p.tolist() for p in perms] == ([list(range(n))] if n == MULTI else [])
 
 
 @pytest.mark.parametrize("direction", list(Direction))
@@ -1159,7 +1184,10 @@ def test_build_matches_brute_force_at_tile_and_band_edges(n):
                 assert np.array_equal(fcs.relation, rel)
                 assert np.array_equal(fcs.relation & ~_dense_covers(fcs), _two_step(rel))
                 assert hasse(fcs) == list(map(tuple, np.argwhere(rel & ~_two_step(rel)).tolist()))
-                assert fcs.minimal.tolist() == np.flatnonzero(~rel.any(axis=0)).tolist()
+                minimal = fcs.minimal  # made on first use, then kept
+                assert fcs.minimal is minimal and "minimal" not in repr(fcs)
+                assert not minimal.flags.writeable and minimal.flags.c_contiguous
+                assert np.array_equal(minimal, np.flatnonzero(~fcs.relation.any(axis=0)))
                 if kind is OrderKind.SUBLUMINAL:
                     assert np.array_equal(reconstruct_order(fcs),
                                           _witness_reconstruction(events, rel))
